@@ -18,10 +18,10 @@ import numpy as np
 
 from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
 from flagctrl.sldr import (
+    Drift,
     determinant_formula_residuals,
     fixed_flags,
     random_traceless,
-    split_part,
     type_a_system,
     verify_rates,
 )
@@ -61,8 +61,9 @@ def parse_args() -> ExperimentConfig:
 
 def main() -> None:
     cfg = parse_args()
-    d = cfg.x.shape[0]
-    sp = split_part(cfg.x, gap_tol=cfg.gap_tol)
+    drift = Drift(cfg.x, gap_tol=cfg.gap_tol)
+    sp = drift.split
+    d = drift.dim
     rs = type_a_system(d)
     group = generate(rs)
     spec = FlagSpec(theta=cfg.theta, flag_type=sp.theta)
@@ -77,12 +78,11 @@ def main() -> None:
         print(f"record {word}  s/c/u {rec.dim_stable}/{rec.dim_center}/{rec.dim_unstable}"
               f"  {'hyperbolic' if rec.hyperbolic else 'non-hyperbolic'}")
         try:
-            fixed_flags(cfg.x, cfg.theta, rec.rep, gap_tol=cfg.gap_tol)
+            fixed_flags(drift, cfg.theta, rec.rep)
         except ValueError as exc:
             print(f"  skipped: {exc}\n")
             continue
-        rep = verify_rates(cfg.x, rs, spec, rec, cfg.T,
-                           require_hyperbolic=False, gap_tol=cfg.gap_tol)
+        rep = verify_rates(drift, rs, spec, rec, cfg.T, require_hyperbolic=False)
         print(f"  stable    predicted {rep.stable_predicted}")
         print(f"            measured  {tuple(round(v, 9) for v in rep.stable_measured)}")
         print(f"  unstable  predicted {rep.unstable_predicted}")
@@ -95,8 +95,7 @@ def main() -> None:
         if rec.hyperbolic:
             worst = 0.0
             for t in cfg.det_times:
-                ru, rs_def = determinant_formula_residuals(
-                    cfg.x, rs, spec, rec, t, gap_tol=cfg.gap_tol)
+                ru, rs_def = determinant_formula_residuals(drift, rs, spec, rec, t)
                 worst = max(worst, ru, rs_def)
             print(f"  determinant identity worst residual {worst:.3e}"
                   f" over t in {list(cfg.det_times)}")

@@ -23,7 +23,6 @@ import sys
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .flagcalc import (
     ConsistencyError,
@@ -33,6 +32,7 @@ from .flagcalc import (
 )
 from .rootsys import FAMILIES, build_root_system
 from .sldr import (
+    Drift,
     Polytope,
     cocycle_sample,
     cocycle_to_csv,
@@ -43,7 +43,6 @@ from .sldr import (
     flag_type_diagnostic,
     load_system,
     random_signal,
-    split_part,
     standard_flag,
     type_a_system,
     verify_rates,
@@ -188,10 +187,9 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     sysspec = load_system(args.spec)
-    x = sysspec.drift
-    d = sysspec.dim
-    sp = split_part(x, gap_tol=args.gap_tol)
-    rs = type_a_system(d)
+    drift = Drift(sysspec.drift, gap_tol=args.gap_tol)
+    sp = drift.split
+    rs = type_a_system(drift.dim)
     group = generate(rs, order_cap=args.order_cap)
     fspec = FlagSpec(theta=args.theta, flag_type=sp.theta)
     fspec.validate(rs)
@@ -214,12 +212,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failed += 1
         lines.append(f"{label}: {detail} -> {'PASS' if ok else 'FAIL'}")
 
-    psi_half = scipy.linalg.expm(0.5 * x)
+    psi_half = drift.expm(0.5)
     for rec in records:
         word = "(" + ",".join(str(i) for i in rec.rep.reduced_word) + ")"
         label = f"record {word}"
         try:
-            xw = fixed_flags(x, fspec.theta, rec.rep, gap_tol=args.gap_tol)
+            xw = fixed_flags(drift, fspec.theta, rec.rep)
         except ValueError as exc:
             lines.append(f"{label}: skipped ({exc})")
             continue
@@ -227,9 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check(label, dist <= 1e-9, f"fixed-flag drift {dist:.3e}")
         if rec.hyperbolic:
             for t in det_times:
-                res_u, res_s = determinant_formula_residuals(
-                    x, rs, fspec, rec, t, gap_tol=args.gap_tol
-                )
+                res_u, res_s = determinant_formula_residuals(drift, rs, fspec, rec, t)
                 check(
                     label,
                     max(res_u, res_s) <= args.tol,
@@ -237,9 +233,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
         else:
             lines.append(f"{label}: determinant identity skipped (non-hyperbolic)")
-        report = verify_rates(
-            x, rs, fspec, rec, args.T, require_hyperbolic=False, gap_tol=args.gap_tol
-        )
+        report = verify_rates(drift, rs, fspec, rec, args.T, require_hyperbolic=False)
         check(
             label,
             report.max_exponent_rel_error <= args.rate_tol and report.mu_estimate > 0,
@@ -267,7 +261,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         standard_flag(sysspec.dim),
         sample_every=args.sample_every,
     )
-    sys.stdout.write(cocycle_to_csv(sample))
     diag = flag_type_diagnostic([sample])
     info = {
         "T": args.T,
@@ -278,6 +271,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "slope_bands": [[lo, hi] for lo, hi in diag["slope_bands"]],
     }
+    sys.stdout.write(cocycle_to_csv(sample))
     print(json.dumps(info, sort_keys=True), file=sys.stderr)
     return 0
 

@@ -25,13 +25,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .flagcalc import ChainControlSetRecord, FlagSpec
-from .rootsys import RootSystem, build_root_system, span_subset
+from .rootsys import RootSystem, build_root_system, form_value, span_subset
 from .weyl import WeylElement
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "ControlSystemSpec",
     "Trajectory",
     "SplitPart",
+    "Drift",
     "RealizationSplit",
     "RateReport",
     "CocycleSample",
@@ -114,6 +115,16 @@ def _qr_pos(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.sign(np.diag(r)).copy()
     s[s == 0] = 1.0
     return q * s, s[:, None] * r
+
+
+def _qr_special(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # sign-fixed QR with a determinant +1 orthogonal factor; the last column
+    # of q and the last row of r flip together, so q @ r still equals g
+    q, r = _qr_pos(g)
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+        r[-1, :] = -r[-1, :]
+    return q, r
 
 
 def iwasawa(
@@ -214,11 +225,7 @@ def standard_flag(d: int, theta: Iterable[int] = ()) -> FlagPoint:
 
 def flag_from_basis(basis: np.ndarray, blocks: Sequence[int]) -> FlagPoint:
     """Orthonormalize an ordered basis; leading spans are preserved."""
-    basis = np.asarray(basis, dtype=float)
-    q, _ = _qr_pos(basis)
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, -1] = -q[:, -1]
+    q, _ = _qr_special(np.asarray(basis, dtype=float))
     return flag_point(q, blocks)
 
 
@@ -232,7 +239,6 @@ def flag_distance(x: FlagPoint, y: FlagPoint) -> float:
     """Largest spectral gap between corresponding subspace projectors."""
     if x.blocks != y.blocks:
         raise ValueError("flags live on different manifolds")
-    d = x.dim_ambient
     out = 0.0
     cut = 0
     for b in x.blocks[:-1]:
@@ -359,8 +365,8 @@ class IntegratorConfig:
     renorm_cadence: int = 10
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.renorm_cadence < 1:
             raise ValueError("renorm cadence must be at least 1")
 
@@ -404,6 +410,8 @@ def control_system(
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("all system matrices must share the drift's shape")
+        if not np.isfinite(m).all():
+            raise ValueError("system matrices must have finite entries")
         if abs(np.trace(m)) > 1e-12 * max(1.0, float(np.linalg.norm(m))):
             raise ValueError(f"system matrix has nonzero trace {np.trace(m)!r}")
     if control_range.dim != len(controls):
@@ -507,16 +515,18 @@ def _rk4_step_matrix(x: np.ndarray, h: float) -> np.ndarray:
     return eye + a @ m
 
 
-def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Trajectory:
-    """Fixed-step RK4 flow of the right-invariant system, with determinant
-    renormalization every ``renorm_cadence`` steps.
+def _propagate(
+    spec: ControlSystemSpec, signal: ControlSignal, T: float
+) -> tuple[float, int, Iterator[np.ndarray | None]]:
+    """Signed step, step count and per-step RK4 transitions over [0, T].
 
     ``T`` may be negative; the control is evaluated at segment midpoints, so
     the sample period must be an integer multiple of dt and the signal
-    origin must sit on the step grid.
+    origin must sit on the step grid.  The grid is checked before any step
+    runs.  Transitions are built and range-checked once per control value;
+    an exactly-identity transition is yielded as None.
     """
-    cfg = spec.integrator
-    dt = cfg.dt
+    dt = spec.integrator.dt
     if signal.n_channels != spec.n_controls:
         raise ValueError("signal channel count does not match the system")
     ratio = signal.period / dt
@@ -529,26 +539,37 @@ def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Traje
     if abs(abs(T) - n * dt) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("horizon must be an integer multiple of dt")
     h = dt if T >= 0 else -dt
+
+    def steps() -> Iterator[np.ndarray | None]:
+        eye = np.eye(spec.dim)
+        cache: dict[bytes, np.ndarray | None] = {}
+        for i in range(n):
+            u = signal.value_at((i + 0.5) * h)
+            key = u.tobytes()
+            if key not in cache:
+                if not spec.control_range.contains(u):
+                    raise ValueError(f"control value {u.tolist()} lies outside the range")
+                step = _rk4_step_matrix(spec.generator(u), h)
+                cache[key] = None if np.array_equal(step, eye) else step
+            yield cache[key]
+
+    return h, n, steps()
+
+
+def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Trajectory:
+    """Fixed-step RK4 flow of the right-invariant system, with determinant
+    renormalization every ``renorm_cadence`` steps.
+
+    ``T`` may be negative; see ``_propagate`` for the grid conditions.
+    """
+    h, n, steps = _propagate(spec, signal, T)
     d = spec.dim
-    eye = np.eye(d)
-    psi = eye
-    out = [eye]
-    cache: dict[bytes, tuple[np.ndarray, bool]] = {}
-    for i in range(n):
-        tm = (i + 0.5) * h
-        u = signal.value_at(tm)
-        key = u.tobytes()
-        entry = cache.get(key)
-        if entry is None:
-            if not spec.control_range.contains(u):
-                raise ValueError(f"control value {u.tolist()} lies outside the range")
-            step = _rk4_step_matrix(spec.generator(u), h)
-            entry = (step, bool(np.array_equal(step, eye)))
-            cache[key] = entry
-        step, is_id = entry
-        if not is_id:
+    psi = np.eye(d)
+    out = [psi]
+    for i, step in enumerate(steps):
+        if step is not None:
             psi = step @ psi
-            if (i + 1) % cfg.renorm_cadence == 0 or i == n - 1:
+            if (i + 1) % spec.integrator.renorm_cadence == 0 or i == n - 1:
                 det = float(np.linalg.det(psi))
                 if det <= 0.0 or abs(det - 1.0) > 1e-6:
                     raise ValueError(
@@ -645,18 +666,6 @@ def time_reversal_residual(
     return worst
 
 
-def _type_a_form_row(beta: Sequence[Fraction], j: int) -> Fraction:
-    # exact pairing of a simple-root-coordinate functional with the dual of
-    # simple root j in type A (tridiagonal 2, -1 form)
-    n = len(beta)
-    val = 2 * beta[j]
-    if j > 0:
-        val -= beta[j - 1]
-    if j < n - 1:
-        val -= beta[j + 1]
-    return val
-
-
 def ktheta_invariance_residual(
     psi: np.ndarray,
     flag: FlagPoint,
@@ -679,17 +688,17 @@ def ktheta_invariance_residual(
     beta_q = [Fraction(b) for b in beta]
     if len(beta_q) != d - 1:
         raise ValueError(f"functional must have {d - 1} simple-root coordinates")
+    rs = type_a_system(d)
     for j in sorted(theta):
-        v = _type_a_form_row(beta_q, j)
+        v = form_value(rs, beta_q, rs.simple_roots[j].coords)
         if v != 0:
             raise ValueError(
                 f"functional {beta_q} does not annihilate the dual of simple root {j} "
                 f"(value {v})"
             )
     k_block = np.asarray(k_block, dtype=float)
-    blocks = blocks_from_theta(theta, d)
-    mask = _block_diag_mask(blocks)
-    if np.abs(k_block * ~mask).max() > 1e-12:
+    bid = _block_index(blocks_from_theta(theta, d))
+    if np.abs(k_block * (bid[:, None] != bid[None, :])).max() > 1e-12:
         raise ValueError("rotation is not block diagonal for the theta blocks")
     if np.abs(k_block.T @ k_block - np.eye(d)).max() > tol:
         raise ValueError("rotation is not orthogonal")
@@ -858,45 +867,13 @@ def permutation_matrix(w: WeylElement, d: int) -> np.ndarray:
     return p
 
 
-def _permuted_layout(
-    sp: SplitPart, w: WeylElement, blocks: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation matrix and eigen-position assignment for a cell.
-
-    Rejects arrangements that cut a complex conjugate pair across flag
-    blocks: only whole pair planes are flow invariant, so such a cell has
-    no fixed flag and no invariant tangent splitting.
-    """
-    d = sum(blocks)
-    p = permutation_matrix(w, d)
-    sigma = np.argmax(p, axis=0)  # flag position j holds eigen position sigma[j]
-    bid = _block_index(blocks)
-    flag_pos = {int(e): j for j, e in enumerate(sigma)}
-    for a, b in sp.complex_pairs:
-        if bid[flag_pos[a]] != bid[flag_pos[b]]:
-            raise ValueError(
-                f"cell of word {w.reduced_word} splits a complex eigenvalue pair "
-                "across flag blocks; the generator fixes no flag there"
-            )
-    return p, sigma
-
-
-def fixed_flags(
-    x: np.ndarray,
-    theta: Iterable[int],
-    w: WeylElement,
-    *,
-    gap_tol: float = 1e-6,
-) -> FlagPoint:
+def fixed_flags(x: np.ndarray | Drift, theta: Iterable[int], w: WeylElement) -> FlagPoint:
     """The invariant flag of the coset representative ``w`` for generator ``x``.
 
     Built by permuting the ordered eigenbasis columns and orthonormalizing;
     leading spans of eigenvector prefixes are invariant under the flow.
     """
-    sp = split_part(x, gap_tol=gap_tol)
-    blocks = blocks_from_theta(theta, x.shape[0])
-    p, _ = _permuted_layout(sp, w, blocks)
-    return flag_from_basis(sp.basis @ p, blocks)
+    return _as_drift(x)._cell(theta, w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -915,11 +892,6 @@ def _block_index(blocks: tuple[int, ...]) -> np.ndarray:
 def _lower_mask(blocks: tuple[int, ...]) -> np.ndarray:
     bid = _block_index(blocks)
     return bid[:, None] > bid[None, :]
-
-
-def _block_diag_mask(blocks: tuple[int, ...]) -> np.ndarray:
-    bid = _block_index(blocks)
-    return bid[:, None] == bid[None, :]
 
 
 def _lower_positions(blocks: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -990,32 +962,39 @@ class RealizationSplit:
 
 
 def invariant_realizations(
-    x: np.ndarray,
-    theta: Iterable[int],
-    w: WeylElement,
-    *,
-    gap_tol: float = 1e-6,
+    x: np.ndarray | Drift, theta: Iterable[int], w: WeylElement
 ) -> RealizationSplit:
     """Stable, center and unstable tangent realizations at the fixed flag of ``w``."""
-    sp = split_part(x, gap_tol=gap_tol)
-    d = x.shape[0]
+    return _as_drift(x)._cell(theta, w)[1]
+
+
+def _realize_cell(
+    sp: SplitPart, theta: frozenset[int], w: WeylElement
+) -> tuple[FlagPoint, RealizationSplit]:
+    """Fixed flag and tangent realizations of the cell of ``w``.
+
+    Rejects arrangements that cut a complex conjugate pair across flag
+    blocks: only whole pair planes are flow invariant, so such a cell has
+    no fixed flag and no invariant tangent splitting.
+    """
+    d = len(sp.h)
     blocks = blocks_from_theta(theta, d)
-    p, sigma = _permuted_layout(sp, w, blocks)
-    q, r = _qr_pos(sp.basis @ p)
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, -1] = -q[:, -1]
-        r = r.copy()
-        r[-1, :] = -r[-1, :]
+    p = permutation_matrix(w, d)
+    sigma = np.argmax(p, axis=0)  # flag position j holds eigen position sigma[j]
+    bid = _block_index(blocks)
+    flag_pos = {int(e): j for j, e in enumerate(sigma)}
+    for a, b in sp.complex_pairs:
+        if bid[flag_pos[a]] != bid[flag_pos[b]]:
+            raise ValueError(
+                f"cell of word {w.reduced_word} splits a complex eigenvalue pair "
+                "across flag blocks; the generator fixes no flag there"
+            )
+    q, r = _qr_special(sp.basis @ p)
     mask = _lower_mask(blocks)
     hw = sp.h[sigma]
     gid = np.asarray(sp.group_ids)[sigma]
     rinv = scipy.linalg.solve_triangular(r, np.eye(d))
-    buckets: dict[str, list[tuple[float, np.ndarray]]] = {
-        "stable": [],
-        "center": [],
-        "unstable": [],
-    }
+    buckets: dict[str, list] = {"stable": [], "center": [], "unstable": []}
     for i, j in _lower_positions(blocks):
         lam = float(hw[i] - hw[j])
         e = np.zeros((d, d))
@@ -1038,13 +1017,14 @@ def invariant_realizations(
         for col in range(qf.shape[1]):
             m = np.zeros((d, d))
             m[mask] = qf[:, col]
+            m.flags.writeable = False
             vecs.append(m)
         return tuple(vecs), lams
 
     sv, se = pack(buckets["stable"])
     cv, ce = pack(buckets["center"])
     uv, ue = pack(buckets["unstable"])
-    return RealizationSplit(
+    return flag_point(q, blocks), RealizationSplit(
         stable=sv,
         center=cv,
         unstable=uv,
@@ -1058,22 +1038,102 @@ def invariant_realizations(
 # Verification against the exact classification
 
 
-def _attractor_frame(sp: SplitPart) -> np.ndarray:
-    q, _ = _qr_pos(sp.basis)
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, -1] = -q[:, -1]
-    return q
+@dataclass(frozen=True, eq=False)
+class Drift:
+    """An autonomous generator with the data its per-record checks share.
+
+    ``x`` is split once with ``gap_tol`` (see ``split_part``); ``frame`` is
+    the attractor flag of its ordered eigenbasis.  exp(t x) is computed once
+    per distinct t and the attractor-frame cocycle once per horizon.  Only
+    the most recent Weyl cell's fixed flag and tangent realization are kept,
+    so memory does not grow over a sweep of records.  Functions given a
+    matrix in place of a Drift build one with the default ``gap_tol``.
+    """
+
+    x: np.ndarray
+    gap_tol: float = 1e-6
+    split: SplitPart = field(init=False)
+    frame: FlagPoint = field(init=False)
+    _memo: dict = field(init=False, default_factory=dict, repr=False)
+    _cell_memo: dict = field(init=False, default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        x = np.array(self.x, dtype=float)
+        x.flags.writeable = False
+        sp = split_part(x, gap_tol=self.gap_tol)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "split", sp)
+        object.__setattr__(self, "frame", flag_point(_qr_special(sp.basis)[0], (1,) * len(sp.h)))
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[0]
+
+    def _once(self, key: tuple, compute: Callable[[], object]):
+        # every caller shares a memoized array, so it is made read-only
+        if key not in self._memo:
+            value = self._memo[key] = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return self._memo[key]
+
+    def expm(self, t: float) -> np.ndarray:
+        """exp(t x) as a read-only array, computed once per distinct ``t``."""
+        return self._once(("expm", t), lambda: scipy.linalg.expm(t * self.x))
+
+    def _horizon_rates(self, T: float) -> tuple:
+        """Roots outside the flow type, predicted and measured cocycle slopes
+        over [0, T], and the smallest slope from time 1 on.  The cocycle is
+        accumulated in steps of at most 0.5, so long horizons stay well
+        conditioned."""
+
+        def compute() -> tuple:
+            rs = type_a_system(self.dim)
+            central = span_subset(rs, self.split.theta)
+            roots = [r.coords for r in rs.sorted_positive_roots() if r not in central]
+            functionals = [realize_functional(c, self.dim) for c in roots]
+            n_sub = max(1, int(math.ceil(T / 0.5)))
+            dt_sub = T / n_sub
+            stepm = self.expm(dt_sub)
+            frame, acc = self.frame.rep, np.zeros(self.dim)
+            curve = [(0.0, acc)]
+            for k in range(1, n_sub + 1):
+                trip = iwasawa(stepm @ frame)
+                frame, acc = trip.k, acc + trip.a_vec
+                curve.append((k * dt_sub, acc))
+            mu = min(f(a) / tau for tau, a in curve if tau >= 1.0 - 1e-12 for f in functionals)
+            predicted = tuple(f(self.split.h) for f in functionals)
+            return tuple(roots), predicted, tuple(f(acc) / T for f in functionals), float(mu)
+
+        return self._once(("rates", T), compute)
+
+    def _cell(self, theta: Iterable[int], w: WeylElement) -> tuple[FlagPoint, RealizationSplit]:
+        key = (frozenset(theta), w)
+        if key not in self._cell_memo:
+            cell = _realize_cell(self.split, key[0], w)
+            self._cell_memo.clear()
+            self._cell_memo[key] = cell
+        return self._cell_memo[key]
+
+
+def _as_drift(x: np.ndarray | Drift) -> Drift:
+    return x if isinstance(x, Drift) else Drift(x)
+
+
+def _check_flow_type(drift: Drift, spec: FlagSpec) -> None:
+    if drift.split.theta != spec.flag_type:
+        raise ValueError(
+            f"generator flow type {sorted(drift.split.theta)} disagrees with spec "
+            f"{sorted(spec.flag_type)}"
+        )
 
 
 def determinant_formula_residuals(
-    x: np.ndarray,
+    x: np.ndarray | Drift,
     rs: RootSystem,
     spec: FlagSpec,
     record: ChainControlSetRecord,
     t: float,
-    *,
-    gap_tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Relative defects of the Jacobian determinant identity at time ``t``.
 
@@ -1084,23 +1144,15 @@ def determinant_formula_residuals(
     """
     if not record.hyperbolic:
         raise ValueError("the determinant identity requires a hyperbolic record")
-    d = x.shape[0]
-    sp = split_part(x, gap_tol=gap_tol)
-    if sp.theta != spec.flag_type:
-        raise ValueError(
-            f"generator flow type {sorted(sp.theta)} disagrees with spec "
-            f"{sorted(spec.flag_type)}"
-        )
-    frame = _attractor_frame(sp)
-    xi = flag_point(frame, (1,) * d)
-    psi = scipy.linalg.expm(t * x)
-    avec = a_cocycle(psi, xi, cond_max=None)
-    real = invariant_realizations(x, spec.theta, record.rep, gap_tol=gap_tol)
-    xw = fixed_flags(x, spec.theta, record.rep, gap_tol=gap_tol)
+    drift = _as_drift(x)
+    _check_flow_type(drift, spec)
+    psi = drift.expm(t)
+    avec = drift._once(("a", t), lambda: a_cocycle(psi, drift.frame, cond_max=None))
+    xw, real = drift._cell(spec.theta, record.rep)
     out = []
     for sig, basis in ((record.sigma_plus, real.unstable), (record.sigma_minus, real.stable)):
         lhs = projective_derivative_det(psi, xw, basis)
-        rhs = math.exp(realize_functional(sig, d)(avec))
+        rhs = math.exp(realize_functional(sig, drift.dim)(avec))
         out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return out[0], out[1]
 
@@ -1122,23 +1174,22 @@ class RateReport:
 
 
 def verify_rates(
-    x: np.ndarray,
+    x: np.ndarray | Drift,
     rs: RootSystem,
     spec: FlagSpec,
     record: ChainControlSetRecord,
     T: float,
     *,
     require_hyperbolic: bool = True,
-    gap_tol: float = 1e-6,
     step: float = 0.25,
 ) -> RateReport:
     """Measure cocycle slopes and subbundle singular value exponents.
 
-    The cocycle along the attractor frame is accumulated in bounded steps,
-    so arbitrarily long horizons stay well conditioned.  Subbundle
-    derivatives are powers of a single short-time endomorphism at the fixed
-    flag of the record.  Center realizations only appear on non-hyperbolic
-    records, which must be enabled explicitly.
+    The cocycle slopes come from the drift's attractor frame and do not
+    depend on the record.  Subbundle derivatives are powers of a single
+    short-time endomorphism at the fixed flag of the record.  Center
+    realizations only appear on non-hyperbolic records, which must be
+    enabled explicitly.
     """
     if T < 1.0:
         raise ValueError("need a horizon of at least 1")
@@ -1147,47 +1198,17 @@ def verify_rates(
             "record is not hyperbolic; pass require_hyperbolic=False for "
             "center diagnostics"
         )
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
+    drift = _as_drift(x)
+    d = drift.dim
     if rs.family != "A" or rs.rank != d - 1:
         raise ValueError(f"root system {rs.lie_type} does not match SL({d})")
-    sp = split_part(x, gap_tol=gap_tol)
-    if sp.theta != spec.flag_type:
-        raise ValueError(
-            f"generator flow type {sorted(sp.theta)} disagrees with spec "
-            f"{sorted(spec.flag_type)}"
-        )
-
-    # cocycle slopes at the attractor frame, accumulated in bounded steps
-    frame0 = _attractor_frame(sp)
-    roots = [
-        r
-        for r in rs.sorted_positive_roots()
-        if r not in span_subset(rs, spec.flag_type)
-    ]
-    functionals = [realize_functional(r.coords, d) for r in roots]
-    predicted = tuple(f(sp.h) for f in functionals)
-    n_sub = max(1, int(math.ceil(T / 0.5)))
-    dt_sub = T / n_sub
-    stepm = scipy.linalg.expm(dt_sub * x)
-    frame = frame0
-    acc = np.zeros(d)
-    curve = [(0.0, acc)]
-    for k in range(1, n_sub + 1):
-        trip = iwasawa(stepm @ frame)
-        frame = trip.k
-        acc = acc + trip.a_vec
-        curve.append((k * dt_sub, acc))
-    measured = tuple(f(acc) / T for f in functionals)
-    mu = min(
-        f(a) / tau for tau, a in curve if tau >= 1.0 - 1e-12 for f in functionals
-    )
+    _check_flow_type(drift, spec)
+    roots, predicted, measured, mu = drift._horizon_rates(T)
 
     # subbundle exponents from singular values of powered short-time maps
-    real = invariant_realizations(x, spec.theta, record.rep, gap_tol=gap_tol)
-    xw = fixed_flags(x, spec.theta, record.rep, gap_tol=gap_tol)
+    xw, real = drift._cell(spec.theta, record.rep)
     mask = _lower_mask(xw.blocks)
-    m_step = xw.rep.T @ scipy.linalg.expm(step * x) @ xw.rep
+    m_step = xw.rep.T @ drift.expm(step) @ xw.rep
     m_inv = np.linalg.inv(m_step)
 
     def short_map(basis: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -1233,10 +1254,10 @@ def verify_rates(
             rel = max(rel, abs(m_val - p_val) / max(abs(p_val), 1e-12))
 
     return RateReport(
-        positive_roots=tuple(r.coords for r in roots),
+        positive_roots=roots,
         cocycle_predicted=predicted,
         cocycle_measured=measured,
-        mu_estimate=float(mu),
+        mu_estimate=mu,
         stable_predicted=real.stable_exponents,
         stable_measured=stable_meas,
         unstable_predicted=real.unstable_exponents,
@@ -1274,42 +1295,20 @@ def cocycle_sample(
 
     The frame is refactored every step, so conditioning never grows with
     the horizon; steps with an exactly-identity transition contribute
-    exactly zero.
+    exactly zero.  Grid conditions are those of ``integrate``.
     """
     if not flag.is_maximal:
         raise ValueError("the cocycle is sampled at maximal flags")
     if sample_every < 1:
         raise ValueError("sample stride must be at least 1")
-    cfg = spec.integrator
-    dt = cfg.dt
-    if signal.n_channels != spec.n_controls:
-        raise ValueError("signal channel count does not match the system")
-    n = int(round(abs(T) / dt))
-    if abs(abs(T) - n * dt) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("horizon must be an integer multiple of dt")
-    h = dt if T >= 0 else -dt
-    d = spec.dim
-    eye = np.eye(d)
-    cache: dict[bytes, tuple[np.ndarray, bool]] = {}
+    h, n, steps = _propagate(spec, signal, T)
     frame = flag.rep
-    acc = np.zeros(d)
+    acc = np.zeros(spec.dim)
     times = [0.0]
     values = [acc]
-    for i in range(n):
-        u = signal.value_at((i + 0.5) * h)
-        key = u.tobytes()
-        entry = cache.get(key)
-        if entry is None:
-            if not spec.control_range.contains(u):
-                raise ValueError(f"control value {u.tolist()} lies outside the range")
-            step = _rk4_step_matrix(spec.generator(u), h)
-            entry = (step, bool(np.array_equal(step, eye)))
-            cache[key] = entry
-        step, is_id = entry
-        if not is_id:
-            b = step @ frame
-            q, r = _qr_pos(b)
-            frame = q
+    for i, step in enumerate(steps):
+        if step is not None:
+            frame, r = _qr_pos(step @ frame)
             acc = acc + np.log(np.diag(r))
         if (i + 1) % sample_every == 0 or i == n - 1:
             times.append((i + 1) * h)
@@ -1372,10 +1371,7 @@ def random_traceless(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
 
 
 def random_special_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, _ = _qr_pos(rng.standard_normal((d, d)))
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q
+    return _qr_special(rng.standard_normal((d, d)))[0]
 
 
 def random_unimodular(rng: np.random.Generator, d: int) -> np.ndarray:

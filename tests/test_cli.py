@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -6,9 +7,17 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from flagctrl import sldr
 from flagctrl.cli import main
-from flagctrl.sldr import Box, Polytope, control_system, system_to_json
+from flagctrl.sldr import (
+    Box,
+    Polytope,
+    control_system,
+    random_special_orthogonal,
+    system_to_json,
+)
 
 
 def run(capsys, argv):
@@ -143,6 +152,40 @@ def test_verify_center_band_reported(tmp_path, capsys):
     assert "determinant identity skipped (non-hyperbolic)" in out
 
 
+def test_verify_computes_drift_data_once(tmp_path, capsys, monkeypatch):
+    q = random_special_orthogonal(np.random.default_rng(41), 4)
+    path = write_system(tmp_path, q @ np.diag([3.0, 1.0, -1.0, -3.0]) @ q.T)
+    counts = {"split_part": 0, "iwasawa": 0}
+    expm_args = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real_expm = scipy.linalg.expm
+
+    def counted_expm(a, *args, **kwargs):
+        expm_args.append(np.array(a))
+        return real_expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(sldr, "split_part", counted("split_part", sldr.split_part))
+    monkeypatch.setattr(sldr, "iwasawa", counted("iwasawa", sldr.iwasawa))
+    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    T = 4.0
+    rc, out, _ = run(capsys, ["verify", "--spec", path, "--T", str(T)])
+    assert rc in (0, 1)
+    n_records = len({line.split(":")[0] for line in out.splitlines() if line.startswith("record")})
+    assert n_records == 24
+    assert counts["split_part"] == 1
+    assert len({a.tobytes() for a in expm_args}) == len(expm_args)  # one per distinct time
+    # one per horizon sub-step, one fixed-flag check per record, one per
+    # determinant time: nothing from the horizon is repeated per record
+    assert counts["iwasawa"] <= math.ceil(T / 0.5) + n_records + 3
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, ["verify", "--spec", "/nonexistent/sys.json"])
     assert rc == 2
@@ -193,6 +236,36 @@ def test_simulate_rejects_polytope_range(tmp_path, capsys):
     rc, _, err = run(capsys, ["simulate", "--spec", path, "--T", "1"])
     assert rc == 2
     assert "box control ranges" in err
+
+
+def test_non_finite_drift_rejected(tmp_path, capsys):
+    doc = system_to_json(control_system(np.diag([1.0, 0.0, -1.0]), [], Box(())))
+    doc["drift"][0][1] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # the json module writes and reads NaN
+    for argv in (["simulate", "--spec", str(path)], ["verify", "--spec", str(path)]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+
+def test_simulate_zero_horizon_writes_nothing(tmp_path, capsys):
+    path = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]))
+    rc, out, err = run(capsys, ["simulate", "--spec", path, "--T", "0"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_simulate_rejects_off_grid_period(tmp_path, capsys):
+    drift = np.diag([1.0, 0.0, -1.0])
+    ctrl = np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    path = write_system(tmp_path, drift, [ctrl], Box(((-1.0, 1.0),)))
+    rc, out, err = run(capsys, ["simulate", "--spec", path, "--T", "1", "--period", "0.0015"])
+    assert rc == 2
+    assert out == ""
+    assert "integer multiple of dt" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
 from flagctrl.sldr import (
     Box,
     ControlSignal,
+    Drift,
+    IntegratorConfig,
     Polytope,
     a_cocycle,
     blocks_from_theta,
@@ -193,6 +195,19 @@ def test_control_system_validation():
     assert np.abs(gen - (good_drift + 0.25 * ctrl)).max() == 0.0
     with pytest.raises(ValueError):
         spec.drift[0, 0] = 7.0  # matrices are frozen
+
+
+def test_control_system_rejects_non_finite():
+    good_drift = np.diag([1.0, -1.0])
+    ctrl = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        spoiled = np.array([[0.0, bad], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            control_system(good_drift + spoiled, [ctrl], Box(((-1.0, 1.0),)))
+        with pytest.raises(ValueError, match="finite"):
+            control_system(good_drift, [ctrl + spoiled], Box(((-1.0, 1.0),)))
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(dt=bad)
 
 
 def test_control_signal_lookup():
@@ -536,6 +551,35 @@ def test_verify_rates_regular(w_a2, a2, b2):
         verify_rates(x, a2, bad, bad_rec, 2.0, require_hyperbolic=False)
 
 
+def test_drift_matches_matrix_calls(w_a2, a2):
+    x = np.diag([2.0, 0.0, -2.0])
+    drift = Drift(x)
+    spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
+    for rec in enumerate_chain_control_sets(w_a2, spec):
+        assert np.array_equal(fixed_flags(drift, (), rec.rep).rep, fixed_flags(x, (), rec.rep).rep)
+        for t in (0.5, 2.0):
+            assert determinant_formula_residuals(
+                drift, a2, spec, rec, t
+            ) == determinant_formula_residuals(x, a2, spec, rec, t)
+        a, b = verify_rates(drift, a2, spec, rec, 3.0), verify_rates(x, a2, spec, rec, 3.0)
+        assert a.cocycle_measured == b.cocycle_measured and a.mu_estimate == b.mu_estimate
+        assert a.unstable_measured == b.unstable_measured
+        assert a.stable_measured == b.stable_measured
+    assert len(drift._cell_memo) == 1  # only the record in hand is kept
+    assert drift.expm(0.5) is drift.expm(0.5)
+    with pytest.raises(ValueError):
+        drift.expm(0.5)[0, 0] = 1.0
+
+
+def test_drift_carries_gap_tol(w_a2):
+    x = np.diag([1e-8, 0.0, -1e-8])
+    with pytest.raises(ValueError, match="ambiguous"):
+        fixed_flags(x, (), w_a2.identity)
+    drift = Drift(x, gap_tol=1e-9)
+    assert drift.split.theta == frozenset()
+    assert fixed_flags(drift, (), w_a2.identity).blocks == (1, 1, 1)
+
+
 def test_verify_rates_center_band(w_a2, a2):
     x = np.diag([1.0, 1.0, -2.0])
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
@@ -573,6 +617,15 @@ def test_cocycle_sample_diagonal_slope():
         cocycle_sample(spec, constant_signal([]), 1.0, standard_flag(3, theta={0}))
     with pytest.raises(ValueError, match="stride"):
         cocycle_sample(spec, constant_signal([]), 1.0, standard_flag(3), sample_every=0)
+
+
+def test_cocycle_sample_grid_validation():
+    spec = two_by_two_system()
+    flag = standard_flag(2)
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        cocycle_sample(spec, constant_signal([0.5], period=0.0015), 1.0, flag)
+    with pytest.raises(ValueError, match="integrator grid"):
+        cocycle_sample(spec, ControlSignal(np.array([[0.5]]), period=0.1, t0=0.0005), 1.0, flag)
 
 
 def test_flag_type_diagnostic():
