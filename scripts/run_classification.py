@@ -43,12 +43,12 @@ def main() -> None:
     for theta in subsets(rs.rank):
         dim = flag_dim(rs, theta)
         for ftype in subsets(rs.rank):
-            spec = FlagSpec(theta=theta, flag_type=ftype)
-            recs = classification_report(group, spec)["records"]
+            report = classification_report(group, FlagSpec(theta=theta, flag_type=ftype))
+            recs = report["records"]
             hyp = sum(1 for r in recs if r["hyperbolic"])
             print(f"{fmt(theta):<12}{fmt(ftype):<12}{dim:>4}{len(recs):>8}{hyp:>11}")
             if args.json:
-                dumps.append(classification_report(group, spec))
+                dumps.append(report)
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

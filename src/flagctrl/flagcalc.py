@@ -14,6 +14,10 @@ each coset this module computes, exactly:
 * the pair of growth functionals whose exponentials give the unstable and
   stable Jacobian determinants of the flow.
 
+All four come from one tangent split per representative, taken from one
+permutation of the root positions (``weyl.root_permutation``); the public
+functions below are thin calls into that same split.
+
 Everything here is integer and rational arithmetic on top of rootsys and
 weyl; the numerical counterpart lives in sldr.
 """
@@ -25,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from . import weyl
-from .rootsys import AVector, Root, RootSystem, form_value, span_subset
+from .rootsys import AVector, Root, RootSystem, form_value, positions, subset_mask
 from .weyl import DoubleCoset, WeylElement, WeylGroup
 
 __all__ = [
@@ -77,10 +81,86 @@ class TangentSplit(NamedTuple):
     unstable: frozenset[Root]
 
 
+class _Split(NamedTuple):
+    # the tangent split as bitmasks over root positions of ``rs.index``,
+    # with ``w`` applied to the span of theta
+    stable: int
+    center: int
+    unstable: int
+    theta_image: int
+
+
 def flag_dim(rs: RootSystem, theta: Iterable[int]) -> int:
     """Dimension of the flag manifold: multiplicities over the complement."""
-    inner = span_subset(rs, theta)
-    return sum(rs.mult[r] for r in rs.positive_roots if r not in inner)
+    index = rs.index
+    inner = index.span(subset_mask(rs, theta))
+    return sum(index.mult[k] for k in index.positive_positions if not inner >> k & 1)
+
+
+def _split(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> _Split:
+    """The one tangent split of ``w``, from one permutation of the roots."""
+    spec.validate(rs)
+    index = rs.index
+    perm = weyl.root_permutation(rs, w)
+    inner_theta = index.span(subset_mask(rs, spec.theta))
+    inner_type = index.span(subset_mask(rs, spec.flag_type))
+    stable = center = unstable = theta_image = 0
+    for k in index.positive_positions:
+        image = perm[index.neg[k]]
+        bit = 1 << image
+        if inner_theta >> k & 1:
+            theta_image |= bit | 1 << perm[k]
+        elif inner_type & bit:
+            center |= bit
+        elif index.sign[image] > 0:
+            unstable |= bit
+        else:
+            stable |= bit
+    return _Split(stable, center, unstable, theta_image)
+
+
+def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[int, int, int]:
+    mult = rs.index.mult
+    s, c, u = (sum(mult[k] for k in positions(m)) for m in split[:3])
+    if s + c + u != total:
+        raise ConsistencyError(
+            f"dimension split {s}+{c}+{u} misses flag_dim for theta={sorted(spec.theta)}"
+        )
+    return s, c, u
+
+
+def _hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement, split: _Split) -> bool:
+    by_center = not split.center
+    by_inclusion = not rs.index.span(subset_mask(rs, spec.flag_type)) & ~split.theta_image
+    if by_center != by_inclusion:
+        center = sorted(r.coords for r in rs.index.members(split.center))
+        raise ConsistencyError(
+            "hyperbolicity criteria disagree: "
+            f"center-class test gives {by_center}, span-inclusion test gives {by_inclusion} "
+            f"(theta={sorted(spec.theta)}, flag_type={sorted(spec.flag_type)}, "
+            f"w={w.reduced_word}, center={center})"
+        )
+    return by_center
+
+
+def _sigma(rs: RootSystem, spec: FlagSpec, split: _Split, sign: int) -> tuple[int, ...]:
+    # multiplicity-weighted sum over one tangent class, then the exact
+    # annihilation check on the flow-type simple roots in the theta image
+    index = rs.index
+    total = [0] * rs.rank
+    for k in positions(split.unstable if sign > 0 else split.stable):
+        m = index.mult[k]
+        for j, c in enumerate(index.roots[k].coords):
+            total[j] += m * c
+    coords = tuple(total)
+    for i in sorted(spec.flag_type):
+        alpha = rs.simple_roots[i]
+        in_image = split.theta_image >> index.position[alpha.coords] & 1
+        if in_image and form_value(rs, coords, alpha.coords) != 0:
+            raise ConsistencyError(
+                f"functional {coords} fails to annihilate the dual of simple root {i}"
+            )
+    return coords
 
 
 def tangent_roots(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> TangentSplit:
@@ -90,34 +170,13 @@ def tangent_roots(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> TangentSpli
     the span of theta; class membership is decided by sign against the span
     of the flow type.
     """
-    spec.validate(rs)
-    inner_theta = span_subset(rs, spec.theta)
-    inner_type = span_subset(rs, spec.flag_type)
-    stable, center, unstable = set(), set(), set()
-    for r in rs.positive_roots:
-        if r in inner_theta:
-            continue
-        image = weyl.act(w, -r)
-        if image in inner_type:
-            center.add(image)
-        elif image.is_positive:
-            unstable.add(image)
-        else:
-            stable.add(image)
-    return TangentSplit(frozenset(stable), frozenset(center), frozenset(unstable))
+    split = _split(rs, spec, w)
+    return TangentSplit(*(rs.index.members(m) for m in split[:3]))
 
 
 def subbundle_dims(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[int, int, int]:
     """Stable, center, unstable dimensions; they always sum to flag_dim."""
-    split = tangent_roots(rs, spec, w)
-    s = sum(rs.mult[r] for r in split.stable)
-    c = sum(rs.mult[r] for r in split.center)
-    u = sum(rs.mult[r] for r in split.unstable)
-    if s + c + u != flag_dim(rs, spec.theta):
-        raise ConsistencyError(
-            f"dimension split {s}+{c}+{u} misses flag_dim for theta={sorted(spec.theta)}"
-        )
-    return s, c, u
+    return _dims(rs, spec, _split(rs, spec, w), flag_dim(rs, spec.theta))
 
 
 def is_hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> bool:
@@ -127,30 +186,7 @@ def is_hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> bool:
     through the inclusion of the flow-type span in the image of the theta
     span; a disagreement is an internal error and raises, never returns.
     """
-    split = tangent_roots(rs, spec, w)
-    by_center = not split.center
-    image_span = {weyl.act(w, r) for r in span_subset(rs, spec.theta)}
-    by_inclusion = span_subset(rs, spec.flag_type) <= image_span
-    if by_center != by_inclusion:
-        raise ConsistencyError(
-            "hyperbolicity criteria disagree: "
-            f"center-class test gives {by_center}, span-inclusion test gives {by_inclusion} "
-            f"(theta={sorted(spec.theta)}, flag_type={sorted(spec.flag_type)}, "
-            f"w={w.reduced_word}, center={sorted(r.coords for r in split.center)})"
-        )
-    return by_center
-
-
-def _sigma_raw(rs: RootSystem, spec: FlagSpec, w: WeylElement, sign: int) -> tuple[int, ...]:
-    # multiplicity-weighted sum over one tangent class, no preconditions
-    split = tangent_roots(rs, spec, w)
-    roots = split.unstable if sign > 0 else split.stable
-    total = [0] * rs.rank
-    for r in roots:
-        m = rs.mult[r]
-        for j, c in enumerate(r.coords):
-            total[j] += m * c
-    return tuple(total)
+    return _hyperbolic(rs, spec, w, _split(rs, spec, w))
 
 
 def sigma_functional(
@@ -166,21 +202,14 @@ def sigma_functional(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not is_hyperbolic(rs, spec, w):
+    split = _split(rs, spec, w)
+    if not _hyperbolic(rs, spec, w, split):
         raise ValueError(
             "growth functionals are representative-dependent on non-hyperbolic "
             f"cosets; refused for w={w.reduced_word}, theta={sorted(spec.theta)}, "
             f"flag_type={sorted(spec.flag_type)}"
         )
-    coords = _sigma_raw(rs, spec, w, sign)
-    image_span = {weyl.act(w, r) for r in span_subset(rs, spec.theta)}
-    for i in sorted(spec.flag_type):
-        alpha = rs.simple_roots[i]
-        if alpha in image_span and form_value(rs, coords, alpha.coords) != 0:
-            raise ConsistencyError(
-                f"functional {coords} fails to annihilate the dual of simple root {i}"
-            )
-    return coords
+    return _sigma(rs, spec, split, sign)
 
 
 def evaluate_functional(
@@ -222,8 +251,9 @@ def enumerate_chain_control_sets(
     records = []
     for coset in weyl.double_cosets(group, spec.flag_type, spec.theta):
         w = coset.rep
-        s, c, u = subbundle_dims(rs, spec, w)
-        hyperbolic = is_hyperbolic(rs, spec, w)
+        split = _split(rs, spec, w)
+        s, c, u = _dims(rs, spec, split, total_dim)
+        hyperbolic = _hyperbolic(rs, spec, w, split)
         records.append(
             ChainControlSetRecord(
                 coset=coset,
@@ -233,8 +263,8 @@ def enumerate_chain_control_sets(
                 dim_center=c,
                 dim_unstable=u,
                 hyperbolic=hyperbolic,
-                sigma_plus=sigma_functional(rs, spec, w, +1) if hyperbolic else None,
-                sigma_minus=sigma_functional(rs, spec, w, -1) if hyperbolic else None,
+                sigma_plus=_sigma(rs, spec, split, +1) if hyperbolic else None,
+                sigma_minus=_sigma(rs, spec, split, -1) if hyperbolic else None,
                 is_attractor=u == 0,
                 is_repeller=s == 0,
             )
@@ -274,15 +304,16 @@ def representative_invariance_check(
     if w2 not in weyl.subgroup(group, spec.theta):
         raise ValueError(f"w2={w2.reduced_word} is not in the theta subgroup")
     other = weyl.compose(group, weyl.compose(group, w1, w), w2)
-    hyp = is_hyperbolic(rs, spec, w)
-    if hyp != is_hyperbolic(rs, spec, other):
+    split_w, split_o = _split(rs, spec, w), _split(rs, spec, other)
+    hyp = _hyperbolic(rs, spec, w, split_w)
+    if hyp != _hyperbolic(rs, spec, other, split_o):
         return False
     if not hyp:
         return True
     basis = [AVector.from_root(a) for a in rs.simple_roots]
     for sign in (1, -1):
-        f_w = sigma_functional(rs, spec, w, sign)
-        f_o = sigma_functional(rs, spec, other, sign)
+        f_w = _sigma(rs, spec, split_w, sign)
+        f_o = _sigma(rs, spec, split_o, sign)
         for h in basis:
             if evaluate_functional(rs, f_w, h) != evaluate_functional(rs, f_o, h):
                 return False

@@ -11,21 +11,29 @@ downstream (zero tests, sign tests, subset inclusions) is invariant under a
 global rescaling of the form, so callers needing a trace-form or
 Killing-form scale can multiply through without changing any predicate.
 
+Each system carries a ``RootIndex``: its roots as positions 0..N-1 with
+tables for negation, sign, multiplicity, support and the simple
+reflections, so the Weyl action is a permutation of positions and a set of
+roots is an int bitmask.
+
 All values are immutable after construction and safe to share between
-threads.
+threads; the span cache of a ``RootIndex`` only ever gains entries, and
+every thread would compute the same ones.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Root",
     "AVector",
+    "RootIndex",
     "RootSystem",
     "FAMILIES",
     "MAX_RANK",
@@ -33,6 +41,8 @@ __all__ = [
     "build_root_system",
     "reflect",
     "span_subset",
+    "subset_mask",
+    "positions",
     "evaluate",
     "form_value",
     "pairing_value",
@@ -75,7 +85,7 @@ class Root:
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.coords) if c != 0)
 
@@ -108,6 +118,53 @@ class AVector:
 
 
 @dataclass(frozen=True, eq=False)
+class RootIndex:
+    """Roots as positions in sorted order, with one table entry per position.
+
+    A set of roots is an int bitmask over positions, and a subset of the
+    simple roots is an int bitmask over simple-root indices.  ``neg[k]`` is
+    the position of the negated root, ``sign[k]`` is +1 or -1, ``support[k]``
+    is the bitmask of simple roots with a nonzero coordinate, and
+    ``reflections[i][k]`` is the position of the i-th simple reflection of
+    root ``k``.  Spans of simple-root subsets are computed once per subset.
+    """
+
+    roots: tuple[Root, ...]
+    position: Mapping[tuple[int, ...], int]
+    neg: tuple[int, ...]
+    sign: tuple[int, ...]
+    mult: tuple[int, ...]
+    support: tuple[int, ...]
+    reflections: tuple[tuple[int, ...], ...]
+    _spans: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def positive_positions(self) -> range:
+        # sorted order puts every negative root before every positive one
+        return range(len(self.roots) // 2, len(self.roots))
+
+    def span(self, subset: int) -> int:
+        """Bitmask of the roots supported on the simple roots in ``subset``."""
+        mask = self._spans.get(subset)
+        if mask is None:
+            outside = ~subset
+            mask = sum(1 << k for k, supp in enumerate(self.support) if not supp & outside)
+            self._spans[subset] = mask
+        return mask
+
+    def members(self, mask: int) -> frozenset[Root]:
+        return frozenset(self.roots[k] for k in positions(mask))
+
+
+def positions(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """An irreducible finite root system with exact pairing data.
 
@@ -125,16 +182,17 @@ class RootSystem:
     roots: frozenset[Root]
     positive_roots: frozenset[Root]
     mult: Mapping[Root, int]
+    index: RootIndex
 
     @property
     def lie_type(self) -> str:
         return f"{self.family}{self.rank}"
 
     def sorted_roots(self) -> tuple[Root, ...]:
-        return tuple(sorted(self.roots))
+        return self.index.roots
 
     def sorted_positive_roots(self) -> tuple[Root, ...]:
-        return tuple(sorted(self.positive_roots))
+        return self.index.roots[self.index.positive_positions.start :]
 
 
 def _validate_type(family: str, rank: int) -> None:
@@ -260,26 +318,38 @@ def build_root_system(
     if 2 * len(positive) != len(roots):
         raise AssertionError("positive roots do not cover half the system")
 
+    ordered = tuple(sorted(roots))
+    position = {r.coords: k for k, r in enumerate(ordered)}
+    reflections = tuple(
+        tuple(position[_simple_reflect_coords(cartan, i, r.coords)] for r in ordered)
+        for i in range(rank)
+    )
     if mult is None:
-        mult_map = {r: 1 for r in roots}
+        mults = (1,) * len(ordered)
     else:
         getter = mult if callable(mult) else (lambda r: mult[r.coords])
-        mult_map = {}
-        for r in roots:
-            value = getter(r)
+        mults = tuple(getter(r) for r in ordered)
+        for r, value in zip(ordered, mults):
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"multiplicity of {r.coords} must be a positive integer")
-            mult_map[r] = value
         # invariance under the generators is invariance under the whole group
-        for r in roots:
-            for i in range(rank):
-                image = Root(_simple_reflect_coords(cartan, i, r.coords))
-                if mult_map[r] != mult_map[image]:
+        for perm in reflections:
+            for k, image in enumerate(perm):
+                if mults[k] != mults[image]:
                     raise ValueError(
                         "multiplicity map is not reflection-invariant: "
-                        f"mult{r.coords} = {mult_map[r]} but "
-                        f"mult{image.coords} = {mult_map[image]}"
+                        f"mult{ordered[k].coords} = {mults[k]} but "
+                        f"mult{ordered[image].coords} = {mults[image]}"
                     )
+    index = RootIndex(
+        roots=ordered,
+        position=MappingProxyType(position),
+        neg=tuple(position[(-r).coords] for r in ordered),
+        sign=tuple(1 if r.is_positive else -1 for r in ordered),
+        mult=mults,
+        support=tuple(sum(1 << i for i, c in enumerate(r.coords) if c) for r in ordered),
+        reflections=reflections,
+    )
 
     return RootSystem(
         family=family,
@@ -289,7 +359,8 @@ def build_root_system(
         simple_roots=simple,
         roots=roots,
         positive_roots=positive,
-        mult=MappingProxyType(mult_map),
+        mult=MappingProxyType(dict(zip(ordered, mults))),
+        index=index,
     )
 
 
@@ -345,9 +416,14 @@ def span_subset(rs: RootSystem, theta: Iterable[int]) -> frozenset[Root]:
     For a subset of the simple system this is exactly the set of roots
     supported on ``theta``.
     """
+    return rs.index.members(rs.index.span(subset_mask(rs, theta)))
+
+
+def subset_mask(rs: RootSystem, theta: Iterable[int]) -> int:
+    """Bitmask of a subset of the simple roots, checked against the rank."""
     theta = frozenset(theta)
     _check_subset(rs, theta)
-    return frozenset(r for r in rs.roots if r.support <= theta)
+    return sum(1 << i for i in theta)
 
 
 def _check_subset(rs: RootSystem, theta: frozenset[int]) -> None:

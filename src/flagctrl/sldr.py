@@ -280,6 +280,8 @@ class Box:
 
     def __post_init__(self) -> None:
         norm = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        if not all(math.isfinite(x) for bound in norm for x in bound):
+            raise ValueError("box bounds must be finite")
         if any(lo > hi for lo, hi in norm):
             raise ValueError("box bounds must satisfy lo <= hi")
         object.__setattr__(self, "bounds", norm)
@@ -308,6 +310,10 @@ class Polytope:
 
     normals: np.ndarray
     offsets: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.normals).all() and np.isfinite(self.offsets).all()):
+            raise ValueError("polytope normals and offsets must be finite")
 
     @property
     def dim(self) -> int:
@@ -1091,6 +1097,11 @@ class Drift:
             rs = type_a_system(self.dim)
             central = span_subset(rs, self.split.theta)
             roots = [r.coords for r in rs.sorted_positive_roots() if r not in central]
+            if not roots:
+                raise ValueError(
+                    f"flow type {sorted(self.split.theta)} covers every simple root: no "
+                    "positive root lies outside it, so there is no rate to measure"
+                )
             functionals = [realize_functional(c, self.dim) for c in roots]
             n_sub = max(1, int(math.ceil(T / 0.5)))
             dt_sub = T / n_sub

@@ -11,7 +11,7 @@ the two bases are matched through the invariant form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .rootsys import AVector, Root, RootSystem, a_theta_basis, evaluate
 
@@ -22,6 +22,7 @@ __all__ = [
     "generate",
     "act",
     "act_avector",
+    "root_permutation",
     "length",
     "compose",
     "inverse",
@@ -156,14 +157,24 @@ def generate(rs: RootSystem, order_cap: int | None = None) -> WeylGroup:
         longest=longest,
         _index=index,
     )
-    if any(v != 1 for v in rs.mult.values()):
-        if not mult_is_invariant(group):
-            raise ValueError("multiplicity map is not Weyl invariant")
+    # build_root_system checked the multiplicities against the generators
     return group
 
 
 def act(w: WeylElement, root: Root) -> Root:
     return Root(_mat_vec(w.matrix, root.coords))
+
+
+def root_permutation(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
+    """``w`` as a permutation of root positions in ``rs.index``.
+
+    ``perm[k]`` is the position of ``w`` applied to root ``k``, composed
+    from the simple-reflection permutations along the reduced word.
+    """
+    perm: Sequence[int] = range(len(rs.index.roots))
+    for i in w.reduced_word:
+        perm = [perm[k] for k in rs.index.reflections[i]]
+    return tuple(perm)
 
 
 def act_avector(w: WeylElement, h: AVector) -> AVector:
@@ -289,7 +300,11 @@ def coset_table_json(
 
 
 def mult_is_invariant(group: WeylGroup) -> bool:
-    """Check the root multiplicity map against the whole generated group."""
+    """Check the root multiplicity map against the whole generated group.
+
+    ``build_root_system`` already checks it against the simple reflections,
+    which suffices; this whole-group pass is kept as an independent oracle.
+    """
     rs = group.system
     return all(
         rs.mult[act(w, r)] == rs.mult[r] for w in group.elements for r in rs.roots

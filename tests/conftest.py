@@ -33,6 +33,35 @@ def g2():
     return build_root_system("G", 2)
 
 
+def _group(family, rank):
+    return generate(build_root_system(family, rank))
+
+
+@pytest.fixture(scope="session")
+def w_b3():
+    return _group("B", 3)
+
+
+@pytest.fixture(scope="session")
+def w_c3():
+    return _group("C", 3)
+
+
+@pytest.fixture(scope="session")
+def w_a4():
+    return _group("A", 4)
+
+
+@pytest.fixture(scope="session")
+def w_d4():
+    return _group("D", 4)
+
+
+@pytest.fixture(scope="session")
+def w_f4():
+    return _group("F", 4)
+
+
 @pytest.fixture(scope="session")
 def w_a1(a1):
     return generate(a1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from flagctrl import sldr
+from flagctrl import sldr, weyl
 from flagctrl.cli import main
 from flagctrl.sldr import (
     Box,
@@ -80,6 +80,22 @@ def test_analyze_order_cap(capsys):
     rc, _, err = run(capsys, ["analyze", "--type", "A", "--rank", "3", "--order-cap", "10"])
     assert rc == 2
     assert "error:" in err
+
+
+def test_analyze_computes_one_root_permutation_per_record(capsys, monkeypatch):
+    calls = []
+    real = weyl.root_permutation
+
+    def counted(rs, w):
+        calls.append(w.reduced_word)
+        return real(rs, w)
+
+    monkeypatch.setattr(weyl, "root_permutation", counted)
+    rc, out, _ = run(capsys, ["analyze", "--type", "D", "--rank", "4"])
+    assert rc == 0
+    words = [tuple(r["coset_rep_word"]) for r in json.loads(out)["records"]]
+    assert len(words) == 192
+    assert calls == words
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +264,29 @@ def test_non_finite_drift_rejected(tmp_path, capsys):
         assert rc == 2
         assert out == ""
         assert err.startswith("error:") and "finite" in err
+
+
+def test_non_finite_control_range_rejected(tmp_path, capsys):
+    ctrl = np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    box = system_to_json(control_system(np.diag([1.0, 0.0, -1.0]), [ctrl], Box(((-1.0, 1.0),))))
+    box["control_range"]["bounds"] = [[-math.inf, math.inf]]
+    poly = dict(box, control_range={"type": "polytope", "normals": [[1.0], [-1.0]],
+                                    "offsets": [1.0, math.inf]})
+    for name, doc, command in (("box", box, "simulate"), ("poly", poly, "verify")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))  # the json module writes and reads Infinity
+        rc, out, err = run(capsys, [command, "--spec", str(path), "--T", "0.1"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+
+def test_verify_flow_type_covering_every_simple_root(tmp_path, capsys):
+    path = write_system(tmp_path, np.zeros((3, 3)))
+    rc, out, err = run(capsys, ["verify", "--spec", path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "no positive root lies outside" in err
 
 
 def test_simulate_zero_horizon_writes_nothing(tmp_path, capsys):

@@ -106,28 +106,63 @@ def test_tangent_roots_partition(w_b2, b2):
                 assert len(union) == len(outside)
 
 
-def test_dims_match_brute_exhaustive(w_a2, w_b2, w_g2):
-    for group in (w_a2, w_b2, w_g2):
-        rs = group.system
-        for theta in oracles.all_subsets(rs.rank):
-            for ftype in oracles.all_subsets(rs.rank):
-                spec = FlagSpec(theta=theta, flag_type=ftype)
-                for w in group.elements:
-                    dims, center_empty, inclusion = oracles.brute_cell(rs, theta, ftype, w)
-                    assert subbundle_dims(rs, spec, w) == dims
-                    assert is_hyperbolic(rs, spec, w) == center_empty == inclusion
+# F4 has 256 (theta, flag type) pairs and 1152 elements, too many to sweep;
+# these pairs cover full and partial flags, regular and degenerate flow
+# types, and the flow type {0} that the benchmark classifies.
+F4_PAIRS = (
+    (frozenset(), frozenset()),
+    (frozenset(), frozenset({0})),
+    (frozenset({0}), frozenset({3})),
+    (frozenset({1, 2}), frozenset({1, 2})),
+    (frozenset({0, 1, 2}), frozenset({3})),
+    (frozenset({3}), frozenset({0, 1, 2, 3})),
+)
 
 
-def test_sigma_matches_brute(w_a3):
-    rs = w_a3.system
-    for theta in oracles.all_subsets(3):
-        for ftype in oracles.all_subsets(3):
-            spec = FlagSpec(theta=theta, flag_type=ftype)
-            for w in w_a3.elements:
-                if not is_hyperbolic(rs, spec, w):
-                    continue
-                assert sigma_functional(rs, spec, w, +1) == oracles.brute_sigma(rs, theta, ftype, w, +1)
-                assert sigma_functional(rs, spec, w, -1) == oracles.brute_sigma(rs, theta, ftype, w, -1)
+def cells(group, pairs=None, stride=1):
+    """(rs, spec, w) over the given (theta, flag type) pairs, all by default.
+
+    With ``stride`` > 1 each pair takes the elements at one residue mod
+    ``stride``, the residue cycling with the pair, so with at least
+    ``stride`` pairs every element is met.
+    """
+    rank = group.system.rank
+    if pairs is None:
+        subsets = list(oracles.all_subsets(rank))
+        pairs = [(theta, ftype) for theta in subsets for ftype in subsets]
+    for n, (theta, ftype) in enumerate(pairs):
+        spec = FlagSpec(theta=theta, flag_type=ftype)
+        for w in group.elements[n % stride::stride]:
+            yield group.system, spec, w
+
+
+@pytest.fixture(scope="module")
+def oracle_cells(w_a2, w_b2, w_g2, w_a3, w_b3, w_c3, w_a4, w_d4, w_f4):
+    """All (theta, flag type) pairs of the rank 2 groups and A3 with every
+    element, of B3 and C3 with every 2nd and of A4 and D4 with every 16th;
+    F4 on fixed pairs with every 16th element."""
+    out = []
+    for group, stride in ((w_a2, 1), (w_b2, 1), (w_g2, 1), (w_a3, 1), (w_b3, 2), (w_c3, 2),
+                          (w_a4, 16), (w_d4, 16)):
+        out += cells(group, stride=stride)
+    out += cells(w_f4, F4_PAIRS, stride=16)
+    return out
+
+
+def test_dims_match_brute_exhaustive(oracle_cells):
+    for rs, spec, w in oracle_cells:
+        dims, center_empty, inclusion = oracles.brute_cell(rs, spec.theta, spec.flag_type, w)
+        assert subbundle_dims(rs, spec, w) == dims
+        assert is_hyperbolic(rs, spec, w) == center_empty == inclusion
+
+
+def test_sigma_matches_brute(oracle_cells):
+    for rs, spec, w in oracle_cells:
+        if not is_hyperbolic(rs, spec, w):
+            continue
+        for sign in (1, -1):
+            expected = oracles.brute_sigma(rs, spec.theta, spec.flag_type, w, sign)
+            assert sigma_functional(rs, spec, w, sign) == expected
 
 
 def test_sigma_rejects_bad_input(w_a2, a2):
