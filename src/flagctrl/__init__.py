@@ -24,32 +24,27 @@ from .rootsys import (
     form_value,
     span_subset,
 )
-from .sldr import (
-    Box,
-    ControlSignal,
-    ControlSystemSpec,
-    FlagPoint,
-    IntegratorConfig,
-    IwasawaTriple,
-    Polytope,
-    Trajectory,
-    a_cocycle,
-    cocycle_sample,
-    constant_signal,
-    control_system,
-    fixed_flags,
-    flag_act,
-    integrate,
-    iwasawa,
-    realize_functional,
-    split_part,
-    standard_flag,
-    type_a_system,
-    verify_rates,
-)
 from .weyl import WeylElement, WeylGroup, double_cosets, generate, subgroup
 
 __version__ = "0.1.0"
+
+# The numeric side pulls in numpy and scipy; it loads on first use of one of
+# these names, so the exact side (``analyze``, ``cosets``) never imports them.
+_SLDR_NAMES = frozenset("""
+    Box ControlSignal ControlSystemSpec FlagPoint IntegratorConfig IwasawaTriple
+    Polytope Trajectory a_cocycle cocycle_sample constant_signal control_system
+    fixed_flags flag_act integrate iwasawa realize_functional split_part
+    standard_flag type_a_system verify_rates
+""".split())
+
+
+def __getattr__(name: str):
+    if name in _SLDR_NAMES:
+        from . import sldr
+
+        return getattr(sldr, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AVector",

@@ -22,8 +22,6 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .flagcalc import (
     ConsistencyError,
     FlagSpec,
@@ -31,22 +29,6 @@ from .flagcalc import (
     enumerate_chain_control_sets,
 )
 from .rootsys import FAMILIES, build_root_system
-from .sldr import (
-    Drift,
-    Polytope,
-    cocycle_sample,
-    cocycle_to_csv,
-    determinant_formula_residuals,
-    fixed_flags,
-    flag_act,
-    flag_distance,
-    flag_type_diagnostic,
-    load_system,
-    random_signal,
-    standard_flag,
-    type_a_system,
-    verify_rates,
-)
 from .weyl import coset_table_json, generate
 
 __all__ = ["main", "entrypoint"]
@@ -186,6 +168,17 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .sldr import (
+        Drift,
+        determinant_formula_residuals,
+        fixed_flags,
+        flag_act,
+        flag_distance,
+        load_system,
+        type_a_system,
+        verify_rates,
+    )
+
     sysspec = load_system(args.spec)
     drift = Drift(sysspec.drift, gap_tol=args.gap_tol)
     sp = drift.split
@@ -249,6 +242,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .sldr import (
+        Polytope,
+        cocycle_sample,
+        cocycle_to_csv,
+        flag_type_diagnostic,
+        load_system,
+        random_signal,
+        standard_flag,
+    )
+
     sysspec = load_system(args.spec)
     if isinstance(sysspec.control_range, Polytope):
         raise ValueError("simulate draws from box control ranges only")

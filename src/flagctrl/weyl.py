@@ -11,9 +11,10 @@ the two bases are matched through the invariant form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence
 
-from .rootsys import AVector, Root, RootSystem, a_theta_basis, evaluate
+from .rootsys import AVector, Root, RootSystem, a_theta_basis
 
 __all__ = [
     "WeylElement",
@@ -29,8 +30,6 @@ __all__ = [
     "subgroup",
     "double_cosets",
     "coset_table_json",
-    "mult_is_invariant",
-    "inversion_set",
     "DEFAULT_ORDER_CAP",
     "HARD_ORDER_CAP",
 ]
@@ -205,8 +204,10 @@ def _sort_key(w: WeylElement) -> tuple[int, tuple[int, ...]]:
 def subgroup(group: WeylGroup, theta: Iterable[int]) -> frozenset[WeylElement]:
     """Parabolic subgroup generated by the chosen simple reflections.
 
-    Every member fixes the annihilator subspace of theta pointwise; this is
-    verified on a rational basis at first construction.
+    By Tits' word property its members are the elements whose reduced word
+    uses only letters of theta.  Every member fixes the annihilator
+    subspace of theta pointwise; this is verified on a basis of it at first
+    construction.
     """
     theta = frozenset(theta)
     if theta in group._subgroups:
@@ -215,40 +216,27 @@ def subgroup(group: WeylGroup, theta: Iterable[int]) -> frozenset[WeylElement]:
     bad = [i for i in theta if not (0 <= i < rs.rank)]
     if bad:
         raise ValueError(f"simple-root indices {sorted(bad)} out of range for rank {rs.rank}")
-    gens = [group.simple_reflections[i] for i in sorted(theta)]
-    members = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                e = compose(group, w, g)
-                if e not in members:
-                    members.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    fixed = a_theta_basis(rs, theta)
+    members = frozenset(w for w in group.elements if theta.issuperset(w.reduced_word))
+    # the basis scaled to integer coordinates, so the test is integer exact
+    fixed = [
+        tuple(int(x * lcm(*(y.denominator for y in h.coords))) for x in h.coords)
+        for h in a_theta_basis(rs, theta)
+    ]
     for w in members:
         for h in fixed:
-            if act_avector(w, h) != h:
+            if _mat_vec(w.matrix, h) != h:
                 raise AssertionError(
                     f"subgroup member {w.reduced_word} moves a vector it must fix"
                 )
-    result = frozenset(members)
-    group._subgroups[theta] = result
-    return result
+    group._subgroups[theta] = members
+    return members
 
 
-@dataclass(frozen=True, eq=False)
-class DoubleCoset:
-    """One double coset with its canonical minimal-length representative."""
+class DoubleCoset(NamedTuple):
+    """One double coset: its minimal-length representative and its size."""
 
     rep: WeylElement
-    members: frozenset[WeylElement]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    size: int
 
 
 def double_cosets(
@@ -256,28 +244,31 @@ def double_cosets(
 ) -> tuple[DoubleCoset, ...]:
     """Double cosets of two parabolic subgroups, in canonical order.
 
-    The representative of each coset is the unique member of minimal
-    length, ties broken lexicographically on reduced words; the returned
-    tuple is sorted by that key, so the output is independent of
-    enumeration order.
+    The representative of each coset is its unique member of minimal
+    length: the element with no left descent in ``left`` and no right
+    descent in ``right``.  Its coset has |W_I|*|W_J|/|W_K| members, where
+    W_I meets w W_J w^{-1} in the parabolic W_K, K being the i in ``left``
+    with w(a_j) = a_i for some j in ``right`` (Kilmoyer).  The returned
+    tuple is sorted by length, then reduced word.
     """
-    left_elems = sorted(subgroup(group, left), key=_sort_key)
-    right_elems = sorted(subgroup(group, right), key=_sort_key)
-    seen: set[WeylElement] = set()
+    left, right = frozenset(left), frozenset(right)
+    left_order = len(subgroup(group, left))
+    right_order = len(subgroup(group, right))
+    left_gens = [group.simple_reflections[i].matrix for i in left]
     cosets = []
     for w in group.elements:
-        if w in seen:
+        m = w.matrix
+        # w(a_j) is column j; a right descent sends it negative
+        if any(row[j] < 0 for j in right for row in m):
             continue
-        members = set()
-        for l in left_elems:
-            lw = _mat_mul(l.matrix, w.matrix)
-            for r in right_elems:
-                members.add(group.lookup(_mat_mul(lw, r.matrix)))
-        seen |= members
-        rep = min(members, key=_sort_key)
-        cosets.append(DoubleCoset(rep=rep, members=frozenset(members)))
-    total = sum(c.size for c in cosets)
-    if total != group.order:
+        n = len(w.reduced_word)
+        if any(len(group.lookup(_mat_mul(s, m)).reduced_word) < n for s in left_gens):
+            continue
+        # a positive root of height 1 is the simple root at its one 1
+        images = (tuple(row[j] for row in m) for j in right)
+        meet = left.intersection(col.index(1) for col in images if sum(col) == 1)
+        cosets.append(DoubleCoset(w, left_order * right_order // len(subgroup(group, meet))))
+    if sum(c.size for c in cosets) != group.order:
         raise AssertionError("double cosets do not partition the group")
     return tuple(sorted(cosets, key=lambda c: _sort_key(c.rep)))
 
@@ -297,21 +288,3 @@ def coset_table_json(
             {"rep_word": list(c.rep.reduced_word), "size": c.size} for c in table
         ],
     }
-
-
-def mult_is_invariant(group: WeylGroup) -> bool:
-    """Check the root multiplicity map against the whole generated group.
-
-    ``build_root_system`` already checks it against the simple reflections,
-    which suffices; this whole-group pass is kept as an independent oracle.
-    """
-    rs = group.system
-    return all(
-        rs.mult[act(w, r)] == rs.mult[r] for w in group.elements for r in rs.roots
-    )
-
-
-def inversion_set(group: WeylGroup, w: WeylElement) -> frozenset[Root]:
-    """Positive roots sent negative by ``w``; its size equals the length."""
-    rs = group.system
-    return frozenset(r for r in rs.positive_roots if not act(w, r).is_positive)

@@ -6,12 +6,15 @@ from raw integer matrix arithmetic on root coordinates only.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import mul
+
 from flagctrl.rootsys import Root, RootSystem
 from flagctrl.weyl import WeylElement, WeylGroup
 
 
 def mat_vec(m: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def brute_span(rs: RootSystem, subset: frozenset[int]) -> set[Root]:
@@ -22,28 +25,37 @@ def brute_span(rs: RootSystem, subset: frozenset[int]) -> set[Root]:
     return out
 
 
+Spans = tuple[frozenset[tuple[int, ...]], frozenset[tuple[int, ...]]]
+
+
+def brute_spans(rs: RootSystem, theta: frozenset[int], ftype: frozenset[int]) -> Spans:
+    """Root coordinates in the spans of theta and of the flow type, built
+    once and shared by every cell of a (theta, flow type) pair."""
+    return tuple(frozenset(r.coords for r in brute_span(rs, sub)) for sub in (theta, ftype))
+
+
 def brute_cell(
     rs: RootSystem,
     theta: frozenset[int],
     ftype: frozenset[int],
     w: WeylElement,
+    spans: Spans | None = None,
 ) -> tuple[tuple[int, int, int], bool, bool]:
     """((s, c, u), center_empty, inclusion_holds) from raw arithmetic."""
-    span_t = brute_span(rs, theta)
-    span_f = brute_span(rs, ftype)
+    span_t, span_f = spans or brute_spans(rs, theta, ftype)
     s = c = u = 0
     for r in rs.positive_roots:
-        if r in span_t:
+        if r.coords in span_t:
             continue
-        img = Root(mat_vec(w.matrix, tuple(-x for x in r.coords)))
-        mult = rs.mult[img]
+        img = tuple(-x for x in mat_vec(w.matrix, r.coords))
+        mult = rs.mult[Root(img)]
         if img in span_f:
             c += mult
-        elif any(x > 0 for x in img.coords):
+        elif any(x > 0 for x in img):
             u += mult
         else:
             s += mult
-    image_span = {Root(mat_vec(w.matrix, r.coords)) for r in span_t}
+    image_span = {mat_vec(w.matrix, v) for v in span_t}
     inclusion = span_f <= image_span
     return (s, c, u), c == 0, inclusion
 
@@ -67,23 +79,34 @@ def brute_sigma(
     ftype: frozenset[int],
     w: WeylElement,
     sign: int,
+    spans: Spans | None = None,
 ) -> tuple[int, ...]:
     """Multiplicity-weighted coordinate sum over one instability class."""
-    span_t = brute_span(rs, theta)
-    span_f = brute_span(rs, ftype)
+    span_t, span_f = spans or brute_spans(rs, theta, ftype)
     total = [0] * rs.rank
     for r in rs.positive_roots:
-        if r in span_t:
+        if r.coords in span_t:
             continue
-        img = Root(mat_vec(w.matrix, tuple(-x for x in r.coords)))
+        img = tuple(-x for x in mat_vec(w.matrix, r.coords))
         if img in span_f:
             continue
-        positive = any(x > 0 for x in img.coords)
+        positive = any(x > 0 for x in img)
         if (sign > 0) != positive:
             continue
-        for i, x in enumerate(img.coords):
-            total[i] += rs.mult[img] * x
+        mult = rs.mult[Root(img)]
+        for i, x in enumerate(img):
+            total[i] += mult * x
     return tuple(total)
+
+
+def mat_mul(
+    a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    n = len(b)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(len(a))
+    )
 
 
 def subgroup_elements(group: WeylGroup, subset: frozenset[int]) -> set[WeylElement]:
@@ -94,13 +117,66 @@ def subgroup_elements(group: WeylGroup, subset: frozenset[int]) -> set[WeylEleme
         nxt = []
         for g in frontier:
             for s in gens:
-                prod = group.lookup(tuple(
-                    tuple(sum(g.matrix[i][k] * s.matrix[k][j] for k in range(len(s.matrix)))
-                          for j in range(len(s.matrix)))
-                    for i in range(len(s.matrix))
-                ))
+                prod = group.lookup(mat_mul(g.matrix, s.matrix))
                 if prod not in members:
                     members.add(prod)
                     nxt.append(prod)
         frontier = nxt
     return members
+
+
+@lru_cache(maxsize=None)
+def _mult_tables(group: WeylGroup) -> tuple[list[list[int]], list[list[int]]]:
+    # positions of s_i*w and w*s_i for every element w, by matrix products
+    position = {w.matrix: k for k, w in enumerate(group.elements)}
+    gens = [s.matrix for s in group.simple_reflections]
+    left = [[position[mat_mul(s, w.matrix)] for w in group.elements] for s in gens]
+    right = [[position[mat_mul(w.matrix, s)] for w in group.elements] for s in gens]
+    return left, right
+
+
+def double_coset_partition(
+    group: WeylGroup, left: frozenset[int], right: frozenset[int]
+) -> list[frozenset[WeylElement]]:
+    """Every W_I*w*W_J as a set, each grown from its first element in
+    enumeration order by multiplying with the simple reflections of I on
+    the left and of J on the right until it closes."""
+    lmul, rmul = _mult_tables(group)
+    steps = [lmul[i] for i in sorted(left)] + [rmul[j] for j in sorted(right)]
+    seen = [False] * group.order
+    out = []
+    for start in range(group.order):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, frontier = [start], [start]
+        while frontier:
+            frontier = [t[k] for k in frontier for t in steps if not seen[t[k]]]
+            frontier = list(dict.fromkeys(frontier))
+            for k in frontier:
+                seen[k] = True
+            members += frontier
+        out.append(frozenset(group.elements[k] for k in members))
+    return out
+
+
+def mult_is_invariant(group: WeylGroup) -> bool:
+    """Check the root multiplicity map against the whole generated group.
+
+    ``build_root_system`` already checks it against the simple reflections,
+    which suffices; this whole-group pass is an independent oracle.
+    """
+    rs = group.system
+    return all(
+        rs.mult[Root(mat_vec(w.matrix, r.coords))] == rs.mult[r]
+        for w in group.elements
+        for r in rs.roots
+    )
+
+
+def inversion_set(group: WeylGroup, w: WeylElement) -> frozenset[Root]:
+    """Positive roots sent negative by ``w``; its size equals the length."""
+    rs = group.system
+    return frozenset(
+        r for r in rs.positive_roots if not Root(mat_vec(w.matrix, r.coords)).is_positive
+    )

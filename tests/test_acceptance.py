@@ -80,9 +80,12 @@ def test_02_hyperbolicity_oracle_equivalence():
         for theta in oracles.all_subsets(rank):
             for ftype in oracles.all_subsets(rank):
                 spec = FlagSpec(theta=theta, flag_type=ftype)
+                spans = oracles.brute_spans(rs, theta, ftype)
                 for w in group.elements:
                     cells += 1
-                    dims, center_empty, inclusion = oracles.brute_cell(rs, theta, ftype, w)
+                    dims, center_empty, inclusion = oracles.brute_cell(
+                        rs, theta, ftype, w, spans
+                    )
                     lib = is_hyperbolic(rs, spec, w)
                     if not (lib == center_empty == inclusion):
                         mismatches += 1

@@ -130,6 +130,15 @@ def test_cosets_text_golden(capsys):
     )
 
 
+def test_cosets_rejects_out_of_range_index(capsys):
+    rc, out, err = run(
+        capsys, ["cosets", "--type", "B", "--rank", "2", "--left", "5", "--right", "1"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: simple-root indices [5] out of range for rank 2\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -322,3 +331,16 @@ def test_log_env_enables_stderr_logging():
     assert proc.returncode == 0
     assert "Weyl group of A2 has order 6" in proc.stderr
     assert proc.stdout.startswith('{"')
+
+
+def test_exact_commands_do_not_import_numpy():
+    code = (
+        "import sys, flagctrl.cli as c\n"
+        "assert c.main(['analyze', '--type', 'A', '--rank', '2', '--theta', '0']) == 0\n"
+        "assert c.main(['cosets', '--type', 'A', '--rank', '2', '--left', '0']) == 0\n"
+        "loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 2

@@ -120,7 +120,8 @@ F4_PAIRS = (
 
 
 def cells(group, pairs=None, stride=1):
-    """(rs, spec, w) over the given (theta, flag type) pairs, all by default.
+    """(rs, spec, spans, w) over the given (theta, flag type) pairs, all by
+    default, with the oracle's spans built once per pair.
 
     With ``stride`` > 1 each pair takes the elements at one residue mod
     ``stride``, the residue cycling with the pair, so with at least
@@ -132,36 +133,39 @@ def cells(group, pairs=None, stride=1):
         pairs = [(theta, ftype) for theta in subsets for ftype in subsets]
     for n, (theta, ftype) in enumerate(pairs):
         spec = FlagSpec(theta=theta, flag_type=ftype)
+        spans = oracles.brute_spans(group.system, theta, ftype)
         for w in group.elements[n % stride::stride]:
-            yield group.system, spec, w
+            yield group.system, spec, spans, w
 
 
 @pytest.fixture(scope="module")
 def oracle_cells(w_a2, w_b2, w_g2, w_a3, w_b3, w_c3, w_a4, w_d4, w_f4):
     """All (theta, flag type) pairs of the rank 2 groups and A3 with every
-    element, of B3 and C3 with every 2nd and of A4 and D4 with every 16th;
+    element, of B3 and C3 with every 2nd and of A4 and D4 with every 8th;
     F4 on fixed pairs with every 16th element."""
     out = []
     for group, stride in ((w_a2, 1), (w_b2, 1), (w_g2, 1), (w_a3, 1), (w_b3, 2), (w_c3, 2),
-                          (w_a4, 16), (w_d4, 16)):
+                          (w_a4, 8), (w_d4, 8)):
         out += cells(group, stride=stride)
     out += cells(w_f4, F4_PAIRS, stride=16)
     return out
 
 
 def test_dims_match_brute_exhaustive(oracle_cells):
-    for rs, spec, w in oracle_cells:
-        dims, center_empty, inclusion = oracles.brute_cell(rs, spec.theta, spec.flag_type, w)
+    for rs, spec, spans, w in oracle_cells:
+        dims, center_empty, inclusion = oracles.brute_cell(
+            rs, spec.theta, spec.flag_type, w, spans
+        )
         assert subbundle_dims(rs, spec, w) == dims
         assert is_hyperbolic(rs, spec, w) == center_empty == inclusion
 
 
 def test_sigma_matches_brute(oracle_cells):
-    for rs, spec, w in oracle_cells:
+    for rs, spec, spans, w in oracle_cells:
         if not is_hyperbolic(rs, spec, w):
             continue
         for sign in (1, -1):
-            expected = oracles.brute_sigma(rs, spec.theta, spec.flag_type, w, sign)
+            expected = oracles.brute_sigma(rs, spec.theta, spec.flag_type, w, sign, spans)
             assert sigma_functional(rs, spec, w, sign) == expected
 
 

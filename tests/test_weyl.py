@@ -10,9 +10,7 @@ from flagctrl.weyl import (
     double_cosets,
     generate,
     inverse,
-    inversion_set,
     length,
-    mult_is_invariant,
     subgroup,
 )
 
@@ -60,7 +58,7 @@ def test_identity_and_reflections(w_a3, a3):
 def test_length_equals_inversion_count(w_b2, w_a3):
     for group in (w_b2, w_a3):
         for w in group.elements:
-            assert length(w) == len(inversion_set(group, w))
+            assert length(w) == len(oracles.inversion_set(group, w))
 
 
 def test_action_preserves_roots_and_form(w_g2, g2):
@@ -111,22 +109,48 @@ def test_subgroup_matches_brute_force(w_b2):
         assert subgroup(w_b2, theta) == frozenset(oracles.subgroup_elements(w_b2, theta))
 
 
-def test_double_cosets_partition(w_a3, w_g2):
-    for group in (w_a3, w_g2):
-        rank = group.system.rank
-        for left in oracles.all_subsets(rank):
-            for right in oracles.all_subsets(rank):
-                cosets = double_cosets(group, left, right)
-                seen = set()
-                for c in cosets:
-                    assert c.rep in c.members
-                    assert c.size == len(c.members)
-                    # representative is minimal in its coset
-                    key = (length(c.rep), c.rep.reduced_word)
-                    assert all(key <= (length(m), m.reduced_word) for m in c.members)
-                    assert not (seen & c.members)
-                    seen |= c.members
-                assert len(seen) == group.order
+# D4 and F4 have 256 (left, right) pairs each; these cover the empty and
+# full sets, single nodes, the D4 branch node and the F4 parabolics of the
+# benchmark's `cosets` op.
+D4_F4_PAIRS = tuple(
+    (frozenset(left), frozenset(right))
+    for left, right in (
+        ((), ()), ((), (0, 1, 2, 3)), ((0, 1, 2, 3), (0, 1, 2, 3)), ((0,), (3,)),
+        ((1,), (1,)), ((0, 2, 3), (1,)), ((1, 2, 3), (0, 1, 2)), ((0, 1), (2, 3)),
+    )
+)
+
+
+def shortlex(w):
+    return (length(w), w.reduced_word)
+
+
+def test_double_cosets_partition(w_a3, w_g2, w_b3, w_c3, w_a4, w_d4, w_f4):
+    def all_pairs(group):
+        subsets = list(oracles.all_subsets(group.system.rank))
+        return [(left, right) for left in subsets for right in subsets]
+
+    for group, pairs in (
+        *((g, all_pairs(g)) for g in (w_a3, w_g2, w_b3, w_c3, w_a4)),
+        (w_d4, D4_F4_PAIRS),
+        (w_f4, D4_F4_PAIRS),
+    ):
+        for left, right in pairs:
+            partition = sorted(
+                oracles.double_coset_partition(group, left, right),
+                key=lambda members: min(map(shortlex, members)),
+            )
+            cosets = double_cosets(group, left, right)
+            assert len(cosets) == len(partition)
+            seen = set()
+            for c, members in zip(cosets, partition):
+                assert c.rep in members
+                assert c.size == len(members)
+                # representative is minimal in its coset
+                assert all(shortlex(c.rep) <= shortlex(m) for m in members)
+                assert not (seen & members)
+                seen |= members
+            assert len(seen) == group.order
 
 
 def test_double_coset_counts(w_a2):
@@ -153,6 +177,6 @@ def test_mult_invariance_flag():
               for r in build_root_system("B", 2).roots},
     )
     group = generate(rs)
-    assert mult_is_invariant(group)
+    assert oracles.mult_is_invariant(group)
     # mult constant on each orbit but distinct across orbits still validates
     assert {rs.mult[r] for r in rs.roots} == {1, 2}
