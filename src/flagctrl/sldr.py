@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -86,6 +87,7 @@ __all__ = [
 ]
 
 DEFAULT_COND_MAX = 1e12
+_STRIDE_LOG_COND_MAX = math.log(1e4)  # cocycle_sample's early-refactor bound
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +139,8 @@ def iwasawa(
 
     ``cond_max`` guards against inputs whose factor accuracy is
     conditioning-limited; pass None to disable the guard when the caller
-    controls conditioning by other means (for example stepwise cocycle
-    accumulation).
+    controls conditioning by other means (for example cocycle accumulation
+    over short pieces of a flow).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -523,14 +525,15 @@ def _rk4_step_matrix(x: np.ndarray, h: float) -> np.ndarray:
 
 def _propagate(
     spec: ControlSystemSpec, signal: ControlSignal, T: float
-) -> tuple[float, int, Iterator[np.ndarray | None]]:
-    """Signed step, step count and per-step RK4 transitions over [0, T].
+) -> tuple[float, int, Iterator[tuple[np.ndarray | None, int]]]:
+    """Signed step, step count and the RK4 transitions over [0, T], as runs
+    ``(step, count)`` of identical steps that end at control-period edges.
 
     ``T`` may be negative; the control is evaluated at segment midpoints, so
     the sample period must be an integer multiple of dt and the signal
     origin must sit on the step grid.  The grid is checked before any step
-    runs.  Transitions are built and range-checked once per control value;
-    an exactly-identity transition is yielded as None.
+    runs.  A transition is built and range-checked when the control value
+    changes; runs of one value share it, and an identity is yielded as None.
     """
     dt = spec.integrator.dt
     if signal.n_channels != spec.n_controls:
@@ -538,28 +541,30 @@ def _propagate(
     ratio = signal.period / dt
     if abs(ratio - round(ratio)) > 1e-6:
         raise ValueError("control sample period must be an integer multiple of dt")
-    offset = signal.t0 / dt
-    if abs(offset - round(offset)) > 1e-6 * max(1.0, abs(offset)):
-        raise ValueError("signal origin must lie on the integrator grid")
     n = int(round(abs(T) / dt))
     if abs(abs(T) - n * dt) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("horizon must be an integer multiple of dt")
+    offset = signal.t0 / dt
+    if abs(offset - round(offset)) > 1e-6 * max(1.0, abs(offset)):
+        raise ValueError("signal origin must lie on the integrator grid")
     h = dt if T >= 0 else -dt
 
-    def steps() -> Iterator[np.ndarray | None]:
+    def runs() -> Iterator[tuple[np.ndarray | None, int]]:
         eye = np.eye(spec.dim)
-        cache: dict[bytes, np.ndarray | None] = {}
-        for i in range(n):
+        key, step, i = None, None, 0
+        while i < n:
+            k = math.floor(((i + 0.5) * h - signal.t0) / signal.period) + (h > 0)
+            j = min(n, math.ceil((signal.t0 + k * signal.period) / h - 0.5))
             u = signal.value_at((i + 0.5) * h)
-            key = u.tobytes()
-            if key not in cache:
+            if u.tobytes() != key:
                 if not spec.control_range.contains(u):
                     raise ValueError(f"control value {u.tolist()} lies outside the range")
-                step = _rk4_step_matrix(spec.generator(u), h)
-                cache[key] = None if np.array_equal(step, eye) else step
-            yield cache[key]
+                key, step = u.tobytes(), _rk4_step_matrix(spec.generator(u), h)
+                step = None if np.array_equal(step, eye) else step
+            yield step, j - i
+            i = j
 
-    return h, n, steps()
+    return h, n, runs()
 
 
 def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Trajectory:
@@ -568,11 +573,11 @@ def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Traje
 
     ``T`` may be negative; see ``_propagate`` for the grid conditions.
     """
-    h, n, steps = _propagate(spec, signal, T)
+    h, n, runs = _propagate(spec, signal, T)
     d = spec.dim
     psi = np.eye(d)
     out = [psi]
-    for i, step in enumerate(steps):
+    for i, step in enumerate(chain.from_iterable(repeat(*run) for run in runs)):
         if step is not None:
             psi = step @ psi
             if (i + 1) % spec.integrator.renorm_cadence == 0 or i == n - 1:
@@ -1302,28 +1307,48 @@ def cocycle_sample(
     *,
     sample_every: int = 10,
 ) -> CocycleSample:
-    """Accumulate the cocycle stepwise along the integrated flow.
+    """Accumulate the cocycle along the integrated flow.
 
-    The frame is refactored every step, so conditioning never grows with
-    the horizon; steps with an exactly-identity transition contribute
-    exactly zero.  Grid conditions are those of ``integrate``.
+    The frame is refactored once per output stride, from the product of the
+    stride's transitions (discrete QR method), and earlier when a bound on
+    the product's condition number would pass 1e4; a stride of identity
+    transitions contributes exactly zero.  Grid conditions are those of
+    ``integrate``.
     """
     if not flag.is_maximal:
         raise ValueError("the cocycle is sampled at maximal flags")
     if sample_every < 1:
         raise ValueError("sample stride must be at least 1")
-    h, n, steps = _propagate(spec, signal, T)
+    h, n, runs = _propagate(spec, signal, T)
     frame = flag.rep
     acc = np.zeros(spec.dim)
     times = [0.0]
     values = [acc]
-    for i, step in enumerate(steps):
-        if step is not None:
-            frame, r = _qr_pos(step @ frame)
-            acc = acc + np.log(np.diag(r))
-        if (i + 1) % sample_every == 0 or i == n - 1:
-            times.append((i + 1) * h)
-            values.append(acc)
+    held, prod, bound, i = False, None, 0.0, 0
+    for step, count in runs:
+        if step is not held:
+            # cond(I + E) <= (1 + e) / (1 - e) for e = |E|_F < 1, without an SVD
+            e = 0.0 if step is None else float(np.linalg.norm(step - np.eye(spec.dim)))
+            held, powers, growth = step, {}, math.log1p(2 * e / (1 - e)) if e < 1 else math.inf
+        while count:
+            m = min(count, sample_every - i % sample_every)
+            if growth:
+                m = min(m, max(1, int((_STRIDE_LOG_COND_MAX - bound) / growth)))
+            if step is not None:
+                if m not in powers:
+                    powers[m] = np.linalg.matrix_power(step, m)
+                prod = powers[m] if prod is None else powers[m] @ prod
+                bound += m * growth
+            i += m
+            count -= m
+            end = i % sample_every == 0 or i == n
+            if prod is not None and (end or bound + growth > _STRIDE_LOG_COND_MAX):
+                frame, r = _qr_pos(prod @ frame)
+                acc = acc + np.log(np.diag(r))
+                prod, bound = None, 0.0
+            if end:
+                times.append(i * h)
+                values.append(acc)
     return CocycleSample(times=np.asarray(times), a_values=np.vstack(values))
 
 

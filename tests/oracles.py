@@ -1,13 +1,16 @@
 """Independent brute-force recomputations used to cross-check the library.
 
 Nothing here calls the classification code under test: cells are classified
-from raw integer matrix arithmetic on root coordinates only.
+from raw integer matrix arithmetic on root coordinates only, and the cocycle
+along a controlled flow is refactored after every integrator step.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import mul
+
+import numpy as np
 
 from flagctrl.rootsys import Root, RootSystem
 from flagctrl.weyl import WeylElement, WeylGroup
@@ -180,3 +183,32 @@ def inversion_set(group: WeylGroup, w: WeylElement) -> frozenset[Root]:
     return frozenset(
         r for r in rs.positive_roots if not Root(mat_vec(w.matrix, r.coords)).is_positive
     )
+
+
+def stepwise_cocycle(
+    spec, signal, T: float, frame: np.ndarray, sample_every: int = 10
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and cocycle values as ``sldr.cocycle_sample`` returns them, with
+    one RK4 step and one sign-fixed QR per dt step.
+
+    Reads only the system's matrices and the signal's values; the step grid,
+    the RK4 polynomial and the QR sign fix are rebuilt here.
+    """
+    dt = spec.integrator.dt
+    n = int(round(abs(T) / dt))
+    h = dt if T >= 0 else -dt
+    eye = np.eye(spec.dim)
+    acc = np.zeros(spec.dim)
+    times, values = [0.0], [acc]
+    for i in range(n):
+        a = h * spec.generator(signal.value_at((i + 0.5) * h))
+        step = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+        if not np.array_equal(step, eye):
+            q, r = np.linalg.qr(step @ frame)
+            signs = np.where(np.diag(r) < 0, -1.0, 1.0)
+            frame = q * signs
+            acc = acc + np.log(np.diag(r) * signs)
+        if (i + 1) % sample_every == 0 or i == n - 1:
+            times.append((i + 1) * h)
+            values.append(acc)
+    return np.asarray(times), np.vstack(values)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from flagctrl import sldr, weyl
 from flagctrl.cli import main
 from flagctrl.sldr import (
@@ -24,6 +25,14 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def child_env(**extra):
+    # a child process imports the same flagctrl as the tests, also when only
+    # pytest's pythonpath setting, not PYTHONPATH, points at src/
+    src = os.path.dirname(os.path.dirname(sldr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def write_system(tmp_path, drift, controls=(), crange=None, name="sys.json"):
@@ -247,6 +256,23 @@ def test_simulate_seed_changes_output(tmp_path, capsys):
     assert out_a != out_b
 
 
+def test_simulate_backward_uses_every_control_value(tmp_path, capsys):
+    # --T -1 draws ten values at period 0.1; the run over [-1, 0] holds each
+    # for one period, as the stepwise oracle on a signal starting at T does
+    drift = np.diag([1.0, 0.0, -1.0])
+    ctrl = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    path = write_system(tmp_path, drift, [ctrl], Box(((-1.0, 1.0),)))
+    rc, out, _ = run(capsys, ["simulate", "--spec", path, "--T", "-1", "--seed", "4"])
+    assert rc == 0
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+    spec = sldr.load_system(path)
+    sig = sldr.random_signal(np.random.default_rng(4), spec.control_range, -1.0, 0.1, t0=-1.0)
+    assert len(np.unique(sig.values)) == 10
+    times, values = oracles.stepwise_cocycle(spec, sig, -1.0, np.eye(3))
+    assert np.abs(rows[:, 0] - times).max() < 1e-12
+    assert np.abs(rows[:, 1:] - values).max() < 1e-9
+
+
 def test_simulate_rejects_polytope_range(tmp_path, capsys):
     tri = Polytope(
         normals=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
@@ -321,12 +347,11 @@ def test_simulate_rejects_off_grid_period(tmp_path, capsys):
 
 
 def test_log_env_enables_stderr_logging():
-    env = dict(os.environ, FLAGCTRL_LOG="DEBUG")
     proc = subprocess.run(
         [sys.executable, "-m", "flagctrl.cli", "analyze", "--type", "A", "--rank", "2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(FLAGCTRL_LOG="DEBUG"),
     )
     assert proc.returncode == 0
     assert "Weyl group of A2 has order 6" in proc.stderr
@@ -341,6 +366,8 @@ def test_exact_commands_do_not_import_numpy():
         "loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
         "assert not loaded, loaded\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 2

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
+from flagctrl import sldr
 from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
 from flagctrl.sldr import (
     Box,
@@ -626,6 +628,66 @@ def test_cocycle_sample_grid_validation():
         cocycle_sample(spec, constant_signal([0.5], period=0.0015), 1.0, flag)
     with pytest.raises(ValueError, match="integrator grid"):
         cocycle_sample(spec, ControlSignal(np.array([[0.5]]), period=0.1, t0=0.0005), 1.0, flag)
+
+
+def seeded_system(d, seed, spectrum=None, dt=1e-3):
+    # unit-norm random drift and two controls in [-1, 1]^2, as simulate's
+    # benchmark systems; a given spectrum replaces the drift by an
+    # SO(d)-conjugated diagonal
+    rng = np.random.default_rng(seed)
+    drift = random_traceless(rng, d)
+    if spectrum is not None:
+        q = random_special_orthogonal(rng, d)
+        drift = q @ np.diag(spectrum) @ q.T
+    ctrls = [random_traceless(rng, d) for _ in range(2)]
+    return control_system(
+        drift, ctrls, Box(((-1.0, 1.0), (-1.0, 1.0))), IntegratorConfig(dt=dt)
+    )
+
+
+# name: (T, control period, sample_every, dt); the guard case runs on the
+# smallest and the largest d only, its stepwise oracle takes 20,000 QRs.
+# With dt = 0.25 on the +-4 spectrum a step is too far from the identity for
+# the condition bound, so each step is factored on its own.
+STRIDE_CASES = {
+    "period_off_stride": (1.0, 0.015, 10, 1e-3),
+    "partial_last_stride": (1.007, 0.1, 10, 1e-3),
+    "backward": (-1.0, 0.1, 10, 1e-3),
+    "zero_system": (1.007, 0.015, 10, 1e-3),
+    "guard": (20.0, 0.1, 20000, 1e-3),
+    "coarse_steps": (5.0, 0.5, 4, 0.25),
+}
+
+
+@pytest.mark.parametrize(
+    "d, case",
+    [(d, c) for c in STRIDE_CASES for d in (3, 4, 5, 6) if c != "guard" or d in (3, 6)],
+)
+def test_cocycle_sample_matches_stepwise(d, case):
+    T, period, every, dt = STRIDE_CASES[case]
+    if case == "zero_system":
+        spec = control_system(np.zeros((d, d)), [np.zeros((d, d))], Box(((-1.0, 1.0),)))
+    else:
+        spectrum = np.linspace(4.0, -4.0, d) if case in ("guard", "coarse_steps") else None
+        spec = seeded_system(d, 100 + d, spectrum, dt)
+    sig = random_signal(np.random.default_rng(d), spec.control_range, T, period, t0=min(T, 0.0))
+    sample = cocycle_sample(spec, sig, T, standard_flag(d), sample_every=every)
+    times, values = oracles.stepwise_cocycle(spec, sig, T, np.eye(d), every)
+    assert np.array_equal(sample.times, times)
+    assert np.abs(sample.a_values - values).max() < 1e-9
+    if case == "zero_system":
+        assert not sample.a_values.any()
+
+
+def test_cocycle_sample_one_qr_per_stride(monkeypatch):
+    spec = seeded_system(4, 7)
+    sig = random_signal(np.random.default_rng(7), spec.control_range, 1.0, 0.1)
+    calls = []
+    qr_pos = sldr._qr_pos
+    monkeypatch.setattr(sldr, "_qr_pos", lambda g: calls.append(g) or qr_pos(g))
+    sample = cocycle_sample(spec, sig, 1.0, standard_flag(4))
+    assert len(sample.times) == 101
+    assert len(calls) == 100
 
 
 def test_flag_type_diagnostic():
