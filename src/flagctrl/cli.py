@@ -258,8 +258,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(sysspec.control_range, Polytope):
         raise ValueError("simulate draws from box control ranges only")
     rng = np.random.default_rng(args.seed)
-    # a backward run starts its signal at T, so it covers [T, 0] like a forward one
-    signal = random_signal(rng, sysspec.control_range, args.T, args.period, t0=min(args.T, 0.0))
+    signal = random_signal(rng, sysspec.control_range, args.T, args.period)
     sample = cocycle_sample(
         sysspec,
         signal,

@@ -8,11 +8,14 @@ The compact factor is SO(d), the abelian factor the positive diagonal
 matrices of determinant one, the nilpotent factor the upper unitriangular
 matrices; QR with a sign-fixed positive diagonal realizes the
 factorization.  Flags are represented by special orthogonal frames whose
-leading column blocks span the nested subspaces.  Tangent spaces of a flag
-manifold are modeled by block strictly lower triangular matrices acting
-horizontally against the frame, with the Frobenius (trace form) metric;
-determinant ratios and growth exponents are independent of that scale
-choice.
+leading column blocks span the nested subspaces.  A tangent vector at a
+flag is a block strictly lower triangular matrix X acting horizontally
+against the frame, held as its nnz entries at the block strictly lower
+positions (i, j) in row-major order (``_lower_index``); k vectors are a
+k x nnz array of rows.  The Euclidean metric on these coordinates is the
+Frobenius (trace form) metric on X; determinant ratios and growth
+exponents are independent of that scale choice.  Every transport is the
+nnz x nnz matrix of X -> lower(a X a^-1) (``_tangent_map``).
 
 The dictionary to the abstract side is the type A one: the i-th simple
 root evaluates a diagonal vector ``h`` as ``h[i] - h[i+1]``, and abstract
@@ -72,7 +75,6 @@ __all__ = [
     "split_part",
     "permutation_matrix",
     "fixed_flags",
-    "horizontal_basis",
     "projective_derivative_det",
     "invariant_realizations",
     "determinant_formula_residuals",
@@ -356,15 +358,11 @@ def constant_signal(u: Sequence[float], period: float = 1.0) -> ControlSignal:
     return ControlSignal(values=np.asarray([u], dtype=float), period=period)
 
 
-def random_signal(
-    rng: np.random.Generator,
-    box: Box,
-    T: float,
-    period: float,
-    t0: float = 0.0,
-) -> ControlSignal:
+def random_signal(rng: np.random.Generator, box: Box, T: float, period: float) -> ControlSignal:
+    """Uniform draws from ``box``, one per period, starting at min(T, 0): a
+    backward horizon's signal covers [T, 0] as a forward one covers [0, T]."""
     n = max(1, int(math.ceil(abs(T) / period - 1e-9)))
-    return ControlSignal(values=box.sample(rng, n), period=period, t0=t0)
+    return ControlSignal(values=box.sample(rng, n), period=period, t0=min(T, 0.0))
 
 
 @dataclass(frozen=True)
@@ -871,10 +869,7 @@ def permutation_matrix(w: WeylElement, d: int) -> np.ndarray:
         raise ValueError(f"Weyl element has rank {len(w.matrix)}, expected {d - 1}")
     p = np.eye(d)
     for i in w.reduced_word:
-        t = np.eye(d)
-        t[i, i] = t[i + 1, i + 1] = 0.0
-        t[i, i + 1] = t[i + 1, i] = 1.0
-        p = p @ t
+        p[:, [i, i + 1]] = p[:, [i + 1, i]]  # right multiplication by a transposition
     return p
 
 
@@ -892,81 +887,66 @@ def fixed_flags(x: np.ndarray | Drift, theta: Iterable[int], w: WeylElement) -> 
 
 
 def _block_index(blocks: tuple[int, ...]) -> np.ndarray:
-    out = np.empty(sum(blocks), dtype=int)
-    pos = 0
-    for bi, b in enumerate(blocks):
-        out[pos : pos + b] = bi
-        pos += b
-    return out
+    return np.repeat(np.arange(len(blocks)), blocks)
 
 
-def _lower_mask(blocks: tuple[int, ...]) -> np.ndarray:
+def _lower_index(blocks: tuple[int, ...]) -> np.ndarray:
+    # row-major flat indices of the tangent coordinates' positions
     bid = _block_index(blocks)
-    return bid[:, None] > bid[None, :]
+    return np.flatnonzero(bid[:, None] > bid[None, :])
 
 
-def _lower_positions(blocks: tuple[int, ...]) -> list[tuple[int, int]]:
-    mask = _lower_mask(blocks)
-    d = mask.shape[0]
-    return [(i, j) for j in range(d) for i in range(d) if mask[i, j]]
+def _tangent_map(a: np.ndarray, a_inv: np.ndarray, blocks: tuple[int, ...]) -> np.ndarray:
+    """The nnz x nnz matrix of X -> lower(a X a^-1) on tangent coordinates:
+    row-major vec(a X b) = kron(a, b^T) vec(X), restricted to the positions."""
+    idx = _lower_index(blocks)
+    return np.kron(a, a_inv.T)[np.ix_(idx, idx)]
 
 
-def horizontal_basis(blocks: tuple[int, ...]) -> list[np.ndarray]:
-    """Orthonormal elementary basis of the block strictly lower positions."""
-    d = sum(blocks)
-    out = []
-    for i, j in _lower_positions(blocks):
-        e = np.zeros((d, d))
-        e[i, j] = 1.0
-        out.append(e)
-    return out
+def _flow_tangent_map(psi: np.ndarray, x: FlagPoint) -> np.ndarray:
+    # the derivative of the flag action of psi at x, in the frames of x and
+    # of its image: the tangent map of the triangular factor of psi x.rep
+    _, r = _qr_pos(np.asarray(psi, dtype=float) @ x.rep)
+    return _tangent_map(r, scipy.linalg.solve_triangular(r, np.eye(len(r))), x.blocks)
+
+
+def _volume(tangent_map: np.ndarray, basis: np.ndarray) -> float:
+    images = basis @ tangent_map.T
+    return math.sqrt(max(float(np.linalg.det(images @ images.T)), 0.0))
 
 
 def projective_derivative_det(
-    psi: np.ndarray,
-    x: FlagPoint,
-    basis: Sequence[np.ndarray],
-    *,
-    orth_tol: float = 1e-9,
+    psi: np.ndarray, x: FlagPoint, basis: np.ndarray, *, orth_tol: float = 1e-9
 ) -> float:
     """Unsigned volume distortion of the flag action on a tangent subspace.
 
-    ``basis`` must be orthonormal horizontal vectors at ``x`` (block
-    strictly lower matrices under the Frobenius form).  The image volume is
-    the Gram determinant of the transported horizontal components; the
-    empty basis gives 1.
+    ``basis`` is a k x nnz array of orthonormal rows of tangent coordinates
+    at ``x`` (see the module docstring).  The image volume is the Gram
+    determinant of the transported rows; the empty basis gives 1.
     """
-    basis = [np.asarray(b, dtype=float) for b in basis]
-    if not basis:
+    basis = np.asarray(basis, dtype=float)
+    if basis.size == 0:
         return 1.0
-    d = x.dim_ambient
-    mask = _lower_mask(x.blocks)
-    for b in basis:
-        if b.shape != (d, d):
-            raise ValueError("tangent vectors must match the ambient dimension")
-        if np.abs(b * ~mask).max() > 1e-12 * max(1.0, np.abs(b).max()):
-            raise ValueError("tangent vector is not horizontal for the flag blocks")
-    k = len(basis)
-    gram0 = np.array([[float(np.sum(a * b)) for b in basis] for a in basis])
-    if np.abs(gram0 - np.eye(k)).max() > orth_tol:
+    nnz = len(_lower_index(x.blocks))
+    if basis.ndim != 2 or basis.shape[1] != nnz:
+        raise ValueError(f"tangent coordinates at blocks {x.blocks} need {nnz} columns")
+    if np.abs(basis @ basis.T - np.eye(len(basis))).max() > orth_tol:
         raise ValueError("tangent basis must be orthonormal")
-    g = np.asarray(psi, dtype=float) @ x.rep
-    _, r = _qr_pos(g)
-    rinv = scipy.linalg.solve_triangular(r, np.eye(d))
-    images = [(r @ b @ rinv) * mask for b in basis]
-    gram = np.array([[float(np.sum(a * b)) for b in images] for a in images])
-    det = float(np.linalg.det(gram))
-    return math.sqrt(max(det, 0.0))
+    return _volume(_flow_tangent_map(psi, x), basis)
 
 
 @dataclass(frozen=True, eq=False)
 class RealizationSplit:
-    """Orthonormal horizontal bases of the three invariant subbundles at a
-    fixed flag, with the predicted growth exponent multisets."""
+    """The three invariant subbundles at a fixed flag, with the predicted
+    growth exponent multisets.
 
-    stable: tuple[np.ndarray, ...]
-    center: tuple[np.ndarray, ...]
-    unstable: tuple[np.ndarray, ...]
+    Each subbundle is a read-only k x nnz array whose orthonormal rows are
+    tangent coordinates in the row-major order of the module docstring.
+    """
+
+    stable: np.ndarray
+    center: np.ndarray
+    unstable: np.ndarray
     stable_exponents: tuple[float, ...]
     center_exponents: tuple[float, ...]
     unstable_exponents: tuple[float, ...]
@@ -984,69 +964,52 @@ def _realize_cell(
 ) -> tuple[FlagPoint, RealizationSplit]:
     """Fixed flag and tangent realizations of the cell of ``w``.
 
-    Rejects arrangements that cut a complex conjugate pair across flag
-    blocks: only whole pair planes are flow invariant, so such a cell has
-    no fixed flag and no invariant tangent splitting.
+    Position (i, j) grows at h_i - h_j in the permuted eigenbasis; its
+    realization is the matching column of the tangent map of that basis's
+    triangular factor.  Rejects arrangements that cut a complex conjugate
+    pair across flag blocks: only whole pair planes are flow invariant, so
+    such a cell has no fixed flag and no invariant tangent splitting.
     """
     d = len(sp.h)
     blocks = blocks_from_theta(theta, d)
     p = permutation_matrix(w, d)
     sigma = np.argmax(p, axis=0)  # flag position j holds eigen position sigma[j]
-    bid = _block_index(blocks)
-    flag_pos = {int(e): j for j, e in enumerate(sigma)}
+    bid = _block_index(blocks)[np.argsort(sigma)]  # block of each eigen position
     for a, b in sp.complex_pairs:
-        if bid[flag_pos[a]] != bid[flag_pos[b]]:
+        if bid[a] != bid[b]:
             raise ValueError(
                 f"cell of word {w.reduced_word} splits a complex eigenvalue pair "
                 "across flag blocks; the generator fixes no flag there"
             )
     q, r = _qr_special(sp.basis @ p)
-    mask = _lower_mask(blocks)
+    rows, cols = np.divmod(_lower_index(blocks), d)
     hw = sp.h[sigma]
     gid = np.asarray(sp.group_ids)[sigma]
-    rinv = scipy.linalg.solve_triangular(r, np.eye(d))
-    buckets: dict[str, list] = {"stable": [], "center": [], "unstable": []}
-    for i, j in _lower_positions(blocks):
-        lam = float(hw[i] - hw[j])
-        e = np.zeros((d, d))
-        e[i, j] = 1.0
-        vec = (r @ e @ rinv) * mask
-        if gid[i] == gid[j]:
-            buckets["center"].append((lam, vec))
-        elif lam > 0:
-            buckets["unstable"].append((lam, vec))
-        else:
-            buckets["stable"].append((lam, vec))
+    lam = hw[rows] - hw[cols]
+    center = gid[rows] == gid[cols]
+    images = _tangent_map(r, scipy.linalg.solve_triangular(r, np.eye(d)), blocks)
 
-    def pack(items: list[tuple[float, np.ndarray]]) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
-        if not items:
-            return (), ()
-        lams = tuple(sorted(lam for lam, _ in items))
-        flat = np.column_stack([v[mask] for _, v in items])
-        qf, _ = np.linalg.qr(flat)
-        vecs = []
-        for col in range(qf.shape[1]):
-            m = np.zeros((d, d))
-            m[mask] = qf[:, col]
-            m.flags.writeable = False
-            vecs.append(m)
-        return tuple(vecs), lams
+    def subbundle(sel: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+        coords = np.linalg.qr(images[:, sel])[0].T
+        coords.flags.writeable = False
+        return coords, tuple(sorted(lam[sel].tolist()))
 
-    sv, se = pack(buckets["stable"])
-    cv, ce = pack(buckets["center"])
-    uv, ue = pack(buckets["unstable"])
-    return flag_point(q, blocks), RealizationSplit(
-        stable=sv,
-        center=cv,
-        unstable=uv,
-        stable_exponents=se,
-        center_exponents=ce,
-        unstable_exponents=ue,
-    )
+    (sv, se), (cv, ce), (uv, ue) = map(subbundle, (~center & (lam <= 0), center, ~center & (lam > 0)))
+    return flag_point(q, blocks), RealizationSplit(sv, cv, uv, se, ce, ue)
 
 
 # ---------------------------------------------------------------------------
 # Verification against the exact classification
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of a graded square matrix to high relative accuracy:
+    the preconditioned Jacobi SVD of Drmac and Veselic (LAPACK dgejsv with
+    JOBA = 'F'), where a bidiagonalizing SVD loses the small ones."""
+    sva, _, _, work, _, info = scipy.linalg.lapack.dgejsv(m, joba=2, jobu=3, jobv=3)
+    if info != 0:
+        raise ValueError(f"Jacobi SVD failed with LAPACK info {info}")
+    return sva * (work[1] / work[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -1165,9 +1128,10 @@ def determinant_formula_residuals(
     psi = drift.expm(t)
     avec = drift._once(("a", t), lambda: a_cocycle(psi, drift.frame, cond_max=None))
     xw, real = drift._cell(spec.theta, record.rep)
+    tangent_map = _flow_tangent_map(psi, xw)
     out = []
     for sig, basis in ((record.sigma_plus, real.unstable), (record.sigma_minus, real.stable)):
-        lhs = projective_derivative_det(psi, xw, basis)
+        lhs = _volume(tangent_map, basis)
         rhs = math.exp(realize_functional(sig, drift.dim)(avec))
         out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return out[0], out[1]
@@ -1223,51 +1187,45 @@ def verify_rates(
 
     # subbundle exponents from singular values of powered short-time maps
     xw, real = drift._cell(spec.theta, record.rep)
-    mask = _lower_mask(xw.blocks)
     m_step = xw.rep.T @ drift.expm(step) @ xw.rep
-    m_inv = np.linalg.inv(m_step)
-
-    def short_map(basis: tuple[np.ndarray, ...]) -> np.ndarray:
-        k = len(basis)
-        out = np.empty((k, k))
-        for col, b in enumerate(basis):
-            img = (m_step @ b @ m_inv) * mask
-            for row, a in enumerate(basis):
-                out[row, col] = float(np.sum(a * img))
-        return out
-
+    m_inv = xw.rep.T @ drift.expm(-step) @ xw.rep
+    tangent_map = _tangent_map(m_step, m_inv, xw.blocks)
     n_pow = max(1, int(round(T / step)))
     horizon = n_pow * step
 
-    def measured_exponents(basis: tuple[np.ndarray, ...]) -> tuple[float, ...]:
-        if not basis:
+    def log_singular_values(powered: np.ndarray) -> np.ndarray:
+        finite = np.isfinite(powered).all()
+        sv = _singular_values(powered) if finite else None
+        if not finite or not (np.isfinite(sv).all() and sv.min() > 0):
+            raise ValueError(
+                f"record {record.rep.reduced_word}: the powered short-time map leaves "
+                f"double range over horizon {horizon:g}; shorten --T"
+            )
+        return np.log(sv)
+
+    def measured_exponents(basis: np.ndarray) -> tuple[float, ...]:
+        if not len(basis):
             return ()
-        powered = np.linalg.matrix_power(short_map(basis), n_pow)
-        sv = np.linalg.svd(powered, compute_uv=False)
-        return tuple(sorted(float(np.log(s)) / horizon for s in sv))
+        powered = np.linalg.matrix_power(basis @ tangent_map @ basis.T, n_pow)
+        return tuple(sorted((log_singular_values(powered) / horizon).tolist()))
 
-    stable_meas = measured_exponents(real.stable)
-    unstable_meas = measured_exponents(real.unstable)
-    center_range: tuple[float, float] | None = None
-    if real.center:
-        dc = short_map(real.center)
-        lo, hi = math.inf, -math.inf
-        powered = np.eye(len(real.center))
-        for k in range(1, n_pow + 1):
-            powered = dc @ powered
-            sv = np.linalg.svd(powered, compute_uv=False)
-            tau = k * step
-            lo = min(lo, float(np.log(sv[-1])) / tau)
-            hi = max(hi, float(np.log(sv[0])) / tau)
-        center_range = (lo, hi)
+    # an overflowing power is rejected as non-finite, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        stable_meas = measured_exponents(real.stable)
+        unstable_meas = measured_exponents(real.unstable)
+        center_range: tuple[float, float] | None = None
+        if len(real.center):
+            dc = real.center @ tangent_map @ real.center.T
+            lo, hi = math.inf, -math.inf
+            powered = np.eye(len(real.center))
+            for k in range(1, n_pow + 1):
+                powered = dc @ powered
+                logs = log_singular_values(powered) / (k * step)
+                lo, hi = min(lo, float(logs.min())), max(hi, float(logs.max()))
+            center_range = (lo, hi)
 
-    rel = 0.0
-    for pred, meas in (
-        (real.stable_exponents, stable_meas),
-        (real.unstable_exponents, unstable_meas),
-    ):
-        for p_val, m_val in zip(pred, meas):
-            rel = max(rel, abs(m_val - p_val) / max(abs(p_val), 1e-12))
+    pairs = zip(real.stable_exponents + real.unstable_exponents, stable_meas + unstable_meas)
+    rel = max((abs(m - p) / max(abs(p), 1e-12) for p, m in pairs), default=0.0)
 
     return RateReport(
         positive_roots=roots,

@@ -1,16 +1,20 @@
 """Independent brute-force recomputations used to cross-check the library.
 
 Nothing here calls the classification code under test: cells are classified
-from raw integer matrix arithmetic on root coordinates only, and the cocycle
-along a controlled flow is refactored after every integrator step.
+from raw integer matrix arithmetic on root coordinates only, the cocycle
+along a controlled flow is refactored after every integrator step, and
+tangent realizations and their volumes are built one elementary d x d
+matrix at a time.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import mul
 
 import numpy as np
+import scipy.linalg
 
 from flagctrl.rootsys import Root, RootSystem
 from flagctrl.weyl import WeylElement, WeylGroup
@@ -212,3 +216,73 @@ def stepwise_cocycle(
             times.append((i + 1) * h)
             values.append(acc)
     return np.asarray(times), np.vstack(values)
+
+
+def lower_mask(blocks: tuple[int, ...]) -> np.ndarray:
+    """Boolean d x d mask of the block strictly lower positions."""
+    bid = []
+    for bi, b in enumerate(blocks):
+        bid += [bi] * b
+    bid = np.asarray(bid)
+    return bid[:, None] > bid[None, :]
+
+
+def realization_by_positions(split, blocks: tuple[int, ...], word: tuple[int, ...]):
+    """Fixed frame of the cell of ``word`` and its (stable, center,
+    unstable) realizations, each as (orthonormal d x d matrices, sorted
+    exponents).  Each elementary matrix E_ij at a lower position is carried
+    to r E_ij r^-1 masked, with r the sign-fixed triangular factor of the
+    permuted eigenbasis of ``split`` (a ``sldr.SplitPart``)."""
+    d = len(split.h)
+    p = np.eye(d)
+    for i in word:
+        t = np.eye(d)
+        t[i, i] = t[i + 1, i + 1] = 0.0
+        t[i, i + 1] = t[i + 1, i] = 1.0
+        p = p @ t
+    sigma = np.argmax(p, axis=0)
+    q, r = np.linalg.qr(split.basis @ p)
+    signs = np.where(np.diag(r) < 0, -1.0, 1.0)
+    q, r = q * signs, signs[:, None] * r
+    if np.linalg.det(q) < 0:
+        q[:, -1], r[-1, :] = -q[:, -1], -r[-1, :]
+    mask = lower_mask(blocks)
+    hw = split.h[sigma]
+    gid = np.asarray(split.group_ids)[sigma]
+    rinv = scipy.linalg.solve_triangular(r, np.eye(d))
+    buckets: dict[str, list] = {"stable": [], "center": [], "unstable": []}
+    for j in range(d):
+        for i in range(d):
+            if mask[i, j]:
+                e = np.zeros((d, d))
+                e[i, j] = 1.0
+                lam = float(hw[i] - hw[j])
+                key = "center" if gid[i] == gid[j] else "unstable" if lam > 0 else "stable"
+                buckets[key].append((lam, (r @ e @ rinv) * mask))
+    out = []
+    for items in buckets.values():
+        vecs = []
+        if items:
+            qf, _ = np.linalg.qr(np.column_stack([v[mask] for _, v in items]))
+            for col in range(qf.shape[1]):
+                m = np.zeros((d, d))
+                m[mask] = qf[:, col]
+                vecs.append(m)
+        out.append((vecs, tuple(sorted(lam for lam, _ in items))))
+    return q, tuple(out)
+
+
+def gram_volume(psi: np.ndarray, frame: np.ndarray, blocks: tuple[int, ...], vecs) -> float:
+    """Volume distortion of the flag action of ``psi`` at ``frame`` on the
+    span of orthonormal block strictly lower matrices, from the elementwise
+    Gram matrix of their transported, masked images.  The QR sign fix is
+    left out: it flips the same entries of every image, so no Gram entry
+    changes."""
+    if not vecs:
+        return 1.0
+    mask = lower_mask(blocks)
+    _, r = np.linalg.qr(psi @ frame)
+    rinv = scipy.linalg.solve_triangular(r, np.eye(len(r)))
+    images = [(r @ b @ rinv) * mask for b in vecs]
+    gram = np.array([[float(np.sum(a * b)) for b in images] for a in images])
+    return math.sqrt(max(float(np.linalg.det(gram)), 0.0))

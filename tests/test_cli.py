@@ -220,6 +220,24 @@ def test_verify_computes_drift_data_once(tmp_path, capsys, monkeypatch):
     assert counts["iwasawa"] <= math.ceil(T / 0.5) + n_records + 3
 
 
+def test_verify_passes_on_distinct_spectrum(tmp_path, capsys):
+    # the powered subbundle maps are graded: their singular values span
+    # e^-80 to e^-20, which only a relatively accurate SVD resolves
+    q = random_special_orthogonal(np.random.default_rng(43), 5)
+    path = write_system(tmp_path, q @ np.diag([4.0, 2.0, 0.0, -2.0, -4.0]) @ q.T)
+    rc, out, err = run(capsys, ["verify", "--spec", path, "--T", "10"])
+    assert (rc, err) == (0, "")
+    assert out.endswith("verify: 600/600 checks passed\n")
+
+
+def test_verify_rejects_powered_map_out_of_double_range(tmp_path, capsys):
+    # e^(26 * 30) overflows the unstable map and e^(-26 * 30) underflows the stable one
+    path = write_system(tmp_path, np.diag([13.0, 0.0, -13.0]))
+    rc, out, err = run(capsys, ["verify", "--spec", path, "--T", "30"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: record (") and "leaves double range" in err
+
+
 def test_verify_missing_file(capsys):
     rc, _, err = run(capsys, ["verify", "--spec", "/nonexistent/sys.json"])
     assert rc == 2
@@ -266,7 +284,7 @@ def test_simulate_backward_uses_every_control_value(tmp_path, capsys):
     assert rc == 0
     rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
     spec = sldr.load_system(path)
-    sig = sldr.random_signal(np.random.default_rng(4), spec.control_range, -1.0, 0.1, t0=-1.0)
+    sig = sldr.random_signal(np.random.default_rng(4), spec.control_range, -1.0, 0.1)
     assert len(np.unique(sig.values)) == 10
     times, values = oracles.stepwise_cocycle(spec, sig, -1.0, np.eye(3))
     assert np.abs(rows[:, 0] - times).max() < 1e-12

@@ -27,7 +27,6 @@ from flagctrl.sldr import (
     flag_from_basis,
     flag_point,
     flag_type_diagnostic,
-    horizontal_basis,
     integrate,
     invariant_realizations,
     iwasawa,
@@ -48,6 +47,7 @@ from flagctrl.sldr import (
     type_a_system,
     verify_rates,
 )
+from flagctrl.weyl import generate
 
 from fractions import Fraction
 
@@ -360,6 +360,19 @@ def test_time_reversal():
         time_reversal_residual(forward, standard_flag(3))
 
 
+def test_backward_random_signal_uses_every_value():
+    spec = three_by_three_system()
+    sig = random_signal(np.random.default_rng(8), spec.control_range, -1.0, 0.1)
+    backward = integrate(spec, sig, -1.0)
+    # over [-1, 0] the k-th value is held on [-1 + 0.1 k, -0.9 + 0.1 k]
+    expected = np.eye(3)
+    for u in sig.values:
+        expected = expected @ scipy.linalg.expm(-0.1 * spec.generator(u))
+    assert len(sig.values) == 10
+    assert np.abs(backward.matrices[-1] - expected).max() < 1e-9
+    assert time_reversal_residual(backward, standard_flag(3)) <= 1e-6
+
+
 def test_ktheta_invariance():
     rng = np.random.default_rng(11)
     psi = random_unimodular(rng, 3)
@@ -475,22 +488,17 @@ def test_fixed_flags_rejects_split_complex_pair(w_a2):
 
 
 def test_horizontal_basis_and_derivative_det():
-    basis = horizontal_basis((1, 1, 1))
-    assert len(basis) == 3
-    assert all(np.abs(np.triu(b)).max() == 0.0 for b in basis)
+    # tangent coordinates sit at (1, 0), (2, 0), (2, 1), row-major
+    assert sldr._lower_index((1, 1, 1)).tolist() == [3, 6, 7]
     x2 = standard_flag(2)
     psi = np.array([[2.0, 0.7], [0.0, 0.5]])
-    val = projective_derivative_det(psi, x2, horizontal_basis((1, 1)))
+    val = projective_derivative_det(psi, x2, np.eye(1))
     assert abs(val - 0.25) < 1e-12  # closed form 1/a^2 on the line
     assert projective_derivative_det(psi, x2, []) == 1.0
-    upper = np.zeros((2, 2))
-    upper[0, 1] = 1.0
-    with pytest.raises(ValueError, match="horizontal"):
-        projective_derivative_det(psi, x2, [upper])
     with pytest.raises(ValueError, match="orthonormal"):
-        projective_derivative_det(psi, x2, [2.0 * horizontal_basis((1, 1))[0]])
-    with pytest.raises(ValueError, match="ambient"):
-        projective_derivative_det(psi, x2, [np.zeros((3, 3))])
+        projective_derivative_det(psi, x2, 2.0 * np.eye(1))
+    with pytest.raises(ValueError, match="1 columns"):
+        projective_derivative_det(psi, x2, np.zeros((1, 3)))
 
 
 def test_invariant_realizations_regular(w_a2):
@@ -501,7 +509,7 @@ def test_invariant_realizations_regular(w_a2):
     longest = word_element(w_a2, (0, 1, 0))
     split = invariant_realizations(x, (), longest)
     assert split.unstable_exponents == (2.0, 2.0, 4.0)
-    assert split.stable == ()
+    assert len(split.stable) == 0
     gram = [[float(np.sum(a * b)) for b in split.unstable] for a in split.unstable]
     assert np.abs(np.array(gram) - np.eye(3)).max() < 1e-12
 
@@ -513,6 +521,55 @@ def test_invariant_realizations_center(w_a2):
     assert split.stable_exponents == (-3.0, -3.0)
     mixed = invariant_realizations(x, (), word_element(w_a2, (1,)))
     assert len(mixed.stable) == len(mixed.center) == len(mixed.unstable) == 1
+
+
+def oracle_drifts(d):
+    """Seeded SO(d) conjugates of a distinct spectrum, a repeated one and a
+    complex pair with the top real part."""
+    rng = np.random.default_rng(300 + d)
+    h = np.linspace(1.5, -1.5, d)
+    repeated = np.concatenate([[h[0]], h[:-1]])
+    pair = np.diag(repeated - repeated.mean())
+    pair[0, 1], pair[1, 0] = 0.7, -0.7
+    for x in (np.diag(h), np.diag(repeated - repeated.mean()), pair):
+        q = random_special_orthogonal(rng, d)
+        yield q @ x @ q.T
+
+
+# maximal flags up to d = 5; at d = 6, where W has 720 elements, two
+# partial flags with a block of three
+ORACLE_THETAS = {3: ((), (0,), (1,)), 4: ((), (0,), (2,)), 5: ((), (0,), (3,)), 6: ((0, 1), (3, 4))}
+
+
+@pytest.mark.parametrize("d", (3, 4, 5, 6))
+def test_realizations_match_position_oracle(d):
+    group = generate(type_a_system(d))
+    checked = set()
+    for x in oracle_drifts(d):
+        drift = Drift(x)
+        for theta in map(frozenset, ORACLE_THETAS[d]):
+            spec = FlagSpec(theta=theta, flag_type=drift.split.theta)
+            blocks = blocks_from_theta(theta, d)
+            for rec in enumerate_chain_control_sets(group, spec):
+                try:
+                    xw, real = drift._cell(theta, rec.rep)
+                except ValueError:
+                    assert drift.split.complex_pairs  # a cell that splits the pair
+                    continue
+                frame, expected = oracles.realization_by_positions(drift.split, blocks, rec.rep.reduced_word)
+                assert np.abs(xw.rep - frame).max() < 1e-12
+                mask = oracles.lower_mask(blocks)
+                bundles = (real.stable, real.center, real.unstable)
+                exponents = (real.stable_exponents, real.center_exponents, real.unstable_exponents)
+                for coords, lams, (vecs, oracle_lams) in zip(bundles, exponents, expected):
+                    assert lams == oracle_lams
+                    oracle_coords = np.array([v[mask] for v in vecs]).reshape(len(vecs), mask.sum())
+                    assert np.abs(coords.T @ coords - oracle_coords.T @ oracle_coords).max() < 1e-12
+                    vol = projective_derivative_det(drift.expm(2.0), xw, coords)
+                    oracle_vol = oracles.gram_volume(drift.expm(2.0), frame, blocks, vecs)
+                    assert abs(vol - oracle_vol) <= 1e-12 * oracle_vol
+                checked.add(len(drift.split.complex_pairs))
+    assert checked == {0, 1}  # real spectra, and a complex pair inside a block
 
 
 def test_determinant_formula_residuals(w_a2, a2):
@@ -670,7 +727,7 @@ def test_cocycle_sample_matches_stepwise(d, case):
     else:
         spectrum = np.linspace(4.0, -4.0, d) if case in ("guard", "coarse_steps") else None
         spec = seeded_system(d, 100 + d, spectrum, dt)
-    sig = random_signal(np.random.default_rng(d), spec.control_range, T, period, t0=min(T, 0.0))
+    sig = random_signal(np.random.default_rng(d), spec.control_range, T, period)
     sample = cocycle_sample(spec, sig, T, standard_flag(d), sample_every=every)
     times, values = oracles.stepwise_cocycle(spec, sig, T, np.eye(d), every)
     assert np.array_equal(sample.times, times)
