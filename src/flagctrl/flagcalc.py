@@ -277,30 +277,15 @@ def enumerate_chain_control_sets(
             f"{len(repellers)}"
         )
     # independent characterization: the attractor coset holds the identity,
-    # the repeller coset the longest element, reduced here by descents
-    repeller = _strip_descents(group, group.longest, spec.flag_type, spec.theta)
-    if not attractors[0].rep.is_identity or repellers[0].rep != repeller:
+    # the repeller coset the longest element, found here by its own route
+    repeller = weyl.longest_coset_rep(group, spec.flag_type, spec.theta)
+    if not attractors[0].rep.is_identity or repellers[0].rep.reduced_word != repeller.reduced_word:
         raise ConsistencyError(
             f"attractor {attractors[0].rep.reduced_word} and repeller "
             f"{repellers[0].rep.reduced_word} are not the cosets of the identity "
             f"and of the longest element {repeller.reduced_word}"
         )
     return tuple(records)
-
-
-def _strip_descents(
-    group: WeylGroup, w: WeylElement, left: frozenset[int], right: frozenset[int]
-) -> WeylElement:
-    # strip left descents in ``left`` and right descents in ``right`` until
-    # none is left: the minimal element of the double coset of ``w``
-    gens = group.simple_reflections
-    while True:
-        shorter = [weyl.compose(group, gens[i], w) for i in sorted(left)]
-        shorter += [weyl.compose(group, w, gens[j]) for j in sorted(right)]
-        v = next((v for v in shorter if weyl.length(v) < weyl.length(w)), None)
-        if v is None:
-            return w
-        w = v
 
 
 def representative_invariance_check(

@@ -32,7 +32,6 @@ from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .flagcalc import ChainControlSetRecord, FlagSpec
 from .rootsys import RootSystem, build_root_system, form_value, span_subset
@@ -865,8 +864,8 @@ def split_part(
 
 def permutation_matrix(w: WeylElement, d: int) -> np.ndarray:
     """The permutation matrix of a type A Weyl element on d letters."""
-    if len(w.matrix) != d - 1:
-        raise ValueError(f"Weyl element has rank {len(w.matrix)}, expected {d - 1}")
+    if w.system.rank != d - 1:
+        raise ValueError(f"Weyl element has rank {w.system.rank}, expected {d - 1}")
     p = np.eye(d)
     for i in w.reduced_word:
         p[:, [i, i + 1]] = p[:, [i + 1, i]]  # right multiplication by a transposition
@@ -906,6 +905,7 @@ def _tangent_map(a: np.ndarray, a_inv: np.ndarray, blocks: tuple[int, ...]) -> n
 def _flow_tangent_map(psi: np.ndarray, x: FlagPoint) -> np.ndarray:
     # the derivative of the flag action of psi at x, in the frames of x and
     # of its image: the tangent map of the triangular factor of psi x.rep
+    import scipy.linalg  # each user imports it, so simulate never loads scipy
     _, r = _qr_pos(np.asarray(psi, dtype=float) @ x.rep)
     return _tangent_map(r, scipy.linalg.solve_triangular(r, np.eye(len(r))), x.blocks)
 
@@ -970,6 +970,7 @@ def _realize_cell(
     pair across flag blocks: only whole pair planes are flow invariant, so
     such a cell has no fixed flag and no invariant tangent splitting.
     """
+    import scipy.linalg
     d = len(sp.h)
     blocks = blocks_from_theta(theta, d)
     p = permutation_matrix(w, d)
@@ -1006,6 +1007,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of a graded square matrix to high relative accuracy:
     the preconditioned Jacobi SVD of Drmac and Veselic (LAPACK dgejsv with
     JOBA = 'F'), where a bidiagonalizing SVD loses the small ones."""
+    import scipy.linalg
     sva, _, _, work, _, info = scipy.linalg.lapack.dgejsv(m, joba=2, jobu=3, jobv=3)
     if info != 0:
         raise ValueError(f"Jacobi SVD failed with LAPACK info {info}")
@@ -1053,6 +1055,7 @@ class Drift:
 
     def expm(self, t: float) -> np.ndarray:
         """exp(t x) as a read-only array, computed once per distinct ``t``."""
+        import scipy.linalg
         return self._once(("expm", t), lambda: scipy.linalg.expm(t * self.x))
 
     def _horizon_rates(self, T: float) -> tuple:

@@ -1,26 +1,35 @@
-"""Weyl groups as exact integer matrix groups acting on simple-root coordinates.
+"""Weyl groups worked on weight orbits, with exact integer arithmetic.
 
-Elements are generated breadth first from the simple reflections, so each
-element carries the lexicographically least reduced word of minimal length
-and enumeration order is deterministic: by length, then by word.  Equality
-and hashing go through the matrix alone.  The same matrix acts on root
-coordinates and on dual-basis coordinates of the Cartan subspace, because
-the two bases are matched through the invariant form.
+A weight is held by its coordinates mu_i = <mu, a_i^v> on the fundamental
+weights, so a_i has coordinates ``cartan[k][i]`` and s_i sends mu to
+mu - mu_i a_i.  The orbit of lambda_J, the sum of the fundamental weights
+outside J, is walked breadth first, lowering by s_i where mu_i > 0
+(Stembridge, MSJ Memoirs 11, 2001); its points with mu_i >= 0 on I are the
+double cosets W_I\\W/W_J (Humphreys, Reflection Groups and Coxeter Groups,
+1.12).  Group and parabolic orders come by orbit-stabilizer.
+
+Elements carry their lexicographically least reduced word; their integer
+matrix on simple-root (and, through the invariant form, dual-basis)
+coordinates is built from it when first read, and equality and hashing go
+through it.  A ``WeylGroup`` walks its elements over matrices, by length
+then word, on first use only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rootsys import AVector, Root, RootSystem, a_theta_basis
+from .rootsys import AVector, Root, RootSystem, _check_subset, a_theta_basis
 
 __all__ = [
     "WeylElement",
     "WeylGroup",
     "DoubleCoset",
     "generate",
+    "parabolic_order",
     "act",
     "act_avector",
     "root_permutation",
@@ -29,6 +38,7 @@ __all__ = [
     "inverse",
     "subgroup",
     "double_cosets",
+    "longest_coset_rep",
     "coset_table_json",
     "DEFAULT_ORDER_CAP",
     "HARD_ORDER_CAP",
@@ -38,14 +48,20 @@ DEFAULT_ORDER_CAP = 100_000
 HARD_ORDER_CAP = 1_000_000
 
 Matrix = tuple[tuple[int, ...], ...]
+Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylElement:
-    """Group element: integer matrix plus its canonical reduced word."""
+    """Group element: its canonical reduced word, acting through its matrix."""
 
-    matrix: Matrix
     reduced_word: tuple[int, ...]
+    system: RootSystem = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        gens = (simple_reflection_matrix(self.system, i) for i in self.reduced_word)
+        return reduce(_mat_mul, gens, _identity_matrix(self.system.rank))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElement):
@@ -65,7 +81,6 @@ def _identity_matrix(n: int) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -85,79 +100,117 @@ def simple_reflection_matrix(rs: RootSystem, i: int) -> Matrix:
     )
 
 
+def _reflect(cartan: Matrix, mu: Weight, i: int) -> Weight:
+    c = mu[i]
+    return tuple(m - c * row[i] for m, row in zip(mu, cartan))
+
+
+def _levels(cartan: Matrix, mu: Weight, subset: Sequence[int]) -> Iterator[set[Weight]]:
+    # the W_S-orbit of an S-dominant weight by length of the representative:
+    # lowering by s_i where mu_i > 0 adds one to it, so no level recurs
+    level = {mu}
+    while level:
+        yield level
+        level = {_reflect(cartan, v, i) for v in level for i in subset if v[i] > 0}
+
+
+@lru_cache(maxsize=None)
+def _parabolic_order(cartan: Matrix, subset: frozenset[int]) -> int:
+    # W_S moves the fundamental weight of k = max S with stabilizer W_{S\k}
+    if not subset:
+        return 1
+    k = max(subset)
+    orbit = _levels(cartan, tuple(int(i == k) for i in range(len(cartan))), sorted(subset))
+    return sum(map(len, orbit)) * _parabolic_order(cartan, subset - {k})
+
+
+def parabolic_order(rs: RootSystem, subset: Iterable[int]) -> int:
+    """Order of the parabolic subgroup W_S, by orbit-stabilizer."""
+    subset = frozenset(subset)
+    _check_subset(rs, subset)
+    return _parabolic_order(rs.cartan, subset)
+
+
 @dataclass(frozen=True, eq=False)
 class WeylGroup:
-    """The full group, enumerated by length then lexicographic reduced word."""
+    """The group of ``system`` and its order; its elements, by length then
+    lexicographic reduced word, are walked on first use."""
 
     system: RootSystem
-    elements: tuple[WeylElement, ...]
-    simple_reflections: tuple[WeylElement, ...]
-    longest: WeylElement
-    _index: dict = field(repr=False)
+    order: int
     _subgroups: dict = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def _index(self) -> dict[Matrix, WeylElement]:
+        index = _enumerate(self.system)
+        if len(index) != self.order:
+            raise AssertionError(f"walk found {len(index)} elements, not {self.order}")
+        return index
+
+    @cached_property
+    def elements(self) -> tuple[WeylElement, ...]:
+        return tuple(self._index.values())
 
     @property
     def identity(self) -> WeylElement:
         return self.elements[0]
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
+    def simple_reflections(self) -> tuple[WeylElement, ...]:
+        return self.elements[1 : self.system.rank + 1]  # the walk's first level
+
+    @property
+    def longest(self) -> WeylElement:
+        return self.elements[-1]
 
     def lookup(self, matrix: Matrix) -> WeylElement:
         return self._index[matrix]
 
 
 def generate(rs: RootSystem, order_cap: int | None = None) -> WeylGroup:
-    """Generate the Weyl group by breadth-first closure of the reflections.
+    """The Weyl group of ``rs``, its order found by orbit-stabilizer.
 
-    Aborts with the partial count once the element count passes
-    ``order_cap`` (default 10**5, hard ceiling 10**6).
+    Refuses an order above ``order_cap`` (default 10**5, hard ceiling
+    10**6) with ValueError.
     """
     cap = min(order_cap if order_cap is not None else DEFAULT_ORDER_CAP, HARD_ORDER_CAP)
-    n = rs.rank
-    gens = [simple_reflection_matrix(rs, i) for i in range(n)]
+    order = parabolic_order(rs, range(rs.rank))
+    if order > cap:
+        raise ValueError(
+            f"Weyl group of {rs.lie_type} exceeds the order cap {cap} "
+            f"(at least {cap + 1} elements: its order is {order})"
+        )
+    # build_root_system checked the multiplicities against the generators
+    return WeylGroup(system=rs, order=order)
 
-    ident = WeylElement(_identity_matrix(n), ())
-    index: dict[Matrix, WeylElement] = {ident.matrix: ident}
-    order: list[WeylElement] = [ident]
+
+def _enumerate(rs: RootSystem) -> dict[Matrix, WeylElement]:
+    """Every element by its matrix, breadth first from the simple
+    reflections, so each carries its lexicographically least reduced word."""
+    gens = [simple_reflection_matrix(rs, i) for i in range(rs.rank)]
+    ident = WeylElement((), rs)
+    index = {ident.matrix: ident}
     frontier = [ident]
     while frontier:
-        nxt: list[WeylElement] = []
+        nxt = []
         for w in frontier:
-            for i in range(n):
-                m = _mat_mul(w.matrix, gens[i])
+            for i, g in enumerate(gens):
+                m = _mat_mul(w.matrix, g)
                 if m not in index:
-                    e = WeylElement(m, w.reduced_word + (i,))
-                    index[m] = e
-                    order.append(e)
+                    e = index[m] = WeylElement(w.reduced_word + (i,), rs)
+                    vars(e)["matrix"] = m  # the product is in hand
                     nxt.append(e)
-                    if len(order) > cap:
-                        raise ValueError(
-                            f"Weyl group of {rs.lie_type} exceeds the order cap {cap} "
-                            f"(at least {len(order)} elements generated)"
-                        )
         frontier = nxt
 
-    longest = order[-1]
+    longest = next(reversed(index.values()))
     max_len = len(longest.reduced_word)
-    if sum(1 for w in order if len(w.reduced_word) == max_len) != 1:
+    if sum(1 for w in index.values() if len(w.reduced_word) == max_len) != 1:
         raise AssertionError("longest element is not unique")
     if max_len != len(rs.positive_roots):
         raise AssertionError("longest length differs from the positive root count")
-    neg_simple = {-s for s in rs.simple_roots}
-    if {act(longest, s) for s in rs.simple_roots} != neg_simple:
+    if {act(longest, s) for s in rs.simple_roots} != {-s for s in rs.simple_roots}:
         raise AssertionError("longest element does not negate the simple system")
-
-    group = WeylGroup(
-        system=rs,
-        elements=tuple(order),
-        simple_reflections=tuple(index[g] for g in gens),
-        longest=longest,
-        _index=index,
-    )
-    # build_root_system checked the multiplicities against the generators
-    return group
+    return index
 
 
 def act(w: WeylElement, root: Root) -> Root:
@@ -191,14 +244,7 @@ def compose(group: WeylGroup, a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def inverse(group: WeylGroup, w: WeylElement) -> WeylElement:
-    m = _identity_matrix(group.system.rank)
-    for i in reversed(w.reduced_word):
-        m = _mat_mul(m, group.simple_reflections[i].matrix)
-    return group.lookup(m)
-
-
-def _sort_key(w: WeylElement) -> tuple[int, tuple[int, ...]]:
-    return (len(w.reduced_word), w.reduced_word)
+    return group.lookup(WeylElement(w.reduced_word[::-1], group.system).matrix)
 
 
 def subgroup(group: WeylGroup, theta: Iterable[int]) -> frozenset[WeylElement]:
@@ -213,9 +259,7 @@ def subgroup(group: WeylGroup, theta: Iterable[int]) -> frozenset[WeylElement]:
     if theta in group._subgroups:
         return group._subgroups[theta]
     rs = group.system
-    bad = [i for i in theta if not (0 <= i < rs.rank)]
-    if bad:
-        raise ValueError(f"simple-root indices {sorted(bad)} out of range for rank {rs.rank}")
+    _check_subset(rs, theta)
     members = frozenset(w for w in group.elements if theta.issuperset(w.reduced_word))
     # the basis scaled to integer coordinates, so the test is integer exact
     fixed = [
@@ -244,33 +288,51 @@ def double_cosets(
 ) -> tuple[DoubleCoset, ...]:
     """Double cosets of two parabolic subgroups, in canonical order.
 
-    The representative of each coset is its unique member of minimal
-    length: the element with no left descent in ``left`` and no right
-    descent in ``right``.  Its coset has |W_I|*|W_J|/|W_K| members, where
-    W_I meets w W_J w^{-1} in the parabolic W_K, K being the i in ``left``
-    with w(a_j) = a_i for some j in ``right`` (Kilmoyer).  The returned
-    tuple is sorted by length, then reduced word.
+    One per point mu of the orbit of lambda_J (J = ``right``) with
+    mu_i >= 0 for every i in I = ``left``; its representative is the
+    coset's unique member of minimal length.  The coset has
+    |W_I|*|W_J|/|W_K| members, W_K = W_I meeting w W_J w^{-1} being the
+    stabilizer of mu in W_I: K is the i in I with mu_i = 0 (Kilmoyer).
+    The returned tuple is sorted by length, then reduced word.
     """
     left, right = frozenset(left), frozenset(right)
-    left_order = len(subgroup(group, left))
-    right_order = len(subgroup(group, right))
-    left_gens = [group.simple_reflections[i].matrix for i in left]
-    cosets = []
-    for w in group.elements:
-        m = w.matrix
-        # w(a_j) is column j; a right descent sends it negative
-        if any(row[j] < 0 for j in right for row in m):
-            continue
-        n = len(w.reduced_word)
-        if any(len(group.lookup(_mat_mul(s, m)).reduced_word) < n for s in left_gens):
-            continue
-        # a positive root of height 1 is the simple root at its one 1
-        images = (tuple(row[j] for row in m) for j in right)
-        meet = left.intersection(col.index(1) for col in images if sum(col) == 1)
-        cosets.append(DoubleCoset(w, left_order * right_order // len(subgroup(group, meet))))
+    rs = group.system
+    product = parabolic_order(rs, left) * parabolic_order(rs, right)
+    cosets, above = [], {}
+    lam = tuple(int(j not in right) for j in range(rs.rank))  # stabilizer W_J
+    for level in _levels(rs.cartan, lam, range(rs.rank)):
+        words = {}
+        for mu in level:
+            # lex-least word: the least i with mu_i < 0, then the word one level up
+            i = next((i for i, c in enumerate(mu) if c < 0), None)
+            words[mu] = () if i is None else (i,) + above[_reflect(rs.cartan, mu, i)]
+            if all(mu[i] >= 0 for i in left):
+                meet = frozenset(i for i in left if mu[i] == 0)
+                rep = WeylElement(words[mu], rs)
+                cosets.append(DoubleCoset(rep, product // _parabolic_order(rs.cartan, meet)))
+        above = words
     if sum(c.size for c in cosets) != group.order:
         raise AssertionError("double cosets do not partition the group")
-    return tuple(sorted(cosets, key=lambda c: _sort_key(c.rep)))
+    return tuple(sorted(cosets, key=lambda c: (len(c.rep.reduced_word), c.rep.reduced_word)))
+
+
+def longest_coset_rep(
+    group: WeylGroup, left: Iterable[int], right: Iterable[int]
+) -> WeylElement:
+    """Minimal representative of the double coset of the longest element,
+    apart from the coset filter: lambda_J lowered to its antidominant point
+    w0(lambda_J), then raised by s_i, i in I, while mu_i < 0."""
+    rs, left, right = group.system, sorted(frozenset(left)), frozenset(right)
+    mu = tuple(int(j not in right) for j in range(rs.rank))
+    while (i := next((i for i, c in enumerate(mu) if c > 0), None)) is not None:
+        mu = _reflect(rs.cartan, mu, i)
+    while (i := next((i for i in left if mu[i] < 0), None)) is not None:
+        mu = _reflect(rs.cartan, mu, i)
+    word = []  # strip the least descent until dominant
+    while (i := next((i for i, c in enumerate(mu) if c < 0), None)) is not None:
+        word.append(i)
+        mu = _reflect(rs.cartan, mu, i)
+    return WeylElement(tuple(word), rs)
 
 
 def coset_table_json(

@@ -167,6 +167,49 @@ def double_coset_partition(
     return out
 
 
+@lru_cache(maxsize=None)
+def _descent_table(group: WeylGroup) -> list[tuple[WeylElement, frozenset, frozenset, dict]]:
+    # per element in enumeration order: its right descents (columns sent
+    # negative), its left descents (s_i*w shorter, by matrix product and
+    # lookup), and the index of each column that is a simple root
+    gens = [s.matrix for s in group.simple_reflections]
+    out = []
+    for w in group.elements:
+        cols = list(zip(*w.matrix))
+        n = len(w.reduced_word)
+        right = frozenset(j for j, col in enumerate(cols) if min(col) < 0)
+        left = frozenset(
+            i for i, s in enumerate(gens) if len(group.lookup(mat_mul(s, w.matrix)).reduced_word) < n
+        )
+        # a positive root of height 1 is the simple root at its one 1
+        simple = {j: col.index(1) for j, col in enumerate(cols) if min(col) >= 0 and sum(col) == 1}
+        out.append((w, right, left, simple))
+    return out
+
+
+@lru_cache(maxsize=None)
+def word_subgroup_order(group: WeylGroup, subset: frozenset[int]) -> int:
+    """|W_S| as the count of elements whose reduced word uses only S (Tits)."""
+    return sum(1 for w in group.elements if subset.issuperset(w.reduced_word))
+
+
+def filtered_double_cosets(
+    group: WeylGroup, left: frozenset[int], right: frozenset[int]
+) -> list[tuple[tuple[int, ...], int]]:
+    """(reduced word, size) of every double coset W_I*w*W_J, by a pass over
+    the whole group: w is kept when it has no right descent in J and no left
+    descent in I, and sized by Kilmoyer's theorem as |W_I|*|W_J|/|W_K|, K the
+    i in I with w(a_j) = a_i for some j in J."""
+    product = word_subgroup_order(group, left) * word_subgroup_order(group, right)
+    out = []
+    for w, right_desc, left_desc, simple in _descent_table(group):
+        if right_desc & right or left_desc & left:
+            continue
+        meet = left & {simple[j] for j in right if j in simple}
+        out.append((w.reduced_word, product // word_subgroup_order(group, meet)))
+    return out
+
+
 def mult_is_invariant(group: WeylGroup) -> bool:
     """Check the root multiplicity map against the whole generated group.
 

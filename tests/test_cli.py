@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -105,6 +107,39 @@ def test_analyze_computes_one_root_permutation_per_record(capsys, monkeypatch):
     words = [tuple(r["coset_rep_word"]) for r in json.loads(out)["records"]]
     assert len(words) == 192
     assert calls == words
+
+
+def test_exact_commands_skip_the_element_walk(tmp_path, capsys, monkeypatch):
+    def refuse(rs):
+        raise AssertionError(f"element walk of {rs.lie_type}")
+
+    monkeypatch.setattr(weyl, "_enumerate", refuse)
+    rc, out, _ = run(capsys, ["analyze", "--type", "D", "--rank", "5"])
+    assert rc == 0
+    assert len(json.loads(out)["records"]) == 1920
+    argv = ["cosets", "--type", "F", "--rank", "4", "--left", "1,2,3", "--right", "0,1,2"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert json.loads(out)["order"] == 1152
+    path = write_system(tmp_path, np.diag([2.0, 0.0, -2.0]))
+    rc, out, _ = run(capsys, ["verify", "--spec", path, "--T", "3"])
+    assert rc == 0
+
+
+def test_exact_benchmark_ops_match_recorded_digests(capsys):
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "flagbench")
+    spec = importlib.util.spec_from_file_location("workloads", os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(bench, "digests.json"), encoding="utf-8") as fh:
+        digests = json.load(fh)
+    ops = [op for ops in (*workloads.WORKLOADS.values(), *workloads.SMOKE.values()) for op in ops]
+    exact = [op for op in ops if op.kind == "exact"]
+    assert {op.id for op in exact} == set(digests)
+    for op in exact:
+        rc, out, _ = run(capsys, list(op.argv))
+        assert rc == 0, op.id
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[op.id], op.id
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +424,19 @@ def test_exact_commands_do_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 2
+
+
+def test_simulate_does_not_import_scipy(tmp_path):
+    control = np.diag([1.0, 1.0, -2.0])
+    path = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]), [control], Box(((-1.0, 1.0),)))
+    code = (
+        "import sys, flagctrl.cli as c\n"
+        f"assert c.main(['simulate', '--spec', {path!r}, '--T', '0.5']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("t,")

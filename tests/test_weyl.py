@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from flagctrl.rootsys import AVector, build_root_system, pairing_value
 from flagctrl.weyl import (
+    WeylGroup,
     act,
     act_avector,
     compose,
@@ -11,6 +14,7 @@ from flagctrl.weyl import (
     generate,
     inverse,
     length,
+    parabolic_order,
     subgroup,
 )
 
@@ -180,3 +184,48 @@ def test_mult_invariance_flag():
     assert oracles.mult_is_invariant(group)
     # mult constant on each orbit but distinct across orbits still validates
     assert {rs.mult[r] for r in rs.roots} == {1, 2}
+
+
+def coset_words_and_sizes(group, left, right):
+    return [(c.rep.reduced_word, c.size) for c in double_cosets(group, left, right)]
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+     ("C", 4), ("D", 4), ("G", 2), ("F", 4)],
+)
+def test_orbit_double_cosets_match_filter_every_pair(family, rank):
+    group = generate(build_root_system(family, rank))
+    subsets = list(oracles.all_subsets(rank))
+    for left in subsets:
+        for right in subsets:
+            expected = oracles.filtered_double_cosets(group, left, right)
+            assert coset_words_and_sizes(group, left, right) == expected, (left, right)
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_orbit_double_cosets_match_filter_rank5_sample(family):
+    group = generate(build_root_system(family, 5))
+    rng = random.Random(5)
+    for _ in range(300):
+        left, right = (frozenset(i for i in range(5) if rng.random() < 0.5) for _ in "IJ")
+        expected = oracles.filtered_double_cosets(group, left, right)
+        assert coset_words_and_sizes(group, left, right) == expected, (left, right)
+
+
+@pytest.mark.parametrize("rank,order", [(6, 51_840), (7, 2_903_040), (8, 696_729_600)])
+def test_exceptional_orders(rank, order):
+    assert parabolic_order(build_root_system("E", rank), range(rank)) == order
+
+
+@pytest.mark.parametrize("rank,count", [(7, 4), (8, 5)])
+def test_exceptional_parabolic_cosets_partition(rank, count):
+    # W_I \ W / W_I for I all but the last node (E6 in E7, E7 in E8): the
+    # orbits of W_I on the 56 minuscule weights and on the 240 roots
+    rs = build_root_system("E", rank)
+    group = WeylGroup(rs, parabolic_order(rs, range(rank)))
+    theta = frozenset(range(rank - 1))
+    cosets = double_cosets(group, theta, theta)
+    assert len(cosets) == count
+    assert sum(c.size for c in cosets) == group.order
