@@ -88,7 +88,8 @@ __all__ = [
 ]
 
 DEFAULT_COND_MAX = 1e12
-_STRIDE_LOG_COND_MAX = math.log(1e4)  # cocycle_sample's early-refactor bound
+_STRIDE_LOG_COND_MAX = math.log(1e4)  # cocycle_sample's refactor bound
+_QR_BATCH = 256  # cocycle_sample's output rows per stacked QR
 
 
 @lru_cache(maxsize=None)
@@ -527,10 +528,11 @@ def _propagate(
     ``(step, count)`` of identical steps that end at control-period edges.
 
     ``T`` may be negative; the control is evaluated at segment midpoints, so
-    the sample period must be an integer multiple of dt and the signal
-    origin must sit on the step grid.  The grid is checked before any step
-    runs.  A transition is built and range-checked when the control value
-    changes; runs of one value share it, and an identity is yielded as None.
+    the sample period must be an integer multiple of dt, the signal origin
+    must sit on the step grid, and a signal of more than one value must
+    cover [min(T, 0), max(T, 0)].  These are checked before any step runs.
+    A transition is built and range-checked when the control value changes;
+    runs of one value share it, and an identity is yielded as None.
     """
     dt = spec.integrator.dt
     if signal.n_channels != spec.n_controls:
@@ -544,6 +546,12 @@ def _propagate(
     offset = signal.t0 / dt
     if abs(offset - round(offset)) > 1e-6 * max(1.0, abs(offset)):
         raise ValueError("signal origin must lie on the integrator grid")
+    lo, hi, tol = min(T, 0.0), max(T, 0.0), 1e-9 * max(1.0, abs(T))
+    start, stop = signal.t0, signal.t0 + len(signal.values) * signal.period
+    if len(signal.values) > 1 and (start > lo + tol or stop < hi - tol):
+        raise ValueError(
+            f"signal covers [{start:g}, {stop:g}] but the horizon needs [{lo:g}, {hi:g}]"
+        )
     h = dt if T >= 0 else -dt
 
     def runs() -> Iterator[tuple[np.ndarray | None, int]]:
@@ -1270,28 +1278,36 @@ def cocycle_sample(
 ) -> CocycleSample:
     """Accumulate the cocycle along the integrated flow.
 
-    The frame is refactored once per output stride, from the product of the
-    stride's transitions (discrete QR method), and earlier when a bound on
-    the product's condition number would pass 1e4; a stride of identity
-    transitions contributes exactly zero.  Grid conditions are those of
-    ``integrate``.
+    The frame is refactored (discrete QR method) only when a bound on the
+    condition number of the transitions' product since the last refactor
+    would pass 1e4.  Each output row is that product times the frame; rows
+    are factored ``_QR_BATCH`` at a time in one stacked QR, and by uniqueness
+    of the positive QR a row's value is the refactors' summed log-diagonal
+    plus its own.  A row with no transition since the last refactor is that
+    sum exactly, so identity transitions contribute zero.  Grid conditions
+    are those of ``integrate``.
     """
     if not flag.is_maximal:
         raise ValueError("the cocycle is sampled at maximal flags")
     if sample_every < 1:
         raise ValueError("sample stride must be at least 1")
     h, n, runs = _propagate(spec, signal, T)
-    frame = flag.rep
-    acc = np.zeros(spec.dim)
+    d = spec.dim
+    frame, offset = flag.rep, np.zeros(d)
     times = [0.0]
-    values = [acc]
+    values = np.zeros((1 + -(-n // sample_every), d))
+    batch, rows = np.empty((_QR_BATCH, d, d)), []
     held, prod, bound, i = False, None, 0.0, 0
     for step, count in runs:
         if step is not held:
             # cond(I + E) <= (1 + e) / (1 - e) for e = |E|_F < 1, without an SVD
-            e = 0.0 if step is None else float(np.linalg.norm(step - np.eye(spec.dim)))
+            e = 0.0 if step is None else float(np.linalg.norm(step - np.eye(d)))
             held, powers, growth = step, {}, math.log1p(2 * e / (1 - e)) if e < 1 else math.inf
         while count:
+            if prod is not None and bound + growth > _STRIDE_LOG_COND_MAX:
+                frame, r = _qr_pos(prod @ frame)
+                offset = offset + np.log(np.diag(r))
+                prod, bound = None, 0.0
             m = min(count, sample_every - i % sample_every)
             if growth:
                 m = min(m, max(1, int((_STRIDE_LOG_COND_MAX - bound) / growth)))
@@ -1302,22 +1318,25 @@ def cocycle_sample(
                 bound += m * growth
             i += m
             count -= m
-            end = i % sample_every == 0 or i == n
-            if prod is not None and (end or bound + growth > _STRIDE_LOG_COND_MAX):
-                frame, r = _qr_pos(prod @ frame)
-                acc = acc + np.log(np.diag(r))
-                prod, bound = None, 0.0
-            if end:
+            if i % sample_every == 0 or i == n:
+                values[len(times)] = offset
+                if prod is not None:
+                    np.matmul(prod, frame, out=batch[len(rows)])
+                    rows.append(len(times))
+                if rows and (len(rows) == _QR_BATCH or i == n):
+                    r = np.linalg.qr(batch[: len(rows)], mode="r")
+                    values[rows] += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+                    rows.clear()
                 times.append(i * h)
-                values.append(acc)
-    return CocycleSample(times=np.asarray(times), a_values=np.vstack(values))
+    return CocycleSample(times=np.asarray(times), a_values=values)
 
 
 def cocycle_to_csv(sample: CocycleSample) -> str:
     d = sample.dim
+    row_format = "%.10g" + ",%.12g" * d
     lines = ["t," + ",".join(f"a{i + 1}" for i in range(d))]
     for t, row in zip(sample.times, sample.a_values):
-        lines.append(f"{t:.10g}," + ",".join(f"{v:.12g}" for v in row))
+        lines.append(row_format % (t, *row.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -274,6 +274,21 @@ def test_integrate_zero_system_is_exact_identity():
     assert np.array_equal(traj.matrices[-1], np.eye(3))
 
 
+def test_signal_must_cover_horizon():
+    spec = two_by_two_system()
+    sig = random_signal(np.random.default_rng(3), spec.control_range, 1.0, 0.1)
+    for T, needed in ((2.0, r"\[0, 2\]"), (-1.0, r"\[-1, 0\]")):
+        with pytest.raises(ValueError, match=r"covers \[0, 1\] .*" + needed):
+            integrate(spec, sig, T)
+        with pytest.raises(ValueError, match=r"covers \[0, 1\] .*" + needed):
+            cocycle_sample(spec, sig, T, standard_flag(2))
+    assert len(integrate(spec, sig, 1.0).times) == 1001
+    # one value holds for any horizon
+    for T in (-3.0, 5.0):
+        sample = cocycle_sample(spec, constant_signal([0.5]), T, standard_flag(2))
+        assert len(sample.times) == 1 + 100 * abs(T)
+
+
 def test_trajectory_off_grid_time_rejected():
     spec = two_by_two_system()
     traj = integrate(spec, constant_signal([0.0]), 0.01)
@@ -353,7 +368,7 @@ def test_time_reversal():
     spec = three_by_three_system()
     rng = np.random.default_rng(6)
     sig = random_signal(rng, spec.control_range, 2.0, 0.1)
-    backward = integrate(spec, sig, -2.0)
+    backward = integrate(spec, random_signal(rng, spec.control_range, -2.0, 0.1), -2.0)
     assert time_reversal_residual(backward, standard_flag(3)) < 1e-8
     forward = integrate(spec, sig, 2.0)
     with pytest.raises(ValueError, match="starting at time 0"):
@@ -705,7 +720,9 @@ def seeded_system(d, seed, spectrum=None, dt=1e-3):
 # name: (T, control period, sample_every, dt); the guard case runs on the
 # smallest and the largest d only, its stepwise oracle takes 20,000 QRs.
 # With dt = 0.25 on the +-4 spectrum a step is too far from the identity for
-# the condition bound, so each step is factored on its own.
+# the condition bound, so each step is factored on its own.  many_chunks has
+# 600 rows: two full stacked QRs and a partial one; guard_rows refactors the
+# frame several times with rows in between.
 STRIDE_CASES = {
     "period_off_stride": (1.0, 0.015, 10, 1e-3),
     "partial_last_stride": (1.007, 0.1, 10, 1e-3),
@@ -713,6 +730,8 @@ STRIDE_CASES = {
     "zero_system": (1.007, 0.015, 10, 1e-3),
     "guard": (20.0, 0.1, 20000, 1e-3),
     "coarse_steps": (5.0, 0.5, 4, 0.25),
+    "many_chunks": (0.6, 0.1, 1, 1e-3),
+    "guard_rows": (3.0, 0.1, 10, 1e-3),
 }
 
 
@@ -725,7 +744,8 @@ def test_cocycle_sample_matches_stepwise(d, case):
     if case == "zero_system":
         spec = control_system(np.zeros((d, d)), [np.zeros((d, d))], Box(((-1.0, 1.0),)))
     else:
-        spectrum = np.linspace(4.0, -4.0, d) if case in ("guard", "coarse_steps") else None
+        ramp = case in ("guard", "coarse_steps", "guard_rows")
+        spectrum = np.linspace(4.0, -4.0, d) if ramp else None
         spec = seeded_system(d, 100 + d, spectrum, dt)
     sig = random_signal(np.random.default_rng(d), spec.control_range, T, period)
     sample = cocycle_sample(spec, sig, T, standard_flag(d), sample_every=every)
@@ -734,17 +754,51 @@ def test_cocycle_sample_matches_stepwise(d, case):
     assert np.abs(sample.a_values - values).max() < 1e-9
     if case == "zero_system":
         assert not sample.a_values.any()
+    if case == "many_chunks":
+        assert 2 * sldr._QR_BATCH < len(times) - 1 < 3 * sldr._QR_BATCH
 
 
-def test_cocycle_sample_one_qr_per_stride(monkeypatch):
+def test_cocycle_sample_qr_calls(monkeypatch):
+    refactors, stacked = [], []
+    qr_pos, qr = sldr._qr_pos, np.linalg.qr
+    monkeypatch.setattr(sldr, "_qr_pos", lambda g: refactors.append(g) or qr_pos(g))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": stacked.append(a) or qr(a, mode))
     spec = seeded_system(4, 7)
     sig = random_signal(np.random.default_rng(7), spec.control_range, 1.0, 0.1)
-    calls = []
-    qr_pos = sldr._qr_pos
-    monkeypatch.setattr(sldr, "_qr_pos", lambda g: calls.append(g) or qr_pos(g))
     sample = cocycle_sample(spec, sig, 1.0, standard_flag(4))
     assert len(sample.times) == 101
-    assert len(calls) == 100
+    assert len(refactors) == 0
+    assert len(stacked) == 1 and stacked[0].shape == (100, 4, 4)
+    # a long run refactors only when the growth bound since the last
+    # refactor would pass log 1e4
+    spec = seeded_system(5, 105, np.linspace(4.0, -4.0, 5))
+    sig = random_signal(np.random.default_rng(5), spec.control_range, 10.0, 0.1)
+    total = 0.0
+    for step, count in sldr._propagate(spec, sig, 10.0)[2]:
+        e = np.linalg.norm(step - np.eye(5))
+        total += count * math.log1p(2 * e / (1 - e))
+    refactors.clear()
+    cocycle_sample(spec, sig, 10.0, standard_flag(5))
+    assert 1 <= len(refactors) <= math.ceil(total / math.log(1e4))
+
+
+def test_cocycle_to_csv_bytes():
+    sample = sldr.CocycleSample(
+        times=np.array([0.0, -0.001, -2.5, -1234.5678901234]),
+        a_values=np.array(
+            [
+                [-0.0, 1e-300, 1e15],
+                [1 / 3, -2 / 3, 1e-5],
+                [-1e15, 123456789.123456789, -1e-300],
+                [0.0, -1.5, 2.0],
+            ]
+        ),
+    )
+    old = ["t,a1,a2,a3"]
+    for t, row in zip(sample.times, sample.a_values):
+        old.append(f"{t:.10g}," + ",".join(f"{v:.12g}" for v in row))
+    assert cocycle_to_csv(sample) == "\n".join(old) + "\n"
+    assert cocycle_to_csv(sample).splitlines()[1] == "0,-0,1e-300,1e+15"
 
 
 def test_flag_type_diagnostic():
