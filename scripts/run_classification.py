@@ -30,7 +30,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--type", required=True, choices=sorted(FAMILIES))
     ap.add_argument("--rank", required=True, type=int)
-    ap.add_argument("--order-cap", type=int, default=100000)
+    ap.add_argument("--order-cap", type=int)  # None: weyl.DEFAULT_ORDER_CAP
     ap.add_argument("--json", help="also dump every report to this file")
     args = ap.parse_args()
 

@@ -304,9 +304,10 @@ def representative_invariance_check(
     dual basis of the Cartan subspace.
     """
     rs = group.system
-    if w1 not in weyl.subgroup(group, spec.flag_type):
+    # Tits: an element lies in W_S when its reduced word uses only S
+    if not spec.flag_type.issuperset(weyl._canonical(rs, w1.reduced_word).reduced_word):
         raise ValueError(f"w1={w1.reduced_word} is not in the flow-type subgroup")
-    if w2 not in weyl.subgroup(group, spec.theta):
+    if not spec.theta.issuperset(weyl._canonical(rs, w2.reduced_word).reduced_word):
         raise ValueError(f"w2={w2.reduced_word} is not in the theta subgroup")
     other = weyl.compose(group, weyl.compose(group, w1, w), w2)
     split_w, split_o = _split(rs, spec, w), _split(rs, spec, other)

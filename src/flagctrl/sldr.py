@@ -635,7 +635,6 @@ def cocycle_additivity_residual(
         flag_at[p] = flag_point(trip.k, flag.blocks)
     worst = 0.0
     for p in idxs:
-        inv_p = None
         for q in idxs:
             if p + q not in a_at:
                 continue
@@ -644,9 +643,9 @@ def cocycle_additivity_residual(
             elif q == 0:
                 shifted = np.zeros(d)
             else:
-                if inv_p is None:
-                    inv_p = np.linalg.inv(mats[p])
-                shifted = a_cocycle(mats[p + q] @ inv_p, flag_at[p])
+                # the transition from p to p + q, mats[p + q] mats[p]^-1, by a solve
+                step = np.linalg.solve(mats[p].T, mats[p + q].T).T
+                shifted = a_cocycle(step, flag_at[p])
             defect = float(np.abs(a_at[p + q] - shifted - a_at[p]).max())
             worst = max(worst, defect)
     return worst
@@ -676,8 +675,8 @@ def time_reversal_residual(
             continue  # both sides vanish identically at t = 0
         psi_m = backward.matrices[i]
         trip = iwasawa(psi_m @ flag.rep)
-        forward = np.linalg.inv(psi_m)
-        a_fwd = a_cocycle(forward, flag_point(trip.k, flag.blocks))
+        # the forward transition psi_m^-1 at the frame trip.k, by a solve
+        a_fwd = iwasawa(np.linalg.solve(psi_m, trip.k)).a_vec
         worst = max(worst, float(np.abs(trip.a_vec + a_fwd).max()))
     return worst
 

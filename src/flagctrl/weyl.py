@@ -11,18 +11,19 @@ double cosets W_I\\W/W_J (Humphreys, Reflection Groups and Coxeter Groups,
 Elements carry their lexicographically least reduced word; their integer
 matrix on simple-root (and, through the invariant form, dual-basis)
 coordinates is built from it when first read, and equality and hashing go
-through it.  A ``WeylGroup`` walks its elements over matrices, by length
-then word, on first use only.
+through it.  With J empty, lambda_J is rho and its orbit is the group, so a
+``WeylGroup`` reads its element list, by length then word, off the orbit of
+rho on first use; products and inverses are words applied to rho and
+stripped back to their least reduced word.  No matrix walk exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rootsys import AVector, Root, RootSystem, _check_subset, a_theta_basis
+from .rootsys import AVector, Root, RootSystem, _check_subset
 
 __all__ = [
     "WeylElement",
@@ -134,37 +135,26 @@ def parabolic_order(rs: RootSystem, subset: Iterable[int]) -> int:
 @dataclass(frozen=True, eq=False)
 class WeylGroup:
     """The group of ``system`` and its order; its elements, by length then
-    lexicographic reduced word, are walked on first use."""
+    lexicographic reduced word, are read off the orbit of rho on first use."""
 
     system: RootSystem
     order: int
-    _subgroups: dict = field(repr=False, default_factory=dict)
-
-    @cached_property
-    def _index(self) -> dict[Matrix, WeylElement]:
-        index = _enumerate(self.system)
-        if len(index) != self.order:
-            raise AssertionError(f"walk found {len(index)} elements, not {self.order}")
-        return index
 
     @cached_property
     def elements(self) -> tuple[WeylElement, ...]:
-        return tuple(self._index.values())
+        return tuple(c.rep for c in double_cosets(self, (), ()))
 
     @property
     def identity(self) -> WeylElement:
-        return self.elements[0]
+        return WeylElement((), self.system)
 
     @property
     def simple_reflections(self) -> tuple[WeylElement, ...]:
-        return self.elements[1 : self.system.rank + 1]  # the walk's first level
+        return tuple(WeylElement((i,), self.system) for i in range(self.system.rank))
 
-    @property
+    @cached_property
     def longest(self) -> WeylElement:
-        return self.elements[-1]
-
-    def lookup(self, matrix: Matrix) -> WeylElement:
-        return self._index[matrix]
+        return longest_coset_rep(self, (), ())
 
 
 def generate(rs: RootSystem, order_cap: int | None = None) -> WeylGroup:
@@ -182,35 +172,6 @@ def generate(rs: RootSystem, order_cap: int | None = None) -> WeylGroup:
         )
     # build_root_system checked the multiplicities against the generators
     return WeylGroup(system=rs, order=order)
-
-
-def _enumerate(rs: RootSystem) -> dict[Matrix, WeylElement]:
-    """Every element by its matrix, breadth first from the simple
-    reflections, so each carries its lexicographically least reduced word."""
-    gens = [simple_reflection_matrix(rs, i) for i in range(rs.rank)]
-    ident = WeylElement((), rs)
-    index = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, g in enumerate(gens):
-                m = _mat_mul(w.matrix, g)
-                if m not in index:
-                    e = index[m] = WeylElement(w.reduced_word + (i,), rs)
-                    vars(e)["matrix"] = m  # the product is in hand
-                    nxt.append(e)
-        frontier = nxt
-
-    longest = next(reversed(index.values()))
-    max_len = len(longest.reduced_word)
-    if sum(1 for w in index.values() if len(w.reduced_word) == max_len) != 1:
-        raise AssertionError("longest element is not unique")
-    if max_len != len(rs.positive_roots):
-        raise AssertionError("longest length differs from the positive root count")
-    if {act(longest, s) for s in rs.simple_roots} != {-s for s in rs.simple_roots}:
-        raise AssertionError("longest element does not negate the simple system")
-    return index
 
 
 def act(w: WeylElement, root: Root) -> Root:
@@ -238,42 +199,41 @@ def length(w: WeylElement) -> int:
     return len(w.reduced_word)
 
 
+def _strip(cartan: Matrix, mu: Weight) -> tuple[int, ...]:
+    # the least descent, again and again, until mu is dominant: the
+    # lex-least reduced word of the shortest w with w(lambda) = mu
+    word = []
+    while (i := next((i for i, c in enumerate(mu) if c < 0), None)) is not None:
+        word.append(i)
+        mu = _reflect(cartan, mu, i)
+    return tuple(word)
+
+
+def _canonical(rs: RootSystem, word: Sequence[int]) -> WeylElement:
+    """The element spelled by ``word``, any word, with its lex-least reduced
+    word: rho, whose stabilizer is trivial, moved by the word and stripped."""
+    mu = (1,) * rs.rank
+    for i in reversed(word):
+        mu = _reflect(rs.cartan, mu, i)
+    return WeylElement(_strip(rs.cartan, mu), rs)
+
+
 def compose(group: WeylGroup, a: WeylElement, b: WeylElement) -> WeylElement:
-    """Product a*b resolved to the canonical stored element."""
-    return group.lookup(_mat_mul(a.matrix, b.matrix))
+    """Product a*b with its lex-least reduced word."""
+    return _canonical(group.system, a.reduced_word + b.reduced_word)
 
 
 def inverse(group: WeylGroup, w: WeylElement) -> WeylElement:
-    return group.lookup(WeylElement(w.reduced_word[::-1], group.system).matrix)
+    return _canonical(group.system, w.reduced_word[::-1])
 
 
 def subgroup(group: WeylGroup, theta: Iterable[int]) -> frozenset[WeylElement]:
-    """Parabolic subgroup generated by the chosen simple reflections.
-
-    By Tits' word property its members are the elements whose reduced word
-    uses only letters of theta.  Every member fixes the annihilator
-    subspace of theta pointwise; this is verified on a basis of it at first
-    construction.
-    """
+    """Parabolic subgroup generated by the chosen simple reflections: by
+    Tits' word property, the elements whose reduced word uses only letters
+    of theta."""
     theta = frozenset(theta)
-    if theta in group._subgroups:
-        return group._subgroups[theta]
-    rs = group.system
-    _check_subset(rs, theta)
-    members = frozenset(w for w in group.elements if theta.issuperset(w.reduced_word))
-    # the basis scaled to integer coordinates, so the test is integer exact
-    fixed = [
-        tuple(int(x * lcm(*(y.denominator for y in h.coords))) for x in h.coords)
-        for h in a_theta_basis(rs, theta)
-    ]
-    for w in members:
-        for h in fixed:
-            if _mat_vec(w.matrix, h) != h:
-                raise AssertionError(
-                    f"subgroup member {w.reduced_word} moves a vector it must fix"
-                )
-    group._subgroups[theta] = members
-    return members
+    _check_subset(group.system, theta)
+    return frozenset(w for w in group.elements if theta.issuperset(w.reduced_word))
 
 
 class DoubleCoset(NamedTuple):
@@ -328,11 +288,7 @@ def longest_coset_rep(
         mu = _reflect(rs.cartan, mu, i)
     while (i := next((i for i in left if mu[i] < 0), None)) is not None:
         mu = _reflect(rs.cartan, mu, i)
-    word = []  # strip the least descent until dominant
-    while (i := next((i for i, c in enumerate(mu) if c < 0), None)) is not None:
-        word.append(i)
-        mu = _reflect(rs.cartan, mu, i)
-    return WeylElement(tuple(word), rs)
+    return WeylElement(_strip(rs.cartan, mu), rs)
 
 
 def coset_table_json(

@@ -1,10 +1,11 @@
 """Independent brute-force recomputations used to cross-check the library.
 
-Nothing here calls the classification code under test: cells are classified
-from raw integer matrix arithmetic on root coordinates only, the cocycle
-along a controlled flow is refactored after every integrator step, and
-tangent realizations and their volumes are built one elementary d x d
-matrix at a time.
+Nothing here calls the classification code under test: the Weyl group is
+walked breadth first over integer matrices (``walk``), not read off a
+weight orbit, cells are classified from raw integer matrix arithmetic on
+root coordinates only, the cocycle along a controlled flow is refactored
+after every integrator step, and tangent realizations and their volumes
+are built one elementary d x d matrix at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import scipy.linalg
 from flagctrl.rootsys import Root, RootSystem
 from flagctrl.weyl import WeylElement, WeylGroup
 
+Matrix = tuple[tuple[int, ...], ...]
 
-def mat_vec(m: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
+
+def mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
@@ -106,9 +109,7 @@ def brute_sigma(
     return tuple(total)
 
 
-def mat_mul(
-    a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(b)
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
@@ -116,29 +117,79 @@ def mat_mul(
     )
 
 
-def subgroup_elements(group: WeylGroup, subset: frozenset[int]) -> set[WeylElement]:
-    gens = [group.simple_reflections[i] for i in sorted(subset)]
-    members = {group.identity}
-    frontier = [group.identity]
+def reflection_matrices(rs: RootSystem) -> list[Matrix]:
+    """The simple reflections on simple-root coordinates: s_i subtracts
+    ``cartan[i][j]`` copies of a_i from a_j."""
+    n = rs.rank
+    return [
+        tuple(
+            tuple(int(k == j) - (rs.cartan[i][j] if k == i else 0) for j in range(n))
+            for k in range(n)
+        )
+        for i in range(n)
+    ]
+
+
+@lru_cache(maxsize=None)
+def walk(rs: RootSystem) -> dict[Matrix, WeylElement]:
+    """Every element of the Weyl group by its matrix, breadth first from the
+    simple reflections, so each carries its lexicographically least reduced
+    word and they come by length, then word.  Checks that the one element
+    of greatest length has length |positive roots| and negates the simple
+    system."""
+    gens = reflection_matrices(rs)
+    ident = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    index = {ident: WeylElement((), rs)}
+    frontier = [ident]
     while frontier:
         nxt = []
-        for g in frontier:
-            for s in gens:
-                prod = group.lookup(mat_mul(g.matrix, s.matrix))
-                if prod not in members:
-                    members.add(prod)
-                    nxt.append(prod)
+        for m in frontier:
+            for i, g in enumerate(gens):
+                p = mat_mul(m, g)
+                if p not in index:
+                    e = index[p] = WeylElement(index[m].reduced_word + (i,), rs)
+                    vars(e)["matrix"] = p  # the walk's own product, not the library's
+                    nxt.append(p)
         frontier = nxt
-    return members
+
+    w0_matrix, w0 = next(reversed(index.items()))
+    max_len = len(w0.reduced_word)
+    if sum(1 for w in index.values() if len(w.reduced_word) == max_len) != 1:
+        raise AssertionError("longest element is not unique")
+    if max_len != len(rs.positive_roots):
+        raise AssertionError("longest length differs from the positive root count")
+    images = {mat_vec(w0_matrix, s.coords) for s in rs.simple_roots}
+    if images != {(-s).coords for s in rs.simple_roots}:
+        raise AssertionError("longest element does not negate the simple system")
+    return index
+
+
+def subgroup_elements(group: WeylGroup, subset: frozenset[int]) -> set[WeylElement]:
+    """W_S grown from the identity by the simple reflections of S."""
+    index = walk(group.system)
+    gens = [g for i, g in enumerate(reflection_matrices(group.system)) if i in subset]
+    ident = next(iter(index))
+    members, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = mat_mul(m, g)
+                if p not in members:
+                    members.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return {index[m] for m in members}
 
 
 @lru_cache(maxsize=None)
 def _mult_tables(group: WeylGroup) -> tuple[list[list[int]], list[list[int]]]:
     # positions of s_i*w and w*s_i for every element w, by matrix products
-    position = {w.matrix: k for k, w in enumerate(group.elements)}
-    gens = [s.matrix for s in group.simple_reflections]
-    left = [[position[mat_mul(s, w.matrix)] for w in group.elements] for s in gens]
-    right = [[position[mat_mul(w.matrix, s)] for w in group.elements] for s in gens]
+    mats = list(walk(group.system))
+    position = {m: k for k, m in enumerate(mats)}
+    gens = reflection_matrices(group.system)
+    left = [[position[mat_mul(s, m)] for m in mats] for s in gens]
+    right = [[position[mat_mul(m, s)] for m in mats] for s in gens]
     return left, right
 
 
@@ -146,13 +197,14 @@ def double_coset_partition(
     group: WeylGroup, left: frozenset[int], right: frozenset[int]
 ) -> list[frozenset[WeylElement]]:
     """Every W_I*w*W_J as a set, each grown from its first element in
-    enumeration order by multiplying with the simple reflections of I on
-    the left and of J on the right until it closes."""
+    walk order by multiplying with the simple reflections of I on the left
+    and of J on the right until it closes."""
+    members_of = list(walk(group.system).values())
     lmul, rmul = _mult_tables(group)
     steps = [lmul[i] for i in sorted(left)] + [rmul[j] for j in sorted(right)]
-    seen = [False] * group.order
+    seen = [False] * len(members_of)
     out = []
-    for start in range(group.order):
+    for start in range(len(members_of)):
         if seen[start]:
             continue
         seen[start] = True
@@ -163,23 +215,24 @@ def double_coset_partition(
             for k in frontier:
                 seen[k] = True
             members += frontier
-        out.append(frozenset(group.elements[k] for k in members))
+        out.append(frozenset(members_of[k] for k in members))
     return out
 
 
 @lru_cache(maxsize=None)
 def _descent_table(group: WeylGroup) -> list[tuple[WeylElement, frozenset, frozenset, dict]]:
-    # per element in enumeration order: its right descents (columns sent
-    # negative), its left descents (s_i*w shorter, by matrix product and
-    # lookup), and the index of each column that is a simple root
-    gens = [s.matrix for s in group.simple_reflections]
+    # per element in walk order: its right descents (columns sent negative),
+    # its left descents (s_i*w shorter, by matrix product in the walk), and
+    # the index of each column that is a simple root
+    index = walk(group.system)
+    gens = reflection_matrices(group.system)
     out = []
-    for w in group.elements:
-        cols = list(zip(*w.matrix))
+    for m, w in index.items():
+        cols = list(zip(*m))
         n = len(w.reduced_word)
         right = frozenset(j for j, col in enumerate(cols) if min(col) < 0)
         left = frozenset(
-            i for i, s in enumerate(gens) if len(group.lookup(mat_mul(s, w.matrix)).reduced_word) < n
+            i for i, s in enumerate(gens) if len(index[mat_mul(s, m)].reduced_word) < n
         )
         # a positive root of height 1 is the simple root at its one 1
         simple = {j: col.index(1) for j, col in enumerate(cols) if min(col) >= 0 and sum(col) == 1}
@@ -190,7 +243,7 @@ def _descent_table(group: WeylGroup) -> list[tuple[WeylElement, frozenset, froze
 @lru_cache(maxsize=None)
 def word_subgroup_order(group: WeylGroup, subset: frozenset[int]) -> int:
     """|W_S| as the count of elements whose reduced word uses only S (Tits)."""
-    return sum(1 for w in group.elements if subset.issuperset(w.reduced_word))
+    return sum(1 for w in walk(group.system).values() if subset.issuperset(w.reduced_word))
 
 
 def filtered_double_cosets(
@@ -218,9 +271,7 @@ def mult_is_invariant(group: WeylGroup) -> bool:
     """
     rs = group.system
     return all(
-        rs.mult[Root(mat_vec(w.matrix, r.coords))] == rs.mult[r]
-        for w in group.elements
-        for r in rs.roots
+        rs.mult[Root(mat_vec(m, r.coords))] == rs.mult[r] for m in walk(rs) for r in rs.roots
     )
 
 

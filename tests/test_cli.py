@@ -110,10 +110,10 @@ def test_analyze_computes_one_root_permutation_per_record(capsys, monkeypatch):
 
 
 def test_exact_commands_skip_the_element_walk(tmp_path, capsys, monkeypatch):
-    def refuse(rs):
-        raise AssertionError(f"element walk of {rs.lie_type}")
+    def refuse(group):
+        raise AssertionError(f"element list of {group.system.lie_type}")
 
-    monkeypatch.setattr(weyl, "_enumerate", refuse)
+    monkeypatch.setattr(weyl.WeylGroup, "elements", property(refuse))
     rc, out, _ = run(capsys, ["analyze", "--type", "D", "--rank", "5"])
     assert rc == 0
     assert len(json.loads(out)["records"]) == 1920

@@ -16,7 +16,14 @@ from flagctrl.flagcalc import (
     tangent_roots,
 )
 from flagctrl.rootsys import AVector, build_root_system, span_subset
-from flagctrl.weyl import generate, length, subgroup
+from flagctrl.weyl import (
+    WeylElement,
+    WeylGroup,
+    generate,
+    length,
+    longest_coset_rep,
+    subgroup,
+)
 
 import oracles
 
@@ -195,6 +202,32 @@ def test_representative_invariance_validation(w_a2):
         representative_invariance_check(w_a2, spec, w, bad, w_a2.identity)
     with pytest.raises(ValueError):
         representative_invariance_check(w_a2, spec, w, w_a2.identity, bad)
+
+
+def test_representative_invariance_skips_the_element_list(monkeypatch, w_a2, a2):
+    def refuse(group):
+        raise AssertionError(f"element list of {group.system.lie_type}")
+
+    monkeypatch.setattr(WeylGroup, "elements", property(refuse))
+    e6 = build_root_system("E", 6)
+    group = generate(e6)
+    spec = FlagSpec(theta=frozenset({1, 2}), flag_type=frozenset({0, 3}))
+    w1, w2 = WeylElement((0, 3, 0), e6), WeylElement((1, 2, 1), e6)
+    for w in (WeylElement((), e6), longest_coset_rep(group, spec.flag_type, spec.theta)):
+        assert representative_invariance_check(group, spec, w, w1, w2)
+    # a word that is not reduced: (4, 4) is the identity, in every subgroup
+    assert representative_invariance_check(group, spec, w1, WeylElement((4, 4), e6), w2)
+    with pytest.raises(ValueError, match="flow-type"):
+        representative_invariance_check(group, spec, w1, w2, w2)
+    with pytest.raises(ValueError, match="theta"):
+        representative_invariance_check(group, spec, w1, w1, w1)
+    # the A2 cases of test_representative_invariance_validation
+    spec = FlagSpec(theta=frozenset({0}), flag_type=frozenset())
+    bad = WeylElement((0, 1, 0), a2)
+    with pytest.raises(ValueError):
+        representative_invariance_check(w_a2, spec, w_a2.identity, bad, w_a2.identity)
+    with pytest.raises(ValueError):
+        representative_invariance_check(w_a2, spec, w_a2.identity, w_a2.identity, bad)
 
 
 def test_representative_invariance_holds(w_b2):

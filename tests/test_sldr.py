@@ -388,6 +388,22 @@ def test_backward_random_signal_uses_every_value():
     assert time_reversal_residual(backward, standard_flag(3)) <= 1e-6
 
 
+def test_cocycle_residuals_take_no_explicit_inverse(monkeypatch):
+    rng = np.random.default_rng(12)
+    drift = random_traceless(rng, 4, scale=0.3)
+    ctrls = [random_traceless(rng, 4, scale=0.15) for _ in range(2)]
+    spec = control_system(drift, ctrls, Box(((-1.0, 1.0), (-1.0, 1.0))))
+    sig = random_signal(rng, spec.control_range, 2.0, 0.1)
+    backward = integrate(spec, random_signal(rng, spec.control_range, -2.0, 0.1), -2.0)
+
+    def refuse(a):
+        raise AssertionError("explicit inverse")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert cocycle_additivity_residual(spec, sig, 2.0, standard_flag(4)) < 1e-8
+    assert time_reversal_residual(backward, standard_flag(4)) < 1e-8
+
+
 def test_ktheta_invariance():
     rng = np.random.default_rng(11)
     psi = random_unimodular(rng, 3)
