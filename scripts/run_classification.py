@@ -10,6 +10,7 @@ Example:
 import argparse
 import itertools
 import json
+import sys
 
 from flagctrl.flagcalc import FlagSpec, classification_report, flag_dim
 from flagctrl.rootsys import FAMILIES, build_root_system
@@ -26,7 +27,7 @@ def fmt(s: frozenset) -> str:
     return "{" + ",".join(str(i) for i in sorted(s)) + "}"
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--type", required=True, choices=sorted(FAMILIES))
     ap.add_argument("--rank", required=True, type=int)
@@ -34,8 +35,12 @@ def main() -> None:
     ap.add_argument("--json", help="also dump every report to this file")
     args = ap.parse_args()
 
-    rs = build_root_system(args.type, args.rank)
-    group = generate(rs, order_cap=args.order_cap)
+    try:
+        rs = build_root_system(args.type, args.rank)
+        group = generate(rs, order_cap=args.order_cap)
+    except ValueError as exc:  # a bad type or an order past the cap, as in the CLI
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{rs.lie_type}: |W| = {group.order}, {len(rs.positive_roots)} positive roots")
     print(f"{'theta':<12}{'flagtype':<12}{'dim':>4}{'records':>8}{'hyperbolic':>11}")
 
@@ -54,7 +59,8 @@ def main() -> None:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(dumps, fh, indent=1, sort_keys=True)
         print(f"wrote {len(dumps)} reports to {args.json}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -28,8 +28,8 @@ from .weyl import WeylElement, WeylGroup, double_cosets, generate, subgroup
 
 __version__ = "0.1.0"
 
-# The numeric side pulls in numpy and scipy; it loads on first use of one of
-# these names, so the exact side (``analyze``, ``cosets``) never imports them.
+# The numeric side pulls in numpy, and never scipy; it loads on first use of one
+# of these names, so the exact side (``analyze``, ``cosets``) never imports it.
 _SLDR_NAMES = frozenset("""
     Box ControlSignal ControlSystemSpec FlagPoint IntegratorConfig IwasawaTriple
     Polytope Trajectory a_cocycle cocycle_sample constant_signal control_system

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import linalg
 from .flagcalc import ChainControlSetRecord, FlagSpec
 from .rootsys import RootSystem, build_root_system, form_value, span_subset
 from .weyl import WeylElement
@@ -912,9 +913,9 @@ def _tangent_map(a: np.ndarray, a_inv: np.ndarray, blocks: tuple[int, ...]) -> n
 def _flow_tangent_map(psi: np.ndarray, x: FlagPoint) -> np.ndarray:
     # the derivative of the flag action of psi at x, in the frames of x and
     # of its image: the tangent map of the triangular factor of psi x.rep
-    import scipy.linalg  # each user imports it, so simulate never loads scipy
+    # (solve pivots on the diagonal of a triangular r: back substitution)
     _, r = _qr_pos(np.asarray(psi, dtype=float) @ x.rep)
-    return _tangent_map(r, scipy.linalg.solve_triangular(r, np.eye(len(r))), x.blocks)
+    return _tangent_map(r, np.linalg.solve(r, np.eye(len(r))), x.blocks)
 
 
 def _volume(tangent_map: np.ndarray, basis: np.ndarray) -> float:
@@ -977,7 +978,6 @@ def _realize_cell(
     pair across flag blocks: only whole pair planes are flow invariant, so
     such a cell has no fixed flag and no invariant tangent splitting.
     """
-    import scipy.linalg
     d = len(sp.h)
     blocks = blocks_from_theta(theta, d)
     p = permutation_matrix(w, d)
@@ -995,7 +995,7 @@ def _realize_cell(
     gid = np.asarray(sp.group_ids)[sigma]
     lam = hw[rows] - hw[cols]
     center = gid[rows] == gid[cols]
-    images = _tangent_map(r, scipy.linalg.solve_triangular(r, np.eye(d)), blocks)
+    images = _tangent_map(r, np.linalg.solve(r, np.eye(d)), blocks)
 
     def subbundle(sel: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
         coords = np.linalg.qr(images[:, sel])[0].T
@@ -1008,17 +1008,6 @@ def _realize_cell(
 
 # ---------------------------------------------------------------------------
 # Verification against the exact classification
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of a graded square matrix to high relative accuracy:
-    the preconditioned Jacobi SVD of Drmac and Veselic (LAPACK dgejsv with
-    JOBA = 'F'), where a bidiagonalizing SVD loses the small ones."""
-    import scipy.linalg
-    sva, _, _, work, _, info = scipy.linalg.lapack.dgejsv(m, joba=2, jobu=3, jobv=3)
-    if info != 0:
-        raise ValueError(f"Jacobi SVD failed with LAPACK info {info}")
-    return sva * (work[1] / work[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -1062,8 +1051,7 @@ class Drift:
 
     def expm(self, t: float) -> np.ndarray:
         """exp(t x) as a read-only array, computed once per distinct ``t``."""
-        import scipy.linalg
-        return self._once(("expm", t), lambda: scipy.linalg.expm(t * self.x))
+        return self._once(("expm", t), lambda: linalg.expm(t * self.x))
 
     def _horizon_rates(self, T: float) -> tuple:
         """Roots outside the flow type, predicted and measured cocycle slopes
@@ -1097,7 +1085,8 @@ class Drift:
         return self._once(("rates", T), compute)
 
     def _cell(self, theta: Iterable[int], w: WeylElement) -> tuple[FlagPoint, RealizationSplit]:
-        key = (frozenset(theta), w)
+        # keyed on the word: hashing a WeylElement builds its integer matrix
+        key = (frozenset(theta), w.reduced_word)
         if key not in self._cell_memo:
             cell = _realize_cell(self.split, key[0], w)
             self._cell_memo.clear()
@@ -1205,7 +1194,7 @@ def verify_rates(
 
     def log_singular_values(powered: np.ndarray) -> np.ndarray:
         finite = np.isfinite(powered).all()
-        sv = _singular_values(powered) if finite else None
+        sv = linalg.singular_values(powered) if finite else None
         if not finite or not (np.isfinite(sv).all() and sv.min() > 0):
             raise ValueError(
                 f"record {record.rep.reduced_word}: the powered short-time map leaves "
@@ -1225,14 +1214,11 @@ def verify_rates(
         unstable_meas = measured_exponents(real.unstable)
         center_range: tuple[float, float] | None = None
         if len(real.center):
-            dc = real.center @ tangent_map @ real.center.T
-            lo, hi = math.inf, -math.inf
-            powered = np.eye(len(real.center))
-            for k in range(1, n_pow + 1):
-                powered = dc @ powered
-                logs = log_singular_values(powered) / (k * step)
-                lo, hi = min(lo, float(logs.min())), max(hi, float(logs.max()))
-            center_range = (lo, hi)
+            powers = [real.center @ tangent_map @ real.center.T]
+            for _ in range(n_pow - 1):
+                powers.append(powers[0] @ powers[-1])
+            logs = log_singular_values(np.stack(powers)) / (step * np.arange(1, n_pow + 1))[:, None]
+            center_range = (float(logs.min()), float(logs.max()))
 
     pairs = zip(real.stable_exponents + real.unstable_exponents, stable_meas + unstable_meas)
     rel = max((abs(m - p) / max(abs(p), 1e-12) for p, m in pairs), default=0.0)

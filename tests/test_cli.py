@@ -9,10 +9,9 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oracles
-from flagctrl import sldr, weyl
+from flagctrl import linalg, sldr, weyl
 from flagctrl.cli import main
 from flagctrl.sldr import (
     Box,
@@ -234,21 +233,22 @@ def test_verify_computes_drift_data_once(tmp_path, capsys, monkeypatch):
 
         return wrapper
 
-    real_expm = scipy.linalg.expm
+    real_expm = linalg.expm
 
-    def counted_expm(a, *args, **kwargs):
+    def counted_expm(a):
         expm_args.append(np.array(a))
-        return real_expm(a, *args, **kwargs)
+        return real_expm(a)
 
     monkeypatch.setattr(sldr, "split_part", counted("split_part", sldr.split_part))
     monkeypatch.setattr(sldr, "iwasawa", counted("iwasawa", sldr.iwasawa))
-    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    monkeypatch.setattr(linalg, "expm", counted_expm)
     T = 4.0
     rc, out, _ = run(capsys, ["verify", "--spec", path, "--T", str(T)])
     assert rc in (0, 1)
     n_records = len({line.split(":")[0] for line in out.splitlines() if line.startswith("record")})
     assert n_records == 24
     assert counts["split_part"] == 1
+    assert expm_args  # the count is not vacuous
     assert len({a.tobytes() for a in expm_args}) == len(expm_args)  # one per distinct time
     # one per horizon sub-step, one fixed-flag check per record, one per
     # determinant time: nothing from the horizon is repeated per record
@@ -440,3 +440,45 @@ def test_simulate_does_not_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("t,")
+
+
+def test_verify_does_not_import_scipy(tmp_path):
+    path = write_system(tmp_path, np.diag([1.0, 1.0, -2.0]))
+    code = (
+        "import sys, flagctrl.cli as c\n"
+        f"assert c.main(['verify', '--spec', {path!r}, '--T', '2']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("checks passed\n")
+
+
+RUN_CLASSIFICATION = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts", "run_classification.py"
+)
+
+
+def test_run_classification_script():
+    proc = subprocess.run(
+        [sys.executable, RUN_CLASSIFICATION, "--type", "A", "--rank", "2"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("A2: |W| = 6, 3 positive roots\n")
+
+
+@pytest.mark.parametrize("argv", [["--type", "E", "--rank", "7"], ["--type", "A", "--rank", "0"]])
+def test_run_classification_script_refusals(argv):
+    # the order cap and a bad type end like the CLI's refusals: exit 2, one
+    # error line, no traceback
+    proc = subprocess.run(
+        [sys.executable, RUN_CLASSIFICATION, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
