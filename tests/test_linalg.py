@@ -72,6 +72,21 @@ def test_singular_values_past_the_squared_range():
         assert np.abs(np.log(linalg.singular_values(g)) - np.log(ref)).max() <= 1e-12
 
 
+def test_singular_values_on_flat_and_rank_deficient_matrices():
+    # odd sizes carry a zero pad column, many +-1 matrices are singular and
+    # the last of each stack has a zero column; no ratio of scales may
+    # overflow on the way, and the values hold to eps of the largest
+    for n in (5, 7, 9):
+        ms = np.random.default_rng(n).choice([-1.0, 1.0], size=(40, n, n))
+        ms[-1, :, n // 2] = 0.0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            stacked = linalg.singular_values(ms)
+        for m, sv in zip(ms, stacked):
+            ref = dgejsv_singular_values(m)
+            assert np.abs(sv - ref).max() <= 4 * n * np.finfo(float).eps * ref[0]
+        assert stacked[-1, -1] <= 4 * n * np.finfo(float).eps * stacked[-1, 0]
+
+
 def test_singular_values_on_powered_subbundle_maps(w_a3, a3, monkeypatch):
     seen = []
     jacobi = linalg.singular_values
@@ -107,7 +122,8 @@ def test_singular_values_stacked_equals_per_matrix():
             assert np.array_equal(linalg.singular_values(m), sv)
 
 
-def test_singular_values_refuses_to_stop_unconverged():
+def test_singular_values_refuses_to_stop_unconverged(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     m = np.random.default_rng(11).standard_normal((6, 6))
     with pytest.raises(ValueError, match="did not converge"):
-        linalg.singular_values(m, max_sweeps=1)
+        linalg.singular_values(m)
