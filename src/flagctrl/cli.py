@@ -218,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check(label, dist <= 1e-9, f"fixed-flag drift {dist:.3e}")
         if rec.hyperbolic:
             for t in det_times:
-                res_u, res_s = determinant_formula_residuals(drift, rs, fspec, rec, t)
+                res_u, res_s = determinant_formula_residuals(drift, fspec, rec, t)
                 check(
                     label,
                     max(res_u, res_s) <= args.tol,
@@ -226,7 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
         else:
             lines.append(f"{label}: determinant identity skipped (non-hyperbolic)")
-        report = verify_rates(drift, rs, fspec, rec, args.T, require_hyperbolic=False)
+        report = verify_rates(drift, fspec, rec, args.T)
         check(
             label,
             report.max_exponent_rel_error <= args.rate_tol and report.mu_estimate > 0,

@@ -25,8 +25,7 @@ weyl; the numerical counterpart lives in sldr.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import weyl
 from .rootsys import AVector, Root, RootSystem, form_value, positions, subset_mask
@@ -42,7 +41,6 @@ __all__ = [
     "subbundle_dims",
     "is_hyperbolic",
     "sigma_functional",
-    "evaluate_functional",
     "enumerate_chain_control_sets",
     "representative_invariance_check",
     "classification_report",
@@ -212,13 +210,6 @@ def sigma_functional(
     return _sigma(rs, spec, split, sign)
 
 
-def evaluate_functional(
-    rs: RootSystem, coords: Sequence[int | Fraction], h: AVector
-) -> Fraction:
-    """Exact value of a simple-root-coordinate functional on a Cartan vector."""
-    return form_value(rs, coords, h.coords)
-
-
 @dataclass(frozen=True, eq=False)
 class ChainControlSetRecord:
     """One chain control set: coset, dimensions, hyperbolicity, functionals."""
@@ -321,7 +312,7 @@ def representative_invariance_check(
         f_w = _sigma(rs, spec, split_w, sign)
         f_o = _sigma(rs, spec, split_o, sign)
         for h in basis:
-            if evaluate_functional(rs, f_w, h) != evaluate_functional(rs, f_o, h):
+            if form_value(rs, f_w, h.coords) != form_value(rs, f_o, h.coords):
                 return False
     return True
 

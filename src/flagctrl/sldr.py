@@ -19,7 +19,7 @@ nnz x nnz matrix of X -> lower(a X a^-1) (``_tangent_map``).
 
 The dictionary to the abstract side is the type A one: the i-th simple
 root evaluates a diagonal vector ``h`` as ``h[i] - h[i+1]``, and abstract
-Weyl elements act as permutation matrices built from their reduced words.
+Weyl elements act as coordinate permutations built from their reduced words.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "blocks_from_theta",
     "standard_flag",
     "flag_point",
-    "flag_from_basis",
     "flag_act",
     "flag_distance",
     "a_cocycle",
@@ -73,9 +72,7 @@ __all__ = [
     "realize_functional",
     "RealizedFunctional",
     "split_part",
-    "permutation_matrix",
     "fixed_flags",
-    "projective_derivative_det",
     "invariant_realizations",
     "determinant_formula_residuals",
     "verify_rates",
@@ -132,12 +129,7 @@ def _qr_special(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def iwasawa(
-    g: np.ndarray,
-    *,
-    det_tol: float = 1e-8,
-    cond_max: float | None = DEFAULT_COND_MAX,
-) -> IwasawaTriple:
+def iwasawa(g: np.ndarray, *, cond_max: float | None = DEFAULT_COND_MAX) -> IwasawaTriple:
     """Iwasawa factorization of a unimodular matrix via sign-fixed QR.
 
     ``cond_max`` guards against inputs whose factor accuracy is
@@ -149,7 +141,7 @@ def iwasawa(
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("iwasawa needs a square matrix")
     det = float(np.linalg.det(g))
-    if abs(det - 1.0) > det_tol:
+    if abs(det - 1.0) > 1e-8:
         raise ValueError(f"matrix is not unimodular: det = {det!r}")
     if cond_max is not None:
         sv = np.linalg.svd(g, compute_uv=False)
@@ -208,7 +200,7 @@ class FlagPoint:
         return all(b == 1 for b in self.blocks)
 
 
-def flag_point(rep: np.ndarray, blocks: Sequence[int], *, tol: float = 1e-9) -> FlagPoint:
+def flag_point(rep: np.ndarray, blocks: Sequence[int]) -> FlagPoint:
     rep = np.array(rep, dtype=float)
     d = rep.shape[0]
     blocks = tuple(int(b) for b in blocks)
@@ -216,9 +208,9 @@ def flag_point(rep: np.ndarray, blocks: Sequence[int], *, tol: float = 1e-9) -> 
         raise ValueError("flag frame must be square")
     if sum(blocks) != d or any(b < 1 for b in blocks):
         raise ValueError(f"block sizes {blocks} do not partition dimension {d}")
-    if np.abs(rep.T @ rep - np.eye(d)).max() > tol:
+    if np.abs(rep.T @ rep - np.eye(d)).max() > 1e-9:
         raise ValueError("flag frame is not orthogonal")
-    if abs(np.linalg.det(rep) - 1.0) > max(tol, 1e-6):
+    if abs(np.linalg.det(rep) - 1.0) > 1e-6:
         raise ValueError("flag frame must have determinant +1")
     rep.flags.writeable = False
     return FlagPoint(rep=rep, blocks=blocks)
@@ -228,15 +220,9 @@ def standard_flag(d: int, theta: Iterable[int] = ()) -> FlagPoint:
     return flag_point(np.eye(d), blocks_from_theta(theta, d))
 
 
-def flag_from_basis(basis: np.ndarray, blocks: Sequence[int]) -> FlagPoint:
-    """Orthonormalize an ordered basis; leading spans are preserved."""
-    q, _ = _qr_special(np.asarray(basis, dtype=float))
-    return flag_point(q, blocks)
-
-
-def flag_act(psi: np.ndarray, x: FlagPoint, *, cond_max: float | None = None) -> FlagPoint:
+def flag_act(psi: np.ndarray, x: FlagPoint) -> FlagPoint:
     """Image flag under the projective action of ``psi``."""
-    trip = iwasawa(np.asarray(psi, float) @ x.rep, cond_max=cond_max)
+    trip = iwasawa(np.asarray(psi, float) @ x.rep, cond_max=None)
     return flag_point(trip.k, x.blocks)
 
 
@@ -295,8 +281,8 @@ class Box:
     def dim(self) -> int:
         return len(self.bounds)
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        return all(lo - tol <= v <= hi + tol for (lo, hi), v in zip(self.bounds, u))
+    def contains(self, u: np.ndarray) -> bool:
+        return all(lo - 1e-9 <= v <= hi + 1e-9 for (lo, hi), v in zip(self.bounds, u))
 
     def zero_in_interior(self) -> bool:
         return all(lo < 0.0 < hi for lo, hi in self.bounds)
@@ -317,6 +303,11 @@ class Polytope:
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.normals.ndim != 2 or self.offsets.shape != self.normals.shape[:1]:
+            raise ValueError(
+                f"polytope needs an (m, k) normal array and m offsets, got shapes "
+                f"{self.normals.shape} and {self.offsets.shape}"
+            )
         if not (np.isfinite(self.normals).all() and np.isfinite(self.offsets).all()):
             raise ValueError("polytope normals and offsets must be finite")
 
@@ -324,8 +315,8 @@ class Polytope:
     def dim(self) -> int:
         return self.normals.shape[1]
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.normals @ u <= self.offsets + tol))
+    def contains(self, u: np.ndarray) -> bool:
+        return bool(np.all(self.normals @ u <= self.offsets + 1e-9))
 
     def zero_in_interior(self) -> bool:
         return bool(np.all(self.offsets > 0.0))
@@ -464,7 +455,9 @@ def system_from_json(doc: dict) -> ControlSystemSpec:
         d = int(doc["dim"])
         drift = np.asarray(doc["drift"], dtype=float)
         controls = [np.asarray(m, dtype=float) for m in doc.get("controls", [])]
-        crdoc = doc["control_range"]
+        crdoc, idoc = doc["control_range"], doc.get("integrator", {})
+        if not (isinstance(crdoc, dict) and isinstance(idoc, dict)):
+            raise TypeError("control_range and integrator must be objects")
         if crdoc.get("type", "box") == "box":
             crange: Box | Polytope = Box(tuple(tuple(b) for b in crdoc["bounds"]))
         else:
@@ -472,7 +465,6 @@ def system_from_json(doc: dict) -> ControlSystemSpec:
                 normals=np.asarray(crdoc["normals"], dtype=float),
                 offsets=np.asarray(crdoc["offsets"], dtype=float),
             )
-        idoc = doc.get("integrator", {})
         integ = IntegratorConfig(
             dt=float(idoc.get("dt", 1e-3)),
             renorm_cadence=int(idoc.get("renorm_cadence", 10)),
@@ -606,8 +598,6 @@ def cocycle_additivity_residual(
     signal: ControlSignal,
     T: float,
     flag: FlagPoint,
-    *,
-    n_checkpoints: int = 11,
 ) -> float:
     """Worst additivity defect over checkpoint pairs (t, s) with t + s <= T.
 
@@ -618,9 +608,9 @@ def cocycle_additivity_residual(
         raise ValueError("cocycle identities are checked on maximal flags")
     traj = integrate(spec, signal, T)
     n = len(traj.times) - 1
-    if n_checkpoints < 2 or n == 0:
-        raise ValueError("need at least two checkpoints and a positive horizon")
-    stride = max(1, n // (n_checkpoints - 1))
+    if n == 0:
+        raise ValueError("need a positive horizon")
+    stride = max(1, n // 10)  # eleven checkpoints
     idxs = list(range(0, n + 1, stride))
     if idxs[-1] != n:
         idxs.append(n)
@@ -652,12 +642,7 @@ def cocycle_additivity_residual(
     return worst
 
 
-def time_reversal_residual(
-    backward: Trajectory,
-    flag: FlagPoint,
-    *,
-    n_samples: int = 10,
-) -> float:
+def time_reversal_residual(backward: Trajectory, flag: FlagPoint) -> float:
     """Worst defect of the time-reversal identity along a backward trajectory.
 
     ``backward`` must start at time 0 and run into negative times; at a grid
@@ -669,7 +654,7 @@ def time_reversal_residual(
     if backward.times[0] != 0.0 or (len(backward.times) > 1 and backward.times[-1] > 0):
         raise ValueError("expected a trajectory over [ -T, 0 ] starting at time 0")
     n = len(backward.times) - 1
-    stride = max(1, n // n_samples)
+    stride = max(1, n // 10)
     worst = 0.0
     for i in range(0, n + 1, stride):
         if backward.times[i] == 0.0:
@@ -688,8 +673,6 @@ def ktheta_invariance_residual(
     theta: Iterable[int],
     beta: Sequence[Fraction | int],
     k_block: np.ndarray,
-    *,
-    tol: float = 1e-9,
 ) -> float:
     """Defect of cocycle invariance under a block rotation of the frame.
 
@@ -716,9 +699,9 @@ def ktheta_invariance_residual(
     bid = _block_index(blocks_from_theta(theta, d))
     if np.abs(k_block * (bid[:, None] != bid[None, :])).max() > 1e-12:
         raise ValueError("rotation is not block diagonal for the theta blocks")
-    if np.abs(k_block.T @ k_block - np.eye(d)).max() > tol:
+    if np.abs(k_block.T @ k_block - np.eye(d)).max() > 1e-9:
         raise ValueError("rotation is not orthogonal")
-    if abs(np.linalg.det(k_block) - 1.0) > max(tol, 1e-6):
+    if abs(np.linalg.det(k_block) - 1.0) > 1e-6:
         raise ValueError("rotation must have determinant +1")
     f = realize_functional(beta_q, d)
     moved = flag_point(flag.rep @ k_block, flag.blocks)
@@ -737,9 +720,6 @@ class RealizedFunctional:
 
     def __call__(self, h: Sequence[float]) -> float:
         return float(sum(float(c) * float(v) for c, v in zip(self.coeffs, h)))
-
-    def exact(self, h: Sequence[Fraction | int]) -> Fraction:
-        return sum((c * Fraction(v) for c, v in zip(self.coeffs, h)), Fraction(0))
 
 
 def realize_functional(coords: Sequence[Fraction | int], d: int) -> RealizedFunctional:
@@ -778,12 +758,7 @@ class SplitPart:
     complex_pairs: tuple[tuple[int, int], ...]
 
 
-def split_part(
-    x: np.ndarray,
-    *,
-    gap_tol: float = 1e-6,
-    cond_max: float = DEFAULT_COND_MAX,
-) -> SplitPart:
+def split_part(x: np.ndarray, *, gap_tol: float = 1e-6) -> SplitPart:
     """Sorted real parts, degenerate simple roots, and an adapted real basis.
 
     Real parts are sorted descending; conjugate pairs contribute adjacent
@@ -832,10 +807,10 @@ def split_part(
             skip = True
     basis = np.column_stack(cols)
     cond = float(np.linalg.cond(basis))
-    if not np.isfinite(cond) or cond > cond_max:
+    if not np.isfinite(cond) or cond > DEFAULT_COND_MAX:
         raise ValueError(
             f"matrix is not numerically diagonalizable: eigenbasis condition "
-            f"{cond:.3e} exceeds {cond_max:.1e}"
+            f"{cond:.3e} exceeds {DEFAULT_COND_MAX:.1e}"
         )
     h = np.asarray(hvals, dtype=float)
     h = h - h.mean()  # restore exact zero sum lost to roundoff
@@ -870,23 +845,13 @@ def split_part(
     )
 
 
-def permutation_matrix(w: WeylElement, d: int) -> np.ndarray:
-    """The permutation matrix of a type A Weyl element on d letters."""
-    if w.system.rank != d - 1:
-        raise ValueError(f"Weyl element has rank {w.system.rank}, expected {d - 1}")
-    p = np.eye(d)
-    for i in w.reduced_word:
-        p[:, [i, i + 1]] = p[:, [i + 1, i]]  # right multiplication by a transposition
-    return p
-
-
-def fixed_flags(x: np.ndarray | Drift, theta: Iterable[int], w: WeylElement) -> FlagPoint:
-    """The invariant flag of the coset representative ``w`` for generator ``x``.
+def fixed_flags(drift: Drift, theta: Iterable[int], w: WeylElement) -> FlagPoint:
+    """The invariant flag of the coset representative ``w`` for ``drift``.
 
     Built by permuting the ordered eigenbasis columns and orthonormalizing;
     leading spans of eigenvector prefixes are invariant under the flow.
     """
-    return _as_drift(x)._cell(theta, w)[0]
+    return drift._cell(theta, w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -923,26 +888,6 @@ def _volume(tangent_map: np.ndarray, basis: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.det(images @ images.T)), 0.0))
 
 
-def projective_derivative_det(
-    psi: np.ndarray, x: FlagPoint, basis: np.ndarray, *, orth_tol: float = 1e-9
-) -> float:
-    """Unsigned volume distortion of the flag action on a tangent subspace.
-
-    ``basis`` is a k x nnz array of orthonormal rows of tangent coordinates
-    at ``x`` (see the module docstring).  The image volume is the Gram
-    determinant of the transported rows; the empty basis gives 1.
-    """
-    basis = np.asarray(basis, dtype=float)
-    if basis.size == 0:
-        return 1.0
-    nnz = len(_lower_index(x.blocks))
-    if basis.ndim != 2 or basis.shape[1] != nnz:
-        raise ValueError(f"tangent coordinates at blocks {x.blocks} need {nnz} columns")
-    if np.abs(basis @ basis.T - np.eye(len(basis))).max() > orth_tol:
-        raise ValueError("tangent basis must be orthonormal")
-    return _volume(_flow_tangent_map(psi, x), basis)
-
-
 @dataclass(frozen=True, eq=False)
 class RealizationSplit:
     """The three invariant subbundles at a fixed flag, with the predicted
@@ -960,11 +905,9 @@ class RealizationSplit:
     unstable_exponents: tuple[float, ...]
 
 
-def invariant_realizations(
-    x: np.ndarray | Drift, theta: Iterable[int], w: WeylElement
-) -> RealizationSplit:
+def invariant_realizations(drift: Drift, theta: Iterable[int], w: WeylElement) -> RealizationSplit:
     """Stable, center and unstable tangent realizations at the fixed flag of ``w``."""
-    return _as_drift(x)._cell(theta, w)[1]
+    return drift._cell(theta, w)[1]
 
 
 def _realize_cell(
@@ -980,8 +923,9 @@ def _realize_cell(
     """
     d = len(sp.h)
     blocks = blocks_from_theta(theta, d)
-    p = permutation_matrix(w, d)
-    sigma = np.argmax(p, axis=0)  # flag position j holds eigen position sigma[j]
+    sigma = np.arange(d)  # flag position j holds eigen position sigma[j]
+    for i in w.reduced_word:
+        sigma[[i, i + 1]] = sigma[[i + 1, i]]  # right multiplication by a transposition
     bid = _block_index(blocks)[np.argsort(sigma)]  # block of each eigen position
     for a, b in sp.complex_pairs:
         if bid[a] != bid[b]:
@@ -989,7 +933,7 @@ def _realize_cell(
                 f"cell of word {w.reduced_word} splits a complex eigenvalue pair "
                 "across flag blocks; the generator fixes no flag there"
             )
-    q, r = _qr_special(sp.basis @ p)
+    q, r = _qr_special(sp.basis[:, sigma])
     rows, cols = np.divmod(_lower_index(blocks), d)
     hw = sp.h[sigma]
     gid = np.asarray(sp.group_ids)[sigma]
@@ -1018,8 +962,7 @@ class Drift:
     the attractor flag of its ordered eigenbasis.  exp(t x) is computed once
     per distinct t and the attractor-frame cocycle once per horizon.  Only
     the most recent Weyl cell's fixed flag and tangent realization are kept,
-    so memory does not grow over a sweep of records.  Functions given a
-    matrix in place of a Drift build one with the default ``gap_tol``.
+    so memory does not grow over a sweep of records.
     """
 
     x: np.ndarray
@@ -1085,17 +1028,17 @@ class Drift:
         return self._once(("rates", T), compute)
 
     def _cell(self, theta: Iterable[int], w: WeylElement) -> tuple[FlagPoint, RealizationSplit]:
-        # keyed on the word: hashing a WeylElement builds its integer matrix
+        # checked before the memo, which is keyed on the word alone: hashing a
+        # WeylElement builds its integer matrix
+        rs = w.system
+        if rs.family != "A" or rs.rank != self.dim - 1:
+            raise ValueError(f"root system {rs.lie_type} does not match SL({self.dim})")
         key = (frozenset(theta), w.reduced_word)
         if key not in self._cell_memo:
             cell = _realize_cell(self.split, key[0], w)
             self._cell_memo.clear()
             self._cell_memo[key] = cell
         return self._cell_memo[key]
-
-
-def _as_drift(x: np.ndarray | Drift) -> Drift:
-    return x if isinstance(x, Drift) else Drift(x)
 
 
 def _check_flow_type(drift: Drift, spec: FlagSpec) -> None:
@@ -1107,8 +1050,7 @@ def _check_flow_type(drift: Drift, spec: FlagSpec) -> None:
 
 
 def determinant_formula_residuals(
-    x: np.ndarray | Drift,
-    rs: RootSystem,
+    drift: Drift,
     spec: FlagSpec,
     record: ChainControlSetRecord,
     t: float,
@@ -1122,7 +1064,6 @@ def determinant_formula_residuals(
     """
     if not record.hyperbolic:
         raise ValueError("the determinant identity requires a hyperbolic record")
-    drift = _as_drift(x)
     _check_flow_type(drift, spec)
     psi = drift.expm(t)
     avec = drift._once(("a", t), lambda: a_cocycle(psi, drift.frame, cond_max=None))
@@ -1153,39 +1094,24 @@ class RateReport:
 
 
 def verify_rates(
-    x: np.ndarray | Drift,
-    rs: RootSystem,
-    spec: FlagSpec,
-    record: ChainControlSetRecord,
-    T: float,
-    *,
-    require_hyperbolic: bool = True,
-    step: float = 0.25,
+    drift: Drift, spec: FlagSpec, record: ChainControlSetRecord, T: float
 ) -> RateReport:
     """Measure cocycle slopes and subbundle singular value exponents.
 
     The cocycle slopes come from the drift's attractor frame and do not
     depend on the record.  Subbundle derivatives are powers of a single
-    short-time endomorphism at the fixed flag of the record.  Center
-    realizations only appear on non-hyperbolic records, which must be
-    enabled explicitly.
+    short-time endomorphism (time 0.25) at the fixed flag of the record.
+    A non-hyperbolic record also gets the slope band of its center
+    realization.
     """
     if T < 1.0:
         raise ValueError("need a horizon of at least 1")
-    if not record.hyperbolic and require_hyperbolic:
-        raise ValueError(
-            "record is not hyperbolic; pass require_hyperbolic=False for "
-            "center diagnostics"
-        )
-    drift = _as_drift(x)
-    d = drift.dim
-    if rs.family != "A" or rs.rank != d - 1:
-        raise ValueError(f"root system {rs.lie_type} does not match SL({d})")
     _check_flow_type(drift, spec)
     roots, predicted, measured, mu = drift._horizon_rates(T)
 
     # subbundle exponents from singular values of powered short-time maps
     xw, real = drift._cell(spec.theta, record.rep)
+    step = 0.25
     m_step = xw.rep.T @ drift.expm(step) @ xw.rep
     m_inv = xw.rep.T @ drift.expm(-step) @ xw.rep
     tangent_map = _tangent_map(m_step, m_inv, xw.blocks)
@@ -1325,17 +1251,12 @@ def cocycle_to_csv(sample: CocycleSample) -> str:
     return "\n".join(lines) + "\n"
 
 
-def flag_type_diagnostic(
-    samples: Sequence[CocycleSample],
-    *,
-    window: float = 0.5,
-    margin: float = 0.05,
-) -> dict:
+def flag_type_diagnostic(samples: Sequence[CocycleSample]) -> dict:
     """Estimate which simple slopes stay central over the sampled runs.
 
-    A simple root index is reported when, over the trailing ``window``
-    fraction of every run, its slope band [min, max] straddles zero within
-    ``margin``.  This is a numerical indicator, not a certificate.
+    A simple root index is reported when, over the trailing half of every
+    run, its slope band [min, max] straddles zero within 0.05.  This is a
+    numerical indicator, not a certificate.
     """
     if not samples:
         raise ValueError("need at least one cocycle sample")
@@ -1348,12 +1269,12 @@ def flag_type_diagnostic(
             t_end = abs(s.times[-1])
             if t_end == 0:
                 raise ValueError("degenerate sample with zero horizon")
-            sel = (np.abs(s.times) >= (1.0 - window) * t_end) & (s.times != 0)
+            sel = (np.abs(s.times) >= 0.5 * t_end) & (s.times != 0)
             y = (s.a_values[sel, i] - s.a_values[sel, i + 1]) / s.times[sel]
             lo = min(lo, float(y.min()))
             hi = max(hi, float(y.max()))
         slopes.append((lo, hi))
-        if lo <= margin and hi >= -margin:
+        if lo <= 0.05 and hi >= -0.05:
             central.append(i)
     return {"slope_bands": slopes, "estimated_flag_type": central}
 

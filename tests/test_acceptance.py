@@ -15,16 +15,16 @@ import scipy.linalg
 from flagctrl.flagcalc import (
     FlagSpec,
     enumerate_chain_control_sets,
-    evaluate_functional,
     flag_dim,
     is_hyperbolic,
     representative_invariance_check,
     subbundle_dims,
 )
-from flagctrl.rootsys import AVector, build_root_system
+from flagctrl.rootsys import AVector, build_root_system, form_value
 from flagctrl.sldr import (
     Box,
     ControlSignal,
+    Drift,
     cocycle_additivity_residual,
     control_system,
     determinant_formula_residuals,
@@ -138,7 +138,7 @@ def test_04_sigma_annihilates_central_duals():
                         dual = AVector.from_root(alpha)
                         for sig in (rec.sigma_plus, rec.sigma_minus):
                             checked += 1
-                            if evaluate_functional(rs, sig, dual) != Fraction(0):
+                            if form_value(rs, sig, dual.coords) != Fraction(0):
                                 bad += 1
     report(4, "growth functionals annihilate central dual vectors exactly", bad == 0,
            f"{checked} exact zeros")
@@ -259,7 +259,7 @@ def test_11_block_rotation_invariance():
 
 
 def test_12_determinant_identity():
-    x = np.diag([2.0, 0.0, -2.0])
+    x = Drift(np.diag([2.0, 0.0, -2.0]))
     rs = type_a_system(3)
     group = generate(rs)
     worst = 0.0
@@ -269,7 +269,7 @@ def test_12_determinant_identity():
         for rec in enumerate_chain_control_sets(group, spec):
             assert rec.hyperbolic
             for t in (0.5, 1.0, 2.0):
-                ru, rs_def = determinant_formula_residuals(x, rs, spec, rec, t)
+                ru, rs_def = determinant_formula_residuals(x, spec, rec, t)
                 worst = max(worst, ru, rs_def)
                 n_checks += 2
     report(12, "Jacobian determinants match exponentiated functionals",
@@ -277,7 +277,7 @@ def test_12_determinant_identity():
 
 
 def test_13_rate_prediction():
-    x = np.diag([2.0, 0.0, -2.0])
+    x = Drift(np.diag([2.0, 0.0, -2.0]))
     rs = type_a_system(3)
     group = generate(rs)
     worst_rel = 0.0
@@ -285,7 +285,7 @@ def test_13_rate_prediction():
     for theta in (frozenset(), frozenset({0}), frozenset({1})):
         spec = FlagSpec(theta=theta, flag_type=frozenset())
         for rec in enumerate_chain_control_sets(group, spec):
-            rep = verify_rates(x, rs, spec, rec, 20.0)
+            rep = verify_rates(x, spec, rec, 20.0)
             worst_rel = max(worst_rel, rep.max_exponent_rel_error)
             mu_min = min(mu_min, rep.mu_estimate)
     report(13, "measured exponents match predictions with positive growth floor",

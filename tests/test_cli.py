@@ -369,6 +369,32 @@ def test_non_finite_control_range_rejected(tmp_path, capsys):
         assert err.startswith("error:") and "finite" in err
 
 
+def _malformed_documents():
+    ctrl = np.array([[0.0, 0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    good = system_to_json(control_system(np.diag([1.0, 0.0, -1.0]), [ctrl], Box(((-1.0, 1.0),))))
+    return {
+        "control_range_not_object": dict(good, control_range=[[-1.0, 1.0]]),
+        "integrator_not_object": dict(good, integrator=[0.001, 10]),
+        "normals_one_dimensional": dict(
+            good, control_range={"type": "polytope", "normals": [1.0, 0.0], "offsets": [1.0, 1.0]}
+        ),
+        "offsets_length_mismatch": dict(
+            good,
+            control_range={"type": "polytope", "normals": [[1.0], [-1.0]], "offsets": [1.0, 1.0, 1.0]},
+        ),
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("case", sorted(_malformed_documents()))
+def test_malformed_system_document_rejected(tmp_path, capsys, case, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed_documents()[case]))
+    rc, out, err = run(capsys, [command, "--spec", str(path), "--T", "1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_flow_type_covering_every_simple_root(tmp_path, capsys):
     path = write_system(tmp_path, np.zeros((3, 3)))
     rc, out, err = run(capsys, ["verify", "--spec", path])
@@ -471,6 +497,25 @@ def test_run_classification_script():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("A2: |W| = 6, 3 positive roots\n")
+
+
+RATE_EXPERIMENT = os.path.join(os.path.dirname(RUN_CLASSIFICATION), "rate_experiment.py")
+
+
+def test_rate_experiment_script():
+    def script(*argv):
+        proc = subprocess.run(
+            [sys.executable, RATE_EXPERIMENT, *argv], capture_output=True, text=True, env=child_env()
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    out = script("--diag", "2,0,-2", "--theta", "0", "--T", "20")
+    assert "3 chain control sets" in out
+    errors = [float(v) for v in re.findall(r"worst exponent rel error (\S+),", out)]
+    assert len(errors) == 3 and max(errors) <= 1e-2
+    assert out.count("determinant identity worst residual") == 3
+    assert "center slope band" in script("--diag", "1,1,-2", "--T", "10")
 
 
 @pytest.mark.parametrize("argv", [["--type", "E", "--rank", "7"], ["--type", "A", "--rank", "0"]])

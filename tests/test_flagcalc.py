@@ -7,7 +7,6 @@ from flagctrl.flagcalc import (
     FlagSpec,
     classification_report,
     enumerate_chain_control_sets,
-    evaluate_functional,
     flag_dim,
     is_hyperbolic,
     representative_invariance_check,
@@ -15,7 +14,7 @@ from flagctrl.flagcalc import (
     subbundle_dims,
     tangent_roots,
 )
-from flagctrl.rootsys import AVector, build_root_system, span_subset
+from flagctrl.rootsys import AVector, build_root_system, form_value, span_subset
 from flagctrl.weyl import (
     WeylElement,
     WeylGroup,
@@ -188,10 +187,10 @@ def test_sigma_rejects_bad_input(w_a2, a2):
 def test_evaluate_functional_exact(a2):
     h = AVector((Fraction(1, 3), Fraction(-1, 6)))
     # (1,1) paired with h through [[2,-1],[-1,2]] gives exactly 1/6
-    val = evaluate_functional(a2, (1, 1), h)
+    val = form_value(a2, (1, 1), h.coords)
     assert val == Fraction(1, 6)
     assert isinstance(val, Fraction)
-    assert evaluate_functional(a2, (2, 2), h) == Fraction(1, 3)
+    assert form_value(a2, (2, 2), h.coords) == Fraction(1, 3)
 
 
 def test_representative_invariance_validation(w_a2):

@@ -87,7 +87,7 @@ def test_singular_values_on_flat_and_rank_deficient_matrices():
         assert stacked[-1, -1] <= 4 * n * np.finfo(float).eps * stacked[-1, 0]
 
 
-def test_singular_values_on_powered_subbundle_maps(w_a3, a3, monkeypatch):
+def test_singular_values_on_powered_subbundle_maps(w_a3, monkeypatch):
     seen = []
     jacobi = linalg.singular_values
 
@@ -101,7 +101,7 @@ def test_singular_values_on_powered_subbundle_maps(w_a3, a3, monkeypatch):
         drift = Drift(q @ np.diag(spectrum) @ q.T)
         spec = FlagSpec(theta=frozenset(), flag_type=frozenset(ftype))
         for rec in enumerate_chain_control_sets(w_a3, spec):
-            verify_rates(drift, a3, spec, rec, 10.0, require_hyperbolic=False)
+            verify_rates(drift, spec, rec, 10.0)
     stacks = [m for m in seen if m.ndim == 3]
     assert stacks and all(len(m) == 40 for m in stacks)  # one call per center band
     span = 0.0

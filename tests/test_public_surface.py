@@ -1,0 +1,51 @@
+"""The names the package promises: README examples, ``__all__`` lists and
+the lazy numeric re-exports."""
+
+import importlib
+import os
+import pkgutil
+import re
+
+import pytest
+
+import flagctrl
+from flagctrl import sldr
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def _python_blocks():
+    with open(README, encoding="utf-8") as fh:
+        return re.findall(r"^```python\n(.*?)^```", fh.read(), flags=re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert len(_python_blocks()) >= 2  # the exact and the numeric quickstart
+
+
+@pytest.mark.parametrize("index", range(len(_python_blocks())))
+def test_readme_python_block_runs(index, capsys):
+    exec(compile(_python_blocks()[index], f"README.md block {index}", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_package_names_resolve():
+    for name in flagctrl.__all__:
+        assert getattr(flagctrl, name) is not None, name
+    assert flagctrl._SLDR_NAMES <= set(sldr.__all__)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(flagctrl.__path__)))
+def test_module_all_entries_exist(module):
+    mod = importlib.import_module(f"flagctrl.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
+
+
+def test_removed_names_are_gone():
+    from flagctrl import flagcalc
+
+    for name in ("permutation_matrix", "projective_derivative_det", "flag_from_basis", "_as_drift"):
+        assert not hasattr(sldr, name), name
+    assert not hasattr(sldr.RealizedFunctional, "exact")
+    assert not hasattr(flagcalc, "evaluate_functional")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from flagctrl.sldr import (
     fixed_flags,
     flag_act,
     flag_distance,
-    flag_from_basis,
     flag_point,
     flag_type_diagnostic,
     integrate,
@@ -32,8 +32,6 @@ from flagctrl.sldr import (
     iwasawa,
     ktheta_invariance_residual,
     load_system,
-    permutation_matrix,
-    projective_derivative_det,
     random_signal,
     random_special_orthogonal,
     random_traceless,
@@ -112,16 +110,6 @@ def test_flag_point_validation():
     assert not x.is_maximal
     with pytest.raises(ValueError):
         x.rep[0, 0] = 5.0  # frames are frozen
-
-
-def test_flag_from_basis_keeps_leading_spans():
-    basis = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]).T
-    x = flag_from_basis(basis, (1, 1, 1))
-    assert abs(np.linalg.det(x.rep) - 1.0) < 1e-12
-    for k in (1, 2):
-        pb = basis[:, :k] @ np.linalg.pinv(basis[:, :k])
-        pq = x.rep[:, :k] @ x.rep[:, :k].T
-        assert np.abs(pb - pq).max() < 1e-12
 
 
 def test_flag_act_and_distance():
@@ -360,8 +348,8 @@ def test_cocycle_additivity():
     assert res < 1e-8
     with pytest.raises(ValueError, match="maximal"):
         cocycle_additivity_residual(spec, sig, 2.0, standard_flag(3, theta={0}))
-    with pytest.raises(ValueError, match="checkpoints"):
-        cocycle_additivity_residual(spec, sig, 2.0, standard_flag(3), n_checkpoints=1)
+    with pytest.raises(ValueError, match="positive horizon"):
+        cocycle_additivity_residual(spec, constant_signal([0.5]), 0.0, standard_flag(3))
 
 
 def test_time_reversal():
@@ -432,7 +420,6 @@ def test_ktheta_invariance():
 def test_realize_functional():
     f = realize_functional((1, 0), 3)
     assert f.coeffs == (Fraction(1), Fraction(-1), Fraction(0))
-    assert f.exact((2, 0, -2)) == Fraction(2)
     assert f([2.0, 0.0, -2.0]) == 2.0
     g = realize_functional((0, 1, 0), 4)
     assert g.coeffs == (0, 1, -1, 0)  # the middle simple slope
@@ -486,30 +473,19 @@ def test_split_part_rejections():
         split_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_permutation_matrix(w_a2):
-    assert np.array_equal(permutation_matrix(w_a2.identity, 3), np.eye(3))
-    s0 = permutation_matrix(word_element(w_a2, (0,)), 3)
-    assert np.array_equal(s0, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1.0]]))
-    w = word_element(w_a2, (0, 1))
-    assert np.array_equal(
-        permutation_matrix(w, 3), s0 @ permutation_matrix(word_element(w_a2, (1,)), 3)
-    )
-    with pytest.raises(ValueError, match="rank"):
-        permutation_matrix(w, 4)
-
-
 def test_fixed_flags_are_invariant(w_a2):
     x = np.diag([2.0, 0.0, -2.0])
+    drift = Drift(x)
     psi = scipy.linalg.expm(0.7 * x)
     for theta in (frozenset(), frozenset({0}), frozenset({1})):
         spec = FlagSpec(theta=theta, flag_type=frozenset())
         for rec in enumerate_chain_control_sets(w_a2, spec):
-            flag = fixed_flags(x, theta, rec.rep)
+            flag = fixed_flags(drift, theta, rec.rep)
             assert flag_distance(flag_act(psi, flag), flag) < 1e-9
 
 
 def test_fixed_flags_rejects_split_complex_pair(w_a2):
-    x = rotation_pair_generator()
+    x = Drift(rotation_pair_generator())
     flag = fixed_flags(x, {0}, w_a2.identity)  # pair sits inside the first block
     assert flag.blocks == (2, 1)
     with pytest.raises(ValueError, match="complex eigenvalue pair"):
@@ -521,19 +497,13 @@ def test_fixed_flags_rejects_split_complex_pair(w_a2):
 def test_horizontal_basis_and_derivative_det():
     # tangent coordinates sit at (1, 0), (2, 0), (2, 1), row-major
     assert sldr._lower_index((1, 1, 1)).tolist() == [3, 6, 7]
-    x2 = standard_flag(2)
-    psi = np.array([[2.0, 0.7], [0.0, 0.5]])
-    val = projective_derivative_det(psi, x2, np.eye(1))
-    assert abs(val - 0.25) < 1e-12  # closed form 1/a^2 on the line
-    assert projective_derivative_det(psi, x2, []) == 1.0
-    with pytest.raises(ValueError, match="orthonormal"):
-        projective_derivative_det(psi, x2, 2.0 * np.eye(1))
-    with pytest.raises(ValueError, match="1 columns"):
-        projective_derivative_det(psi, x2, np.zeros((1, 3)))
+    tangent_map = sldr._flow_tangent_map(np.array([[2.0, 0.7], [0.0, 0.5]]), standard_flag(2))
+    assert abs(sldr._volume(tangent_map, np.eye(1)) - 0.25) < 1e-12  # closed form 1/a^2 on the line
+    assert sldr._volume(tangent_map, np.zeros((0, 1))) == 1.0
 
 
 def test_invariant_realizations_regular(w_a2):
-    x = np.diag([2.0, 0.0, -2.0])
+    x = Drift(np.diag([2.0, 0.0, -2.0]))
     split = invariant_realizations(x, (), w_a2.identity)
     assert split.stable_exponents == (-4.0, -2.0, -2.0)
     assert split.center_exponents == () and split.unstable_exponents == ()
@@ -546,7 +516,7 @@ def test_invariant_realizations_regular(w_a2):
 
 
 def test_invariant_realizations_center(w_a2):
-    x = np.diag([1.0, 1.0, -2.0])
+    x = Drift(np.diag([1.0, 1.0, -2.0]))
     split = invariant_realizations(x, (), w_a2.identity)
     assert split.center_exponents == (0.0,)
     assert split.stable_exponents == (-3.0, -3.0)
@@ -596,65 +566,64 @@ def test_realizations_match_position_oracle(d):
                     assert lams == oracle_lams
                     oracle_coords = np.array([v[mask] for v in vecs]).reshape(len(vecs), mask.sum())
                     assert np.abs(coords.T @ coords - oracle_coords.T @ oracle_coords).max() < 1e-12
-                    vol = projective_derivative_det(drift.expm(2.0), xw, coords)
+                    vol = sldr._volume(sldr._flow_tangent_map(drift.expm(2.0), xw), coords)
                     oracle_vol = oracles.gram_volume(drift.expm(2.0), frame, blocks, vecs)
                     assert abs(vol - oracle_vol) <= 1e-12 * oracle_vol
                 checked.add(len(drift.split.complex_pairs))
     assert checked == {0, 1}  # real spectra, and a complex pair inside a block
 
 
-def test_determinant_formula_residuals(w_a2, a2):
-    x = np.diag([2.0, 0.0, -2.0])
+def test_determinant_formula_residuals(w_a2):
+    x = Drift(np.diag([2.0, 0.0, -2.0]))
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
     for rec in enumerate_chain_control_sets(w_a2, spec):
         for t in (1.0, 2.0):
-            ru, rs_ = determinant_formula_residuals(x, a2, spec, rec, t)
+            ru, rs_ = determinant_formula_residuals(x, spec, rec, t)
             assert ru < 1e-8 and rs_ < 1e-8
     bad_spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
     recs = enumerate_chain_control_sets(w_a2, bad_spec)
     with pytest.raises(ValueError, match="hyperbolic"):
-        determinant_formula_residuals(x, a2, bad_spec, recs[0], 1.0)
+        determinant_formula_residuals(x, bad_spec, recs[0], 1.0)
     degenerate_spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
     good_rec = enumerate_chain_control_sets(w_a2, spec)[0]
     with pytest.raises(ValueError, match="disagrees"):
-        determinant_formula_residuals(x, a2, degenerate_spec, good_rec, 1.0)
+        determinant_formula_residuals(x, degenerate_spec, good_rec, 1.0)
 
 
-def test_verify_rates_regular(w_a2, a2, b2):
-    x = np.diag([2.0, 0.0, -2.0])
+def test_verify_rates_regular(w_a2, w_a3, w_b2):
+    x = Drift(np.diag([2.0, 0.0, -2.0]))
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
     recs = enumerate_chain_control_sets(w_a2, spec)
     for rec in recs:
-        report = verify_rates(x, a2, spec, rec, 3.0)
+        report = verify_rates(x, spec, rec, 3.0)
         assert report.max_exponent_rel_error < 1e-10
         assert report.mu_estimate > 1.9
         assert report.center_range is None
         for p, m in zip(report.cocycle_predicted, report.cocycle_measured):
             assert abs(p - m) < 1e-10
     with pytest.raises(ValueError, match="horizon"):
-        verify_rates(x, a2, spec, recs[0], 0.5)
-    with pytest.raises(ValueError, match="does not match"):
-        verify_rates(x, b2, spec, recs[0], 2.0)
+        verify_rates(x, spec, recs[0], 0.5)
+    # a record of another group is refused, even where its word was just realized
+    for group in (w_b2, w_a3):
+        wrong = word_element(group, recs[-1].rep.reduced_word)
+        with pytest.raises(ValueError, match="does not match SL"):
+            verify_rates(x, spec, dataclasses.replace(recs[-1], rep=wrong), 2.0)
+        with pytest.raises(ValueError, match="does not match SL"):
+            fixed_flags(x, (), wrong)
     bad = FlagSpec(theta=frozenset(), flag_type=frozenset({1}))
     bad_rec = enumerate_chain_control_sets(w_a2, bad)[0]
     with pytest.raises(ValueError, match="disagrees"):
-        verify_rates(x, a2, bad, bad_rec, 2.0, require_hyperbolic=False)
+        verify_rates(x, bad, bad_rec, 2.0)
 
 
-def test_drift_matches_matrix_calls(w_a2, a2):
-    x = np.diag([2.0, 0.0, -2.0])
-    drift = Drift(x)
+def test_drift_keeps_one_cell_and_shares_expm(w_a2):
+    drift = Drift(np.diag([2.0, 0.0, -2.0]))
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
     for rec in enumerate_chain_control_sets(w_a2, spec):
-        assert np.array_equal(fixed_flags(drift, (), rec.rep).rep, fixed_flags(x, (), rec.rep).rep)
-        for t in (0.5, 2.0):
-            assert determinant_formula_residuals(
-                drift, a2, spec, rec, t
-            ) == determinant_formula_residuals(x, a2, spec, rec, t)
-        a, b = verify_rates(drift, a2, spec, rec, 3.0), verify_rates(x, a2, spec, rec, 3.0)
-        assert a.cocycle_measured == b.cocycle_measured and a.mu_estimate == b.mu_estimate
-        assert a.unstable_measured == b.unstable_measured
-        assert a.stable_measured == b.stable_measured
+        xw = fixed_flags(drift, (), rec.rep)
+        assert invariant_realizations(drift, (), rec.rep) is drift._cell((), rec.rep)[1]
+        assert fixed_flags(drift, (), rec.rep) is xw
+        verify_rates(drift, spec, rec, 3.0)
     assert len(drift._cell_memo) == 1  # only the record in hand is kept
     assert drift.expm(0.5) is drift.expm(0.5)
     with pytest.raises(ValueError):
@@ -664,20 +633,18 @@ def test_drift_matches_matrix_calls(w_a2, a2):
 def test_drift_carries_gap_tol(w_a2):
     x = np.diag([1e-8, 0.0, -1e-8])
     with pytest.raises(ValueError, match="ambiguous"):
-        fixed_flags(x, (), w_a2.identity)
+        Drift(x)
     drift = Drift(x, gap_tol=1e-9)
     assert drift.split.theta == frozenset()
     assert fixed_flags(drift, (), w_a2.identity).blocks == (1, 1, 1)
 
 
-def test_verify_rates_center_band(w_a2, a2):
-    x = np.diag([1.0, 1.0, -2.0])
+def test_verify_rates_center_band(w_a2):
+    x = Drift(np.diag([1.0, 1.0, -2.0]))
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
     recs = enumerate_chain_control_sets(w_a2, spec)
     middle = next(r for r in recs if r.dim_center == 1 and r.dim_stable == 1)
-    with pytest.raises(ValueError, match="not hyperbolic"):
-        verify_rates(x, a2, spec, middle, 2.0)
-    report = verify_rates(x, a2, spec, middle, 2.0, require_hyperbolic=False)
+    report = verify_rates(x, spec, middle, 2.0)
     lo, hi = report.center_range
     assert lo <= 1e-8 and hi >= -1e-8 and hi - lo < 1e-8
     assert report.mu_estimate > 2.9  # only slopes outside the flow type count
