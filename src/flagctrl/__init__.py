@@ -19,8 +19,6 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     cartan_matrix,
-    characteristic_subset,
-    evaluate,
     form_value,
     span_subset,
 )
@@ -66,14 +64,12 @@ __all__ = [
     "a_cocycle",
     "build_root_system",
     "cartan_matrix",
-    "characteristic_subset",
     "classification_report",
     "cocycle_sample",
     "constant_signal",
     "control_system",
     "double_cosets",
     "enumerate_chain_control_sets",
-    "evaluate",
     "fixed_flags",
     "flag_act",
     "flag_dim",

@@ -18,9 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .flagcalc import (
     ConsistencyError,
@@ -48,6 +49,29 @@ def _indices(text: str) -> frozenset[int]:
         ) from None
 
 
+def _number(
+    convert: Callable[[str], float], ok: Callable[[float], bool], what: str
+) -> Callable[[str], float]:
+    # an argparse type: ArgumentTypeError makes argparse exit 2 with usage
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+_finite = _number(float, math.isfinite, "a finite number")
+_positive = _number(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_nonnegative = _number(float, lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
+_positive_int = _number(int, lambda n: n > 0, "a positive integer")
+
+
 def _emit_json(doc: object) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -68,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", required=True, type=int, help="rank of the family")
         p.add_argument(
             "--order-cap",
-            type=int,
+            type=_positive_int,
             default=None,
             help="abort enumeration beyond this Weyl group order",
         )
@@ -90,18 +114,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an SL(d) system against the classification")
     p.add_argument("--spec", required=True, help="path to a control system JSON file")
     p.add_argument("--theta", type=_indices, default=frozenset(), help="flag manifold type")
-    p.add_argument("--T", type=float, default=10.0, help="rate measurement horizon")
-    p.add_argument("--tol", type=float, default=1e-6, help="determinant identity tolerance")
-    p.add_argument("--rate-tol", type=float, default=0.01, help="exponent relative tolerance")
-    p.add_argument("--gap-tol", type=float, default=1e-6, help="spectral gap resolution")
-    p.add_argument("--order-cap", type=int, default=None)
+    p.add_argument("--T", type=_finite, default=10.0, help="rate measurement horizon")
+    p.add_argument("--tol", type=_nonnegative, default=1e-6, help="determinant identity tolerance")
+    p.add_argument("--rate-tol", type=_nonnegative, default=0.01, help="exponent relative tolerance")
+    p.add_argument("--gap-tol", type=_positive, default=1e-6, help="spectral gap resolution")
+    p.add_argument("--order-cap", type=_positive_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="sample the cocycle along a random control")
     p.add_argument("--spec", required=True, help="path to a control system JSON file")
-    p.add_argument("--T", type=float, default=10.0, help="simulation horizon")
+    p.add_argument("--T", type=_finite, default=10.0, help="simulation horizon")
     p.add_argument("--seed", type=int, default=0, help="control sampling seed")
-    p.add_argument("--period", type=float, default=0.1, help="control hold period")
+    p.add_argument("--period", type=_positive, default=0.1, help="control hold period")
     p.add_argument("--sample-every", type=int, default=10, help="output stride in steps")
     p.set_defaults(func=cmd_simulate)
 

@@ -4,7 +4,8 @@ Roots are integer vectors in the simple-root basis.  Vectors in the Cartan
 subspace carry rational coordinates in the basis of pairing-duals of the
 simple roots, so a root and its dual vector share coordinates.  The single
 bridge between the two sides is the symmetrized Cartan matrix ``pairing``,
-and every evaluation is an exact rational bilinear form: no floats anywhere.
+through which ``form_value`` evaluates exactly over the rationals: no
+floats anywhere.
 
 Normalization: long roots have squared length 2.  Everything computed
 downstream (zero tests, sign tests, subset inclusions) is invariant under a
@@ -23,7 +24,6 @@ every thread would compute the same ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -39,18 +39,10 @@ __all__ = [
     "MAX_RANK",
     "cartan_matrix",
     "build_root_system",
-    "reflect",
     "span_subset",
     "subset_mask",
     "positions",
-    "evaluate",
     "form_value",
-    "pairing_value",
-    "characteristic_subset",
-    "chamber_vector",
-    "a_theta_basis",
-    "root_system_json",
-    "root_system_to_text",
 ]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -104,17 +96,6 @@ class AVector:
     @staticmethod
     def from_root(root: Root) -> "AVector":
         return AVector(tuple(Fraction(c) for c in root.coords))
-
-    @staticmethod
-    def zero(rank: int) -> "AVector":
-        return AVector((Fraction(0),) * rank)
-
-    def __add__(self, other: "AVector") -> "AVector":
-        return AVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, q: Fraction | int) -> "AVector":
-        q = Fraction(q)
-        return AVector(tuple(q * c for c in self.coords))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,9 +168,6 @@ class RootSystem:
     @property
     def lie_type(self) -> str:
         return f"{self.family}{self.rank}"
-
-    def sorted_roots(self) -> tuple[Root, ...]:
-        return self.index.roots
 
     def sorted_positive_roots(self) -> tuple[Root, ...]:
         return self.index.roots[self.index.positive_positions.start :]
@@ -381,35 +359,6 @@ def form_value(
     return total
 
 
-def pairing_value(rs: RootSystem, a: Root, b: Root) -> Fraction:
-    return form_value(rs, a.coords, b.coords)
-
-
-def evaluate(rs: RootSystem, alpha: Root, h: AVector) -> Fraction:
-    """Evaluate the root ``alpha``, as a functional, on the vector ``h``.
-
-    With ``h = AVector.from_root(beta)`` this returns the pairing
-    ``(alpha, beta)``.
-    """
-    return form_value(rs, alpha.coords, h.coords)
-
-
-def reflect(rs: RootSystem, beta: Root, alpha: Root) -> Root:
-    """Reflection of ``alpha`` through the hyperplane of ``beta``."""
-    if beta not in rs.roots:
-        raise ValueError(f"{beta.coords} is not a root of {rs.lie_type}")
-    if alpha not in rs.roots:
-        raise ValueError(f"{alpha.coords} is not a root of {rs.lie_type}")
-    coeff = 2 * pairing_value(rs, alpha, beta) / pairing_value(rs, beta, beta)
-    if coeff.denominator != 1:
-        raise AssertionError("non-integer Cartan coefficient")
-    c = int(coeff)
-    image = Root(tuple(a - c * b for a, b in zip(alpha.coords, beta.coords)))
-    if image not in rs.roots:
-        raise AssertionError("reflection left the root system")
-    return image
-
-
 def span_subset(rs: RootSystem, theta: Iterable[int]) -> frozenset[Root]:
     """Roots that are integer combinations of the chosen simple roots.
 
@@ -430,92 +379,3 @@ def _check_subset(rs: RootSystem, theta: frozenset[int]) -> None:
     bad = [i for i in theta if not (0 <= i < rs.rank)]
     if bad:
         raise ValueError(f"simple-root indices {sorted(bad)} out of range for rank {rs.rank}")
-
-
-def characteristic_subset(rs: RootSystem, h: AVector) -> frozenset[int]:
-    """Simple roots vanishing on ``h``; requires ``h`` in the closed positive chamber."""
-    values = [evaluate(rs, alpha, h) for alpha in rs.simple_roots]
-    for i, v in enumerate(values):
-        if v < 0:
-            raise ValueError(
-                f"vector lies outside the closed positive chamber: simple root {i} "
-                f"evaluates to {v}"
-            )
-    return frozenset(i for i, v in enumerate(values) if v == 0)
-
-
-def chamber_vector(rs: RootSystem, values: Sequence[Fraction | int]) -> AVector:
-    """The vector on which simple root ``i`` evaluates to ``values[i]``.
-
-    All values must be nonnegative, so the result lies in the closed
-    positive chamber; solved exactly over the rationals.
-    """
-    if len(values) != rs.rank:
-        raise ValueError(f"need {rs.rank} values, got {len(values)}")
-    vals = [Fraction(v) for v in values]
-    if any(v < 0 for v in vals):
-        raise ValueError("chamber values must be nonnegative")
-    n = rs.rank
-    aug = [[Fraction(rs.pairing[i][j]) for j in range(n)] + [vals[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(k for k in range(col, n) if aug[k][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
-        for k in range(n):
-            if k != col and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [x - f * y for x, y in zip(aug[k], aug[col])]
-    return AVector(tuple(aug[i][n] for i in range(n)))
-
-
-def a_theta_basis(rs: RootSystem, theta: Iterable[int]) -> tuple[AVector, ...]:
-    """Rational basis of the annihilator subspace of the chosen simple roots.
-
-    Returns vectors ``h`` with ``evaluate(a_i, h) = 0`` for every ``i`` in
-    ``theta``; for the empty set this is the full dual basis.
-    """
-    theta = sorted(frozenset(theta))
-    _check_subset(rs, frozenset(theta))
-    n = rs.rank
-    # row-reduce the theta rows of the pairing over the rationals
-    rows = [[Fraction(rs.pairing[i][j]) for j in range(n)] for i in theta]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * n
-        vec[j] = Fraction(1)
-        for k, col in enumerate(pivots):
-            vec[col] = -rows[k][j]
-        basis.append(AVector(tuple(vec)))
-    return tuple(basis)
-
-
-def root_system_json(rs: RootSystem) -> dict:
-    """Canonical JSON document: family, rank, Cartan data, sorted root list."""
-    roots = rs.sorted_roots()
-    return {
-        "family": rs.family,
-        "rank": rs.rank,
-        "cartan": [list(row) for row in rs.cartan],
-        "pairing": [[str(x) for x in row] for row in rs.pairing],
-        "roots": [list(r.coords) for r in roots],
-        "mult": [rs.mult[r] for r in roots],
-    }
-
-
-def root_system_to_text(rs: RootSystem) -> str:
-    return json.dumps(root_system_json(rs), sort_keys=True, separators=(",", ":"))

@@ -767,6 +767,8 @@ def split_part(x: np.ndarray, *, gap_tol: float = 1e-6) -> SplitPart:
     silently grouped, and defective (non-diagonalizable) inputs are
     rejected through the basis condition number.
     """
+    if not (math.isfinite(gap_tol) and gap_tol > 0):
+        raise ValueError(f"gap_tol must be finite and > 0, got {gap_tol!r}")
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     if x.ndim != 2 or x.shape != (d, d):
@@ -1028,8 +1030,8 @@ class Drift:
         return self._once(("rates", T), compute)
 
     def _cell(self, theta: Iterable[int], w: WeylElement) -> tuple[FlagPoint, RealizationSplit]:
-        # checked before the memo, which is keyed on the word alone: hashing a
-        # WeylElement builds its integer matrix
+        # checked before the memo, which is keyed on the word alone: the word
+        # does not name its root system
         rs = w.system
         if rs.family != "A" or rs.rank != self.dim - 1:
             raise ValueError(f"root system {rs.lie_type} does not match SL({self.dim})")

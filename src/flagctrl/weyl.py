@@ -8,22 +8,22 @@ outside J, is walked breadth first, lowering by s_i where mu_i > 0
 double cosets W_I\\W/W_J (Humphreys, Reflection Groups and Coxeter Groups,
 1.12).  Group and parabolic orders come by orbit-stabilizer.
 
-Elements carry their lexicographically least reduced word; their integer
-matrix on simple-root (and, through the invariant form, dual-basis)
-coordinates is built from it when first read, and equality and hashing go
-through it.  With J empty, lambda_J is rho and its orbit is the group, so a
+Elements carry their lexicographically least reduced word.  Since rho has
+trivial stabilizer, w(rho) names w: equality and hashing go through it, and
+products are words applied to rho and stripped back to their least reduced
+word.  With J empty, lambda_J is rho and its orbit is the group, so a
 ``WeylGroup`` reads its element list, by length then word, off the orbit of
-rho on first use; products and inverses are words applied to rho and
-stripped back to their least reduced word.  No matrix walk exists.
+rho on first use.  On roots, w acts as a permutation of positions
+(``root_permutation``); no integer matrix of an element is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rootsys import AVector, Root, RootSystem, _check_subset
+from .rootsys import RootSystem, _check_subset
 
 __all__ = [
     "WeylElement",
@@ -31,12 +31,8 @@ __all__ = [
     "DoubleCoset",
     "generate",
     "parabolic_order",
-    "act",
-    "act_avector",
     "root_permutation",
-    "length",
     "compose",
-    "inverse",
     "subgroup",
     "double_cosets",
     "longest_coset_rep",
@@ -48,65 +44,44 @@ __all__ = [
 DEFAULT_ORDER_CAP = 100_000
 HARD_ORDER_CAP = 1_000_000
 
-Matrix = tuple[tuple[int, ...], ...]
+Cartan = tuple[tuple[int, ...], ...]
 Weight = tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """Group element: its canonical reduced word, acting through its matrix."""
+    """Group element: its canonical reduced word, named by its image of rho."""
 
     reduced_word: tuple[int, ...]
     system: RootSystem = field(repr=False)
 
     @cached_property
-    def matrix(self) -> Matrix:
-        gens = (simple_reflection_matrix(self.system, i) for i in self.reduced_word)
-        return reduce(_mat_mul, gens, _identity_matrix(self.system.rank))
+    def rho_image(self) -> Weight:
+        """w(rho) on the fundamental weights; the word need not be reduced."""
+        mu = (1,) * self.system.rank
+        for i in reversed(self.reduced_word):
+            mu = _reflect(self.system.cartan, mu, i)
+        return mu
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.system.cartan == other.system.cartan and self.rho_image == other.rho_image
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return hash((self.system.cartan, self.rho_image))
 
     @property
     def is_identity(self) -> bool:
         return not self.reduced_word
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def _mat_vec(m: Matrix, v: tuple) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def simple_reflection_matrix(rs: RootSystem, i: int) -> Matrix:
-    """Matrix of the i-th simple reflection on simple-root coordinates."""
-    n = rs.rank
-    return tuple(
-        tuple((1 if k == j else 0) - (rs.cartan[i][j] if k == i else 0) for j in range(n))
-        for k in range(n)
-    )
-
-
-def _reflect(cartan: Matrix, mu: Weight, i: int) -> Weight:
+def _reflect(cartan: Cartan, mu: Weight, i: int) -> Weight:
     c = mu[i]
     return tuple(m - c * row[i] for m, row in zip(mu, cartan))
 
 
-def _levels(cartan: Matrix, mu: Weight, subset: Sequence[int]) -> Iterator[set[Weight]]:
+def _levels(cartan: Cartan, mu: Weight, subset: Sequence[int]) -> Iterator[set[Weight]]:
     # the W_S-orbit of an S-dominant weight by length of the representative:
     # lowering by s_i where mu_i > 0 adds one to it, so no level recurs
     level = {mu}
@@ -116,7 +91,7 @@ def _levels(cartan: Matrix, mu: Weight, subset: Sequence[int]) -> Iterator[set[W
 
 
 @lru_cache(maxsize=None)
-def _parabolic_order(cartan: Matrix, subset: frozenset[int]) -> int:
+def _parabolic_order(cartan: Cartan, subset: frozenset[int]) -> int:
     # W_S moves the fundamental weight of k = max S with stabilizer W_{S\k}
     if not subset:
         return 1
@@ -148,10 +123,6 @@ class WeylGroup:
     def identity(self) -> WeylElement:
         return WeylElement((), self.system)
 
-    @property
-    def simple_reflections(self) -> tuple[WeylElement, ...]:
-        return tuple(WeylElement((i,), self.system) for i in range(self.system.rank))
-
     @cached_property
     def longest(self) -> WeylElement:
         return longest_coset_rep(self, (), ())
@@ -174,10 +145,6 @@ def generate(rs: RootSystem, order_cap: int | None = None) -> WeylGroup:
     return WeylGroup(system=rs, order=order)
 
 
-def act(w: WeylElement, root: Root) -> Root:
-    return Root(_mat_vec(w.matrix, root.coords))
-
-
 def root_permutation(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
     """``w`` as a permutation of root positions in ``rs.index``.
 
@@ -190,16 +157,7 @@ def root_permutation(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def act_avector(w: WeylElement, h: AVector) -> AVector:
-    # same matrix: dual-basis coordinates transform like root coordinates
-    return AVector(_mat_vec(w.matrix, h.coords))
-
-
-def length(w: WeylElement) -> int:
-    return len(w.reduced_word)
-
-
-def _strip(cartan: Matrix, mu: Weight) -> tuple[int, ...]:
+def _strip(cartan: Cartan, mu: Weight) -> tuple[int, ...]:
     # the least descent, again and again, until mu is dominant: the
     # lex-least reduced word of the shortest w with w(lambda) = mu
     word = []
@@ -212,19 +170,12 @@ def _strip(cartan: Matrix, mu: Weight) -> tuple[int, ...]:
 def _canonical(rs: RootSystem, word: Sequence[int]) -> WeylElement:
     """The element spelled by ``word``, any word, with its lex-least reduced
     word: rho, whose stabilizer is trivial, moved by the word and stripped."""
-    mu = (1,) * rs.rank
-    for i in reversed(word):
-        mu = _reflect(rs.cartan, mu, i)
-    return WeylElement(_strip(rs.cartan, mu), rs)
+    return WeylElement(_strip(rs.cartan, WeylElement(tuple(word), rs).rho_image), rs)
 
 
 def compose(group: WeylGroup, a: WeylElement, b: WeylElement) -> WeylElement:
     """Product a*b with its lex-least reduced word."""
     return _canonical(group.system, a.reduced_word + b.reduced_word)
-
-
-def inverse(group: WeylGroup, w: WeylElement) -> WeylElement:
-    return _canonical(group.system, w.reduced_word[::-1])
 
 
 def subgroup(group: WeylGroup, theta: Iterable[int]) -> frozenset[WeylElement]:

@@ -2,7 +2,8 @@
 
 Nothing here calls the classification code under test: the Weyl group is
 walked breadth first over integer matrices (``walk``), not read off a
-weight orbit, cells are classified from raw integer matrix arithmetic on
+weight orbit, an element's matrix is the product along its word
+(``matrix``), cells are classified from raw integer matrix arithmetic on
 root coordinates only, the cocycle along a controlled flow is refactored
 after every integrator step, and tangent realizations and their volumes
 are built one elementary d x d matrix at a time.
@@ -11,7 +12,7 @@ are built one elementary d x d matrix at a time.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
 import numpy as np
@@ -53,11 +54,12 @@ def brute_cell(
 ) -> tuple[tuple[int, int, int], bool, bool]:
     """((s, c, u), center_empty, inclusion_holds) from raw arithmetic."""
     span_t, span_f = spans or brute_spans(rs, theta, ftype)
+    m = matrix(w)
     s = c = u = 0
     for r in rs.positive_roots:
         if r.coords in span_t:
             continue
-        img = tuple(-x for x in mat_vec(w.matrix, r.coords))
+        img = tuple(-x for x in mat_vec(m, r.coords))
         mult = rs.mult[Root(img)]
         if img in span_f:
             c += mult
@@ -65,7 +67,7 @@ def brute_cell(
             u += mult
         else:
             s += mult
-    image_span = {mat_vec(w.matrix, v) for v in span_t}
+    image_span = {mat_vec(m, v) for v in span_t}
     inclusion = span_f <= image_span
     return (s, c, u), c == 0, inclusion
 
@@ -93,11 +95,12 @@ def brute_sigma(
 ) -> tuple[int, ...]:
     """Multiplicity-weighted coordinate sum over one instability class."""
     span_t, span_f = spans or brute_spans(rs, theta, ftype)
+    m = matrix(w)
     total = [0] * rs.rank
     for r in rs.positive_roots:
         if r.coords in span_t:
             continue
-        img = tuple(-x for x in mat_vec(w.matrix, r.coords))
+        img = tuple(-x for x in mat_vec(m, r.coords))
         if img in span_f:
             continue
         positive = any(x > 0 for x in img)
@@ -130,6 +133,19 @@ def reflection_matrices(rs: RootSystem) -> list[Matrix]:
     ]
 
 
+def matrix(w: WeylElement) -> Matrix:
+    """``w`` on simple-root coordinates: the product of the simple
+    reflections along its word."""
+    return _word_matrix(w.system, w.reduced_word)
+
+
+@lru_cache(maxsize=None)
+def _word_matrix(rs: RootSystem, word: tuple[int, ...]) -> Matrix:
+    gens = reflection_matrices(rs)
+    ident = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    return reduce(mat_mul, (gens[i] for i in word), ident)
+
+
 @lru_cache(maxsize=None)
 def walk(rs: RootSystem) -> dict[Matrix, WeylElement]:
     """Every element of the Weyl group by its matrix, breadth first from the
@@ -147,8 +163,7 @@ def walk(rs: RootSystem) -> dict[Matrix, WeylElement]:
             for i, g in enumerate(gens):
                 p = mat_mul(m, g)
                 if p not in index:
-                    e = index[p] = WeylElement(index[m].reduced_word + (i,), rs)
-                    vars(e)["matrix"] = p  # the walk's own product, not the library's
+                    index[p] = WeylElement(index[m].reduced_word + (i,), rs)
                     nxt.append(p)
         frontier = nxt
 
@@ -164,8 +179,9 @@ def walk(rs: RootSystem) -> dict[Matrix, WeylElement]:
     return index
 
 
-def subgroup_elements(group: WeylGroup, subset: frozenset[int]) -> set[WeylElement]:
-    """W_S grown from the identity by the simple reflections of S."""
+def subgroup_elements(group: WeylGroup, subset: frozenset[int]) -> set[tuple[int, ...]]:
+    """Reduced words of W_S, grown from the identity by the simple
+    reflections of S."""
     index = walk(group.system)
     gens = [g for i, g in enumerate(reflection_matrices(group.system)) if i in subset]
     ident = next(iter(index))
@@ -179,7 +195,7 @@ def subgroup_elements(group: WeylGroup, subset: frozenset[int]) -> set[WeylEleme
                     members.add(p)
                     nxt.append(p)
         frontier = nxt
-    return {index[m] for m in members}
+    return {index[m].reduced_word for m in members}
 
 
 @lru_cache(maxsize=None)
@@ -195,11 +211,11 @@ def _mult_tables(group: WeylGroup) -> tuple[list[list[int]], list[list[int]]]:
 
 def double_coset_partition(
     group: WeylGroup, left: frozenset[int], right: frozenset[int]
-) -> list[frozenset[WeylElement]]:
-    """Every W_I*w*W_J as a set, each grown from its first element in
-    walk order by multiplying with the simple reflections of I on the left
-    and of J on the right until it closes."""
-    members_of = list(walk(group.system).values())
+) -> list[frozenset[tuple[int, ...]]]:
+    """Every W_I*w*W_J as a set of reduced words, each grown from its first
+    element in walk order by multiplying with the simple reflections of I on
+    the left and of J on the right until it closes."""
+    members_of = [w.reduced_word for w in walk(group.system).values()]
     lmul, rmul = _mult_tables(group)
     steps = [lmul[i] for i in sorted(left)] + [rmul[j] for j in sorted(right)]
     seen = [False] * len(members_of)
@@ -277,9 +293,9 @@ def mult_is_invariant(group: WeylGroup) -> bool:
 
 def inversion_set(group: WeylGroup, w: WeylElement) -> frozenset[Root]:
     """Positive roots sent negative by ``w``; its size equals the length."""
-    rs = group.system
+    m = matrix(w)
     return frozenset(
-        r for r in rs.positive_roots if not Root(mat_vec(w.matrix, r.coords)).is_positive
+        r for r in group.system.positive_roots if not Root(mat_vec(m, r.coords)).is_positive
     )
 
 

@@ -130,7 +130,8 @@ def test_04_sigma_annihilates_central_duals():
                 for rec in enumerate_chain_control_sets(group, spec):
                     if not rec.hyperbolic:
                         continue
-                    image = {oracles.mat_vec(rec.rep.matrix, r.coords) for r in theta_span}
+                    m = oracles.matrix(rec.rep)
+                    image = {oracles.mat_vec(m, r.coords) for r in theta_span}
                     for i in sorted(ftype):
                         alpha = rs.simple_roots[i]
                         if alpha.coords not in image:

@@ -421,6 +421,34 @@ def test_simulate_rejects_off_grid_period(tmp_path, capsys):
     assert "integer multiple of dt" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--T", "inf"],
+        ["simulate", "--T", "inf"],
+        ["simulate", "--T", "1", "--period", "inf"],
+        ["simulate", "--T", "1", "--period", "0"],
+        ["verify", "--gap-tol", "nan"],
+        ["verify", "--gap-tol", "-1"],
+        ["verify", "--gap-tol", "0"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "-1"],
+        ["verify", "--rate-tol", "nan"],
+        ["verify", "--order-cap", "0"],
+        ["analyze", "--type", "A", "--rank", "2", "--order-cap", "0"],
+        ["analyze", "--type", "A", "--rank", "2", "--order-cap", "-1"],
+        ["cosets", "--type", "A", "--rank", "2", "--order-cap", "-1"],
+    ],
+)
+def test_bad_numeric_option_is_a_usage_error(tmp_path, capsys, argv):
+    if argv[0] in ("verify", "simulate"):
+        argv = argv[:1] + ["--spec", write_system(tmp_path, np.diag([2.0, 0.0, -2.0]))] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # logging and module entry
 

@@ -19,7 +19,6 @@ from flagctrl.weyl import (
     WeylElement,
     WeylGroup,
     generate,
-    length,
     longest_coset_rep,
     subgroup,
 )
@@ -196,7 +195,7 @@ def test_evaluate_functional_exact(a2):
 def test_representative_invariance_validation(w_a2):
     spec = FlagSpec(theta=frozenset({0}), flag_type=frozenset())
     w = w_a2.identity
-    bad = next(g for g in w_a2.elements if length(g) == 3)
+    bad = next(g for g in w_a2.elements if len(g.reduced_word) == 3)
     with pytest.raises(ValueError):
         representative_invariance_check(w_a2, spec, w, bad, w_a2.identity)
     with pytest.raises(ValueError):
@@ -261,7 +260,7 @@ def test_records_sorted_and_unique_extremes(w_a3):
         for ftype in oracles.all_subsets(3):
             spec = FlagSpec(theta=theta, flag_type=ftype)
             recs = enumerate_chain_control_sets(w_a3, spec)
-            keys = [(length(r.rep), r.rep.reduced_word) for r in recs]
+            keys = [(len(r.rep.reduced_word), r.rep.reduced_word) for r in recs]
             assert keys == sorted(keys)
             assert sum(1 for r in recs if r.is_attractor) == 1
             assert sum(1 for r in recs if r.is_repeller) == 1

@@ -43,9 +43,27 @@ def test_module_all_entries_exist(module):
 
 
 def test_removed_names_are_gone():
-    from flagctrl import flagcalc
+    from flagctrl import flagcalc, rootsys, weyl
 
-    for name in ("permutation_matrix", "projective_derivative_det", "flag_from_basis", "_as_drift"):
-        assert not hasattr(sldr, name), name
+    removed = {
+        sldr: ("permutation_matrix", "projective_derivative_det", "flag_from_basis", "_as_drift"),
+        flagcalc: ("evaluate_functional",),
+        rootsys: (
+            "reflect", "pairing_value", "evaluate", "characteristic_subset", "chamber_vector",
+            "a_theta_basis", "root_system_json", "root_system_to_text", "json",
+        ),
+        weyl: (
+            "act", "act_avector", "length", "inverse", "simple_reflection_matrix",
+            "_mat_mul", "_mat_vec", "_identity_matrix", "reduce",
+        ),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert not hasattr(flagctrl, name), name
     assert not hasattr(sldr.RealizedFunctional, "exact")
-    assert not hasattr(flagcalc, "evaluate_functional")
+    assert not hasattr(rootsys.RootSystem, "sorted_roots")
+    for name in ("zero", "__add__", "scale"):
+        assert not hasattr(rootsys.AVector, name), name
+    assert not hasattr(weyl.WeylGroup, "simple_reflections")
+    assert not hasattr(weyl.WeylElement, "matrix")

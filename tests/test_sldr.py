@@ -471,6 +471,9 @@ def test_split_part_rejections():
         split_part(np.diag([1e-8, 0.0, -1e-8]))
     with pytest.raises(ValueError, match="diagonalizable"):
         split_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for gap_tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="gap_tol"):
+            split_part(np.diag([2.0, 0.0, -2.0]), gap_tol=gap_tol)
 
 
 def test_fixed_flags_are_invariant(w_a2):

@@ -6,18 +6,16 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from flagctrl.rootsys import AVector, a_theta_basis, build_root_system, pairing_value
+from flagctrl.rootsys import Root, build_root_system, form_value
 from flagctrl.weyl import (
+    WeylElement,
     WeylGroup,
-    act,
-    act_avector,
     compose,
     coset_table_json,
     double_cosets,
     generate,
-    inverse,
-    length,
     parabolic_order,
+    root_permutation,
     subgroup,
 )
 
@@ -33,6 +31,12 @@ WALKED = (
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
     ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4),
 )
+# the types whose Weyl action is checked against the oracle's matrices
+ACTED = (("A", 3), ("B", 3), ("G", 2), ("D", 4), ("F", 4))
+
+
+def image(w, root):
+    return Root(oracles.mat_vec(oracles.matrix(w), root.coords))
 
 
 @pytest.mark.parametrize("key,order", sorted(KNOWN_ORDERS.items()))
@@ -48,10 +52,10 @@ def test_order_cap(a3):
 
 def test_longest_element(w_b2, b2):
     w0 = w_b2.longest
-    assert length(w0) == len(b2.positive_roots)
+    assert len(w0.reduced_word) == len(b2.positive_roots)
     assert compose(w_b2, w0, w0).is_identity
     for r in b2.positive_roots:
-        assert not act(w0, r).is_positive
+        assert not image(w0, r).is_positive
 
 
 @pytest.mark.parametrize(
@@ -61,9 +65,9 @@ def test_longest_element_is_unique_and_negates_simple_roots(family, rank):
     rs = build_root_system(family, rank)
     group = generate(rs)
     w0 = group.longest
-    assert length(w0) == len(rs.positive_roots)
-    assert {act(w0, a) for a in rs.simple_roots} == {-a for a in rs.simple_roots}
-    lengths = [length(w) for w in group.elements]
+    assert len(w0.reduced_word) == len(rs.positive_roots)
+    assert {image(w0, a) for a in rs.simple_roots} == {-a for a in rs.simple_roots}
+    lengths = [len(w.reduced_word) for w in group.elements]
     assert lengths.count(max(lengths)) == 1
     assert group.elements[-1] == w0
 
@@ -74,7 +78,7 @@ def test_elements_match_walk(family, rank):
     group = generate(rs)
     walked = oracles.walk(rs)
     assert [w.reduced_word for w in group.elements] == [w.reduced_word for w in walked.values()]
-    assert [w.matrix for w in group.elements] == list(walked)
+    assert [oracles.matrix(w) for w in group.elements] == list(walked)
     assert group.longest.reduced_word == next(reversed(walked.values())).reduced_word
 
 
@@ -89,11 +93,31 @@ def test_compose_inverse_match_walk(family, rank):
     rng = random.Random(14)
     for _ in range(300):
         a, b = rng.choice(members), rng.choice(members)
-        ab = walked[oracles.mat_mul(a.matrix, b.matrix)]
+        ab = walked[oracles.mat_mul(oracles.matrix(a), oracles.matrix(b))]
         assert compose(group, a, b).reduced_word == ab.reduced_word
-        # the inverse spells the word backwards
+        # the word spelled backwards, stripped to the inverse's least word
         back = reduce(oracles.mat_mul, (gens[i] for i in reversed(a.reduced_word)), ident)
-        assert inverse(group, a).reduced_word == walked[back].reduced_word
+        inv = compose(group, WeylElement(a.reduced_word[::-1], rs), group.identity)
+        assert inv.reduced_word == walked[back].reduced_word
+
+
+@pytest.mark.parametrize("family,rank", ACTED)
+def test_equality_is_matrix_equality(family, rank):
+    # any word, reduced or not, equals and hashes as the walked element of its
+    # matrix, and no other
+    rs = build_root_system(family, rank)
+    walked = oracles.walk(rs)
+    members = list(walked.values())
+    rng = random.Random(17)
+    for _ in range(200):
+        w = WeylElement(tuple(rng.randrange(rank) for _ in range(rng.randrange(12))), rs)
+        same = walked[oracles.matrix(w)]
+        other = rng.choice(members)
+        assert w == same and hash(w) == hash(same)
+        assert (w == other) == (other is same)
+    # elements of two systems are equal only under one Cartan matrix
+    twin = build_root_system("C" if family == "B" else family, rank)
+    assert (WeylElement((0,), rs) == WeylElement((0,), twin)) == (twin.cartan == rs.cartan)
 
 
 def test_reduced_words_lex_least_a2(w_a2):
@@ -103,32 +127,43 @@ def test_reduced_words_lex_least_a2(w_a2):
 
 def test_identity_and_reflections(w_a3, a3):
     assert w_a3.identity.is_identity
-    for i, s in enumerate(w_a3.simple_reflections):
-        assert length(s) == 1
-        assert act(s, a3.simple_roots[i]) == -a3.simple_roots[i]
+    for i, a in enumerate(a3.simple_roots):
+        s = WeylElement((i,), a3)
+        assert image(s, a) == -a
         assert compose(w_a3, s, s).is_identity
 
 
 def test_length_equals_inversion_count(w_b2, w_a3):
     for group in (w_b2, w_a3):
         for w in group.elements:
-            assert length(w) == len(oracles.inversion_set(group, w))
+            assert len(w.reduced_word) == len(oracles.inversion_set(group, w))
 
 
 def test_action_preserves_roots_and_form(w_g2, g2):
+    roots = g2.index.roots
     for w in w_g2.elements:
-        for r in g2.roots:
-            assert act(w, r) in g2.roots
-        for a in g2.simple_roots:
-            for b in g2.simple_roots:
-                assert pairing_value(g2, act(w, a), act(w, b)) == pairing_value(g2, a, b)
+        perm = root_permutation(g2, w)
+        assert sorted(perm) == list(range(len(roots)))
+        for a, pa in zip(roots, perm):
+            for b, pb in zip(roots, perm):
+                pair = form_value(g2, roots[pa].coords, roots[pb].coords)
+                assert pair == form_value(g2, a.coords, b.coords)
 
 
-def test_avector_action_matches_root_action(w_a3, a3):
-    # duals transform exactly like their roots
-    for w in w_a3.elements:
-        for r in a3.roots:
-            assert act_avector(w, AVector.from_root(r)) == AVector.from_root(act(w, r))
+@pytest.mark.parametrize("family,rank", ACTED)
+def test_root_permutation_matches_matrix(family, rank):
+    rs = build_root_system(family, rank)
+    group = generate(rs)
+    index = rs.index
+    for w in group.elements:
+        perm = root_permutation(rs, w)
+        assert [index.roots[k] for k in perm] == [image(w, r) for r in index.roots]
+    # the longest element negates the positive roots, s_i negates a_i
+    perm = root_permutation(rs, group.longest)
+    assert all(index.sign[perm[k]] < 0 for k in index.positive_positions)
+    for i, a in enumerate(rs.simple_roots):
+        k = index.position[a.coords]
+        assert root_permutation(rs, WeylElement((i,), rs))[k] == index.neg[k]
 
 
 @given(st.integers(0, 23), st.integers(0, 23))
@@ -137,15 +172,21 @@ def test_compose_inverse_group_laws(i, j):
     a = group.elements[i]
     b = group.elements[j]
     ab = compose(group, a, b)
-    assert compose(group, ab, inverse(group, b)) == a
-    assert compose(group, inverse(group, a), ab) == b
+    # a reduced word spelled backwards is one of the inverse
+    a_inv, b_inv = (WeylElement(w.reduced_word[::-1], group.system) for w in (a, b))
+    assert compose(group, ab, b_inv) == a
+    assert compose(group, a_inv, ab) == b
 
 
 def test_inverse_properties(w_b2):
+    elements = set(w_b2.elements)
     for w in w_b2.elements:
-        wi = inverse(w_b2, w)
+        wi = WeylElement(w.reduced_word[::-1], w_b2.system)
+        # the backward word equals, and hashes as, the group's element
+        canonical = compose(w_b2, wi, w_b2.identity)
+        assert wi == canonical and hash(wi) == hash(canonical) and wi in elements
         assert compose(w_b2, w, wi).is_identity
-        assert length(wi) == length(w)
+        assert len(canonical.reduced_word) == len(w.reduced_word)
 
 
 def test_subgroup_sizes(w_a3):
@@ -167,11 +208,8 @@ def test_subgroup_matches_brute_force():
         for theta in oracles.all_subsets(rank):
             members = subgroup(group, theta)
             expected = oracles.subgroup_elements(group, theta)
-            assert {w.reduced_word for w in members} == {w.reduced_word for w in expected}
-            assert members == expected
-            # every member fixes the annihilator of theta pointwise
-            fixed = a_theta_basis(rs, theta)
-            assert all(act_avector(w, h) == h for w in members for h in fixed)
+            assert {w.reduced_word for w in members} == expected
+            assert len(members) == len(expected)
 
 
 def test_oracles_do_not_use_the_orbit_code():
@@ -180,7 +218,7 @@ def test_oracles_do_not_use_the_orbit_code():
         tree = ast.parse(fh.read())
     banned = {
         "double_cosets", "longest_coset_rep", "_canonical", "compose", "inverse", "subgroup",
-        "elements", "longest",
+        "elements", "longest", "rho_image",
     }
     names = set()
     for node in ast.walk(tree):
@@ -205,8 +243,8 @@ D4_F4_PAIRS = tuple(
 )
 
 
-def shortlex(w):
-    return (length(w), w.reduced_word)
+def shortlex(word):
+    return (len(word), word)
 
 
 def test_double_cosets_partition(w_a3, w_g2, w_b3, w_c3, w_a4, w_d4, w_f4):
@@ -228,10 +266,10 @@ def test_double_cosets_partition(w_a3, w_g2, w_b3, w_c3, w_a4, w_d4, w_f4):
             assert len(cosets) == len(partition)
             seen = set()
             for c, members in zip(cosets, partition):
-                assert c.rep in members
+                assert c.rep.reduced_word in members
                 assert c.size == len(members)
                 # representative is minimal in its coset
-                assert all(shortlex(c.rep) <= shortlex(m) for m in members)
+                assert all(shortlex(c.rep.reduced_word) <= shortlex(m) for m in members)
                 assert not (seen & members)
                 seen |= members
             assert len(seen) == group.order
