@@ -4,7 +4,8 @@
 Takes diagonal entries (or a random seed), classifies every chain control
 set on the requested flag manifold, then measures cocycle slopes, subbundle
 exponents and the Jacobian determinant identity against the exact
-predictions.
+predictions.  A refused input or a failed measurement prints one
+``error: ...`` line on stderr and exits 2, with nothing on stdout.
 
 Example:
     python3 scripts/rate_experiment.py --diag 2,0,-2 --theta 0 --T 20
@@ -12,19 +13,14 @@ Example:
 """
 
 import argparse
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from flagctrl.checks import check_records, value
 from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
-from flagctrl.sldr import (
-    Drift,
-    determinant_formula_residuals,
-    fixed_flags,
-    random_traceless,
-    type_a_system,
-    verify_rates,
-)
+from flagctrl.sldr import Drift, random_traceless, type_a_system
 from flagctrl.weyl import generate
 
 
@@ -59,8 +55,9 @@ def parse_args() -> ExperimentConfig:
     return ExperimentConfig(x=x, theta=theta, T=args.T, gap_tol=args.gap_tol)
 
 
-def main() -> None:
-    cfg = parse_args()
+def report(cfg: ExperimentConfig) -> list[str]:
+    """The experiment's output lines; raises ValueError on a refused input
+    or a failed measurement, before any line is printed."""
     drift = Drift(cfg.x, gap_tol=cfg.gap_tol)
     sp = drift.split
     d = drift.dim
@@ -68,38 +65,50 @@ def main() -> None:
     group = generate(rs)
     spec = FlagSpec(theta=cfg.theta, flag_type=sp.theta)
     spec.validate(rs)
-    print(f"SL({d}) generator, ordered real parts {np.round(sp.h, 6).tolist()}")
-    print(f"flow type {sorted(sp.theta)}, flag theta {sorted(cfg.theta)}")
+    out = [
+        f"SL({d}) generator, ordered real parts {np.round(sp.h, 6).tolist()}",
+        f"flow type {sorted(sp.theta)}, flag theta {sorted(cfg.theta)}",
+    ]
 
     records = enumerate_chain_control_sets(group, spec)
-    print(f"{len(records)} chain control sets\n")
-    for rec in records:
+    out.append(f"{len(records)} chain control sets\n")
+    checked = check_records(drift, spec, records, cfg.T, cfg.det_times)
+    for rec, (skip, _, determinant, rates) in zip(records, checked):
         word = "(" + ",".join(str(i) for i in rec.rep.reduced_word) + ")"
-        print(f"record {word}  s/c/u {rec.dim_stable}/{rec.dim_center}/{rec.dim_unstable}"
-              f"  {'hyperbolic' if rec.hyperbolic else 'non-hyperbolic'}")
-        try:
-            fixed_flags(drift, cfg.theta, rec.rep)
-        except ValueError as exc:
-            print(f"  skipped: {exc}\n")
+        out.append(f"record {word}  s/c/u {rec.dim_stable}/{rec.dim_center}/{rec.dim_unstable}"
+                   f"  {'hyperbolic' if rec.hyperbolic else 'non-hyperbolic'}")
+        if skip is not None:
+            out.append(f"  skipped: {skip}\n")
             continue
-        rep = verify_rates(drift, spec, rec, cfg.T)
-        print(f"  stable    predicted {rep.stable_predicted}")
-        print(f"            measured  {tuple(round(v, 9) for v in rep.stable_measured)}")
-        print(f"  unstable  predicted {rep.unstable_predicted}")
-        print(f"            measured  {tuple(round(v, 9) for v in rep.unstable_measured)}")
+        rep = value(rates)
+        out.append(f"  stable    predicted {rep.stable_predicted}")
+        out.append(f"            measured  {tuple(round(v, 9) for v in rep.stable_measured)}")
+        out.append(f"  unstable  predicted {rep.unstable_predicted}")
+        out.append(f"            measured  {tuple(round(v, 9) for v in rep.unstable_measured)}")
         if rep.center_range is not None:
             lo, hi = rep.center_range
-            print(f"  center slope band [{lo:.3e}, {hi:.3e}]")
-        print(f"  worst exponent rel error {rep.max_exponent_rel_error:.3e},"
-              f" growth floor mu {rep.mu_estimate:.4f}")
+            out.append(f"  center slope band [{lo:.3e}, {hi:.3e}]")
+        out.append(f"  worst exponent rel error {rep.max_exponent_rel_error:.3e},"
+                   f" growth floor mu {rep.mu_estimate:.4f}")
         if rec.hyperbolic:
             worst = 0.0
-            for t in cfg.det_times:
-                worst = max(worst, *determinant_formula_residuals(drift, spec, rec, t))
-            print(f"  determinant identity worst residual {worst:.3e}"
-                  f" over t in {list(cfg.det_times)}")
-        print()
+            for residuals in determinant:
+                worst = max(worst, *value(residuals))
+            out.append(f"  determinant identity worst residual {worst:.3e}"
+                       f" over t in {list(cfg.det_times)}")
+        out.append("")
+    return out
+
+
+def main() -> int:
+    try:
+        lines = report(parse_args())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -192,16 +192,8 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .sldr import (
-        Drift,
-        determinant_formula_residuals,
-        fixed_flags,
-        flag_act,
-        flag_distance,
-        load_system,
-        type_a_system,
-        verify_rates,
-    )
+    from .checks import check_records, value
+    from .sldr import Drift, load_system, type_a_system
 
     sysspec = load_system(args.spec)
     drift = Drift(sysspec.drift, gap_tol=args.gap_tol)
@@ -218,56 +210,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sorted(args.theta),
     )
     det_times = [t for t in (0.5, 1.0, 2.0) if t <= args.T + 1e-12]
-    passed = failed = 0
-    lines = []
+    lines, verdicts = [], []
 
     def check(label: str, ok: bool, detail: str) -> None:
-        nonlocal passed, failed
-        if ok:
-            passed += 1
-        else:
-            failed += 1
+        verdicts.append(ok)
         lines.append(f"{label}: {detail} -> {'PASS' if ok else 'FAIL'}")
 
-    psi_half = drift.expm(0.5)
-    for rec in records:
-        word = "(" + ",".join(str(i) for i in rec.rep.reduced_word) + ")"
-        label = f"record {word}"
-        try:
-            xw = fixed_flags(drift, fspec.theta, rec.rep)
-        except ValueError as exc:
-            lines.append(f"{label}: skipped ({exc})")
+    # every record is checked before anything is written: the first error,
+    # in record order, ends the command with stdout empty
+    checked = check_records(drift, fspec, records, args.T, det_times)
+    for rec, (skip, flag_drift, determinant, rates) in zip(records, checked):
+        label = "record (" + ",".join(str(i) for i in rec.rep.reduced_word) + ")"
+        if skip is not None:
+            lines.append(f"{label}: skipped ({skip})")
             continue
-        dist = flag_distance(flag_act(psi_half, xw), xw)
+        dist = value(flag_drift)
         check(label, dist <= 1e-9, f"fixed-flag drift {dist:.3e}")
         if rec.hyperbolic:
-            for t in det_times:
-                res_u, res_s = determinant_formula_residuals(drift, fspec, rec, t)
-                check(
-                    label,
-                    max(res_u, res_s) <= args.tol,
-                    f"determinant identity t={t:g} residuals {res_u:.3e}/{res_s:.3e}",
-                )
+            for t, residuals in zip(det_times, determinant):
+                res_u, res_s = value(residuals)
+                detail = f"determinant identity t={t:g} residuals {res_u:.3e}/{res_s:.3e}"
+                check(label, max(res_u, res_s) <= args.tol, detail)
         else:
             lines.append(f"{label}: determinant identity skipped (non-hyperbolic)")
-        report = verify_rates(drift, fspec, rec, args.T)
-        check(
-            label,
-            report.max_exponent_rel_error <= args.rate_tol and report.mu_estimate > 0,
-            f"exponent error {report.max_exponent_rel_error:.3e}, "
-            f"mu {report.mu_estimate:.4f}",
-        )
+        report = value(rates)
+        ok = report.max_exponent_rel_error <= args.rate_tol and report.mu_estimate > 0
+        detail = f"exponent error {report.max_exponent_rel_error:.3e}, mu {report.mu_estimate:.4f}"
+        check(label, ok, detail)
         if report.center_range is not None:
             lo, hi = report.center_range
             lines.append(f"{label}: center slope band [{lo:.3e}, {hi:.3e}]")
-    lines.append(f"verify: {passed}/{passed + failed} checks passed")
+    lines.append(f"verify: {sum(verdicts)}/{len(verdicts)} checks passed")
     sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if failed == 0 else 1
+    return 0 if all(verdicts) else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    import numpy as np
-
+    # sldr before numpy: compiled from source before numpy loads, it does not
+    # raise the peak memory
     from .sldr import (
         Polytope,
         cocycle_sample,
@@ -277,6 +257,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         random_signal,
         standard_flag,
     )
+
+    import numpy as np
 
     sysspec = load_system(args.spec)
     if isinstance(sysspec.control_range, Polytope):

@@ -15,7 +15,7 @@ positions (i, j) in row-major order (``_lower_index``); k vectors are a
 k x nnz array of rows.  The Euclidean metric on these coordinates is the
 Frobenius (trace form) metric on X; determinant ratios and growth
 exponents are independent of that scale choice.  Every transport is the
-nnz x nnz matrix of X -> lower(a X a^-1) (``_tangent_map``).
+nnz x nnz matrix of X -> lower(a X a^-1) (``checks._tangent_map``).
 
 The dictionary to the abstract side is the type A one: the i-th simple
 root evaluates a diagonal vector ``h`` as ``h[i] - h[i+1]``, and abstract
@@ -49,7 +49,6 @@ __all__ = [
     "Trajectory",
     "SplitPart",
     "Drift",
-    "RealizationSplit",
     "RateReport",
     "CocycleSample",
     "iwasawa",
@@ -73,7 +72,6 @@ __all__ = [
     "RealizedFunctional",
     "split_part",
     "fixed_flags",
-    "invariant_realizations",
     "determinant_formula_residuals",
     "verify_rates",
     "cocycle_sample",
@@ -112,20 +110,21 @@ class IwasawaTriple:
 
 
 def _qr_pos(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # QR with the triangular factor's diagonal made positive
+    # QR with the triangular factor's diagonal made positive, of a matrix or
+    # of each matrix in a stack
     q, r = np.linalg.qr(g)
-    s = np.sign(np.diag(r)).copy()
+    s = np.sign(r.diagonal(0, -2, -1)).copy()
     s[s == 0] = 1.0
-    return q * s, s[:, None] * r
+    return q * s[..., None, :], s[..., None] * r
 
 
 def _qr_special(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # sign-fixed QR with a determinant +1 orthogonal factor; the last column
     # of q and the last row of r flip together, so q @ r still equals g
     q, r = _qr_pos(g)
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-        r[-1, :] = -r[-1, :]
+    flip = np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
+    q[..., -1] *= flip
+    r[..., -1, :] *= flip
     return q, r
 
 
@@ -184,6 +183,16 @@ def blocks_from_theta(theta: Iterable[int], d: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def _block_index(blocks: tuple[int, ...]) -> np.ndarray:
+    return np.repeat(np.arange(len(blocks)), blocks)
+
+
+def _lower_index(blocks: tuple[int, ...]) -> np.ndarray:
+    # row-major flat indices of the tangent coordinates' positions
+    bid = _block_index(blocks)
+    return np.flatnonzero(bid[:, None] > bid[None, :])
+
+
 @dataclass(frozen=True, eq=False)
 class FlagPoint:
     """A flag as a special orthogonal frame plus nested block sizes."""
@@ -230,14 +239,17 @@ def flag_distance(x: FlagPoint, y: FlagPoint) -> float:
     """Largest spectral gap between corresponding subspace projectors."""
     if x.blocks != y.blocks:
         raise ValueError("flags live on different manifolds")
-    out = 0.0
-    cut = 0
-    for b in x.blocks[:-1]:
-        cut += b
-        px = x.rep[:, :cut] @ x.rep[:, :cut].T
-        py = y.rep[:, :cut] @ y.rep[:, :cut].T
-        out = max(out, float(np.linalg.norm(px - py, 2)))
-    return out
+    return _flag_distances(x.rep[None], y.rep[None], x.blocks)[0]
+
+
+def _flag_distances(a: np.ndarray, b: np.ndarray, blocks: tuple[int, ...]) -> list[float]:
+    # flag_distance between corresponding frames of two stacks
+    gaps = [[0.0] * len(a)]
+    for cut in np.cumsum(blocks[:-1]).tolist():
+        p, q = a[..., :cut], b[..., :cut]
+        projector_gaps = p @ np.swapaxes(p, -1, -2) - q @ np.swapaxes(q, -1, -2)
+        gaps.append(np.linalg.norm(projector_gaps, 2, axis=(-2, -1)).tolist())
+    return [max(column) for column in zip(*gaps)]
 
 
 def a_cocycle(
@@ -852,104 +864,13 @@ def fixed_flags(drift: Drift, theta: Iterable[int], w: WeylElement) -> FlagPoint
 
     Built by permuting the ordered eigenbasis columns and orthonormalizing;
     leading spans of eigenvector prefixes are invariant under the flow.
+    Given a list of elements, realizes their cells as one batch (``checks``)
+    and returns, per element, its flag or the ValueError saying why it has
+    none; so do the two checks below on a list of records.
     """
-    return drift._cell(theta, w)[0]
+    from . import checks
 
-
-# ---------------------------------------------------------------------------
-# Horizontal tangent model and derivatives
-
-
-def _block_index(blocks: tuple[int, ...]) -> np.ndarray:
-    return np.repeat(np.arange(len(blocks)), blocks)
-
-
-def _lower_index(blocks: tuple[int, ...]) -> np.ndarray:
-    # row-major flat indices of the tangent coordinates' positions
-    bid = _block_index(blocks)
-    return np.flatnonzero(bid[:, None] > bid[None, :])
-
-
-def _tangent_map(a: np.ndarray, a_inv: np.ndarray, blocks: tuple[int, ...]) -> np.ndarray:
-    """The nnz x nnz matrix of X -> lower(a X a^-1) on tangent coordinates:
-    row-major vec(a X b) = kron(a, b^T) vec(X), restricted to the positions."""
-    idx = _lower_index(blocks)
-    return np.kron(a, a_inv.T)[np.ix_(idx, idx)]
-
-
-def _flow_tangent_map(psi: np.ndarray, x: FlagPoint) -> np.ndarray:
-    # the derivative of the flag action of psi at x, in the frames of x and
-    # of its image: the tangent map of the triangular factor of psi x.rep
-    # (solve pivots on the diagonal of a triangular r: back substitution)
-    _, r = _qr_pos(np.asarray(psi, dtype=float) @ x.rep)
-    return _tangent_map(r, np.linalg.solve(r, np.eye(len(r))), x.blocks)
-
-
-def _volume(tangent_map: np.ndarray, basis: np.ndarray) -> float:
-    images = basis @ tangent_map.T
-    return math.sqrt(max(float(np.linalg.det(images @ images.T)), 0.0))
-
-
-@dataclass(frozen=True, eq=False)
-class RealizationSplit:
-    """The three invariant subbundles at a fixed flag, with the predicted
-    growth exponent multisets.
-
-    Each subbundle is a read-only k x nnz array whose orthonormal rows are
-    tangent coordinates in the row-major order of the module docstring.
-    """
-
-    stable: np.ndarray
-    center: np.ndarray
-    unstable: np.ndarray
-    stable_exponents: tuple[float, ...]
-    center_exponents: tuple[float, ...]
-    unstable_exponents: tuple[float, ...]
-
-
-def invariant_realizations(drift: Drift, theta: Iterable[int], w: WeylElement) -> RealizationSplit:
-    """Stable, center and unstable tangent realizations at the fixed flag of ``w``."""
-    return drift._cell(theta, w)[1]
-
-
-def _realize_cell(
-    sp: SplitPart, theta: frozenset[int], w: WeylElement
-) -> tuple[FlagPoint, RealizationSplit]:
-    """Fixed flag and tangent realizations of the cell of ``w``.
-
-    Position (i, j) grows at h_i - h_j in the permuted eigenbasis; its
-    realization is the matching column of the tangent map of that basis's
-    triangular factor.  Rejects arrangements that cut a complex conjugate
-    pair across flag blocks: only whole pair planes are flow invariant, so
-    such a cell has no fixed flag and no invariant tangent splitting.
-    """
-    d = len(sp.h)
-    blocks = blocks_from_theta(theta, d)
-    sigma = np.arange(d)  # flag position j holds eigen position sigma[j]
-    for i in w.reduced_word:
-        sigma[[i, i + 1]] = sigma[[i + 1, i]]  # right multiplication by a transposition
-    bid = _block_index(blocks)[np.argsort(sigma)]  # block of each eigen position
-    for a, b in sp.complex_pairs:
-        if bid[a] != bid[b]:
-            raise ValueError(
-                f"cell of word {w.reduced_word} splits a complex eigenvalue pair "
-                "across flag blocks; the generator fixes no flag there"
-            )
-    q, r = _qr_special(sp.basis[:, sigma])
-    rows, cols = np.divmod(_lower_index(blocks), d)
-    hw = sp.h[sigma]
-    gid = np.asarray(sp.group_ids)[sigma]
-    lam = hw[rows] - hw[cols]
-    center = gid[rows] == gid[cols]
-    images = _tangent_map(r, np.linalg.solve(r, np.eye(d)), blocks)
-
-    def subbundle(sel: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
-        coords = np.linalg.qr(images[:, sel])[0].T
-        coords.flags.writeable = False
-        return coords, tuple(sorted(lam[sel].tolist()))
-
-    (sv, se), (cv, ce), (uv, ue) = map(subbundle, (~center & (lam <= 0), center, ~center & (lam > 0)))
-    return flag_point(q, blocks), RealizationSplit(sv, cv, uv, se, ce, ue)
+    return checks.batch(checks._flags, drift, theta, w)
 
 
 # ---------------------------------------------------------------------------
@@ -962,9 +883,9 @@ class Drift:
 
     ``x`` is split once with ``gap_tol`` (see ``split_part``); ``frame`` is
     the attractor flag of its ordered eigenbasis.  exp(t x) is computed once
-    per distinct t and the attractor-frame cocycle once per horizon.  Only
-    the most recent Weyl cell's fixed flag and tangent realization are kept,
-    so memory does not grow over a sweep of records.
+    per distinct t and the cocycle slopes once per horizon.  Only the cells
+    of the latest batch of Weyl elements are kept, so memory does not grow
+    over a sweep of records: ``verify`` checks them ``checks.CHUNK`` at a time.
     """
 
     x: np.ndarray
@@ -972,7 +893,7 @@ class Drift:
     split: SplitPart = field(init=False)
     frame: FlagPoint = field(init=False)
     _memo: dict = field(init=False, default_factory=dict, repr=False)
-    _cell_memo: dict = field(init=False, default_factory=dict, repr=False)
+    _cells_memo: list = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         x = np.array(self.x, dtype=float)
@@ -980,7 +901,11 @@ class Drift:
         sp = split_part(x, gap_tol=self.gap_tol)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "split", sp)
-        object.__setattr__(self, "frame", flag_point(_qr_special(sp.basis)[0], (1,) * len(sp.h)))
+        # a QR factor, special orthogonal as built; flag_point's rep.T @ rep check
+        # would be verify's only BLAS syrk call, whose first use alone lifts its peak RSS
+        frame = _qr_special(sp.basis)[0]
+        frame.flags.writeable = False
+        object.__setattr__(self, "frame", FlagPoint(rep=frame, blocks=(1,) * len(sp.h)))
 
     @property
     def dim(self) -> int:
@@ -1029,18 +954,16 @@ class Drift:
 
         return self._once(("rates", T), compute)
 
-    def _cell(self, theta: Iterable[int], w: WeylElement) -> tuple[FlagPoint, RealizationSplit]:
-        # checked before the memo, which is keyed on the word alone: the word
-        # does not name its root system
-        rs = w.system
-        if rs.family != "A" or rs.rank != self.dim - 1:
-            raise ValueError(f"root system {rs.lie_type} does not match SL({self.dim})")
-        key = (frozenset(theta), w.reduced_word)
-        if key not in self._cell_memo:
-            cell = _realize_cell(self.split, key[0], w)
-            self._cell_memo.clear()
-            self._cell_memo[key] = cell
-        return self._cell_memo[key]
+    def _cells(self, theta: Iterable[int], elements: list[WeylElement]):
+        # checks.realize of the latest batch only, matched by identity: hashing an element
+        # would compute and keep its w(rho)
+        from . import checks
+
+        theta, held = frozenset(theta), self._cells_memo
+        same = held and held[0] == theta and len(held[1]) == len(elements)
+        if not (same and all(a is b for a, b in zip(held[1], elements))):
+            held[:] = theta, list(elements), checks.realize(self, theta, elements)
+        return held[2]
 
 
 def _check_flow_type(drift: Drift, spec: FlagSpec) -> None:
@@ -1052,31 +975,21 @@ def _check_flow_type(drift: Drift, spec: FlagSpec) -> None:
 
 
 def determinant_formula_residuals(
-    drift: Drift,
-    spec: FlagSpec,
-    record: ChainControlSetRecord,
-    t: float,
+    drift: Drift, spec: FlagSpec, record: ChainControlSetRecord, t: float
 ) -> tuple[float, float]:
     """Relative defects of the Jacobian determinant identity at time ``t``.
 
     Left side: Gram volume of the flow derivative on the unstable (stable)
     realization at the record's fixed flag.  Right side: exponential of the
     record's growth functional evaluated on the cocycle of the adapted
-    frame.  Returns (unstable defect, stable defect).
+    frame.  Returns (unstable defect, stable defect); on a list of records,
+    None for one that is not hyperbolic.
     """
-    if not record.hyperbolic:
+    if isinstance(record, ChainControlSetRecord) and not record.hyperbolic:
         raise ValueError("the determinant identity requires a hyperbolic record")
-    _check_flow_type(drift, spec)
-    psi = drift.expm(t)
-    avec = drift._once(("a", t), lambda: a_cocycle(psi, drift.frame, cond_max=None))
-    xw, real = drift._cell(spec.theta, record.rep)
-    tangent_map = _flow_tangent_map(psi, xw)
-    out = []
-    for sig, basis in ((record.sigma_plus, real.unstable), (record.sigma_minus, real.stable)):
-        lhs = _volume(tangent_map, basis)
-        rhs = math.exp(realize_functional(sig, drift.dim)(avec))
-        out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    return out[0], out[1]
+    from . import checks
+
+    return checks.batch(checks._determinants, drift, spec.theta, record, spec, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1106,63 +1019,9 @@ def verify_rates(
     A non-hyperbolic record also gets the slope band of its center
     realization.
     """
-    if T < 1.0:
-        raise ValueError("need a horizon of at least 1")
-    _check_flow_type(drift, spec)
-    roots, predicted, measured, mu = drift._horizon_rates(T)
+    from . import checks
 
-    # subbundle exponents from singular values of powered short-time maps
-    xw, real = drift._cell(spec.theta, record.rep)
-    step = 0.25
-    m_step = xw.rep.T @ drift.expm(step) @ xw.rep
-    m_inv = xw.rep.T @ drift.expm(-step) @ xw.rep
-    tangent_map = _tangent_map(m_step, m_inv, xw.blocks)
-    n_pow = max(1, int(round(T / step)))
-    horizon = n_pow * step
-
-    def log_singular_values(powered: np.ndarray) -> np.ndarray:
-        finite = np.isfinite(powered).all()
-        sv = linalg.singular_values(powered) if finite else None
-        if not finite or not (np.isfinite(sv).all() and sv.min() > 0):
-            raise ValueError(
-                f"record {record.rep.reduced_word}: the powered short-time map leaves "
-                f"double range over horizon {horizon:g}; shorten --T"
-            )
-        return np.log(sv)
-
-    def measured_exponents(basis: np.ndarray) -> tuple[float, ...]:
-        if not len(basis):
-            return ()
-        powered = np.linalg.matrix_power(basis @ tangent_map @ basis.T, n_pow)
-        return tuple(sorted((log_singular_values(powered) / horizon).tolist()))
-
-    # an overflowing power is rejected as non-finite, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        stable_meas = measured_exponents(real.stable)
-        unstable_meas = measured_exponents(real.unstable)
-        center_range: tuple[float, float] | None = None
-        if len(real.center):
-            powers = [real.center @ tangent_map @ real.center.T]
-            for _ in range(n_pow - 1):
-                powers.append(powers[0] @ powers[-1])
-            logs = log_singular_values(np.stack(powers)) / (step * np.arange(1, n_pow + 1))[:, None]
-            center_range = (float(logs.min()), float(logs.max()))
-
-    pairs = zip(real.stable_exponents + real.unstable_exponents, stable_meas + unstable_meas)
-    rel = max((abs(m - p) / max(abs(p), 1e-12) for p, m in pairs), default=0.0)
-
-    return RateReport(
-        positive_roots=roots,
-        cocycle_predicted=predicted,
-        cocycle_measured=measured,
-        mu_estimate=mu,
-        stable_predicted=real.stable_exponents,
-        stable_measured=stable_meas,
-        unstable_predicted=real.unstable_exponents,
-        unstable_measured=unstable_meas,
-        center_range=center_range,
-        max_exponent_rel_error=float(rel),
-    )
+    return checks.batch(checks._rates, drift, spec.theta, record, spec, T)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ weight orbit, an element's matrix is the product along its word
 (``matrix``), cells are classified from raw integer matrix arithmetic on
 root coordinates only, the cocycle along a controlled flow is refactored
 after every integrator step, and tangent realizations and their volumes
-are built one elementary d x d matrix at a time.
+are built one elementary d x d matrix at a time.  The ``loop_*`` functions
+are the one-record-at-a-time realization and checks that the stacked ones
+replaced, transports through ``np.kron`` included: the stacked checks must
+reproduce their every bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from operator import mul
 import numpy as np
 import scipy.linalg
 
+from flagctrl import linalg, sldr
 from flagctrl.rootsys import Root, RootSystem
 from flagctrl.weyl import WeylElement, WeylGroup
 
@@ -396,3 +400,67 @@ def gram_volume(psi: np.ndarray, frame: np.ndarray, blocks: tuple[int, ...], vec
     images = [(r @ b @ rinv) * mask for b in vecs]
     gram = np.array([[float(np.sum(a * b)) for b in images] for a in images])
     return math.sqrt(max(float(np.linalg.det(gram)), 0.0))
+
+
+def kron_tangent_map(a: np.ndarray, a_inv: np.ndarray, blocks: tuple[int, ...]) -> np.ndarray:
+    """X -> lower(a X a^-1) as row-major vec(a X b) = kron(a, b^T) vec(X),
+    restricted to the tangent positions."""
+    idx = sldr._lower_index(blocks)
+    return np.kron(a, a_inv.T)[np.ix_(idx, idx)]
+
+
+def loop_cell(drift, blocks: tuple[int, ...], w: WeylElement):
+    """One cell's frame and its (stable, center, unstable) pairs of
+    coordinate rows and sorted exponents."""
+    sp, d = drift.split, drift.dim
+    sigma = np.arange(d)
+    for i in w.reduced_word:
+        sigma[[i, i + 1]] = sigma[[i + 1, i]]
+    q, r = sldr._qr_special(sp.basis[:, sigma])
+    rows, cols = np.divmod(sldr._lower_index(blocks), d)
+    hw, gid = sp.h[sigma], np.asarray(sp.group_ids)[sigma]
+    lam, center = hw[rows] - hw[cols], gid[rows] == gid[cols]
+    images = kron_tangent_map(r, np.linalg.solve(r, np.eye(d)), blocks)
+    masks = (~center & (lam <= 0), center, ~center & (lam > 0))
+    return q, [(np.linalg.qr(images[:, sel])[0].T, tuple(sorted(lam[sel].tolist()))) for sel in masks]
+
+
+def loop_determinant_residuals(drift, blocks: tuple[int, ...], record, t: float) -> tuple[float, float]:
+    psi = drift.expm(t)
+    avec = sldr.a_cocycle(psi, drift.frame, cond_max=None)
+    frame, bundles = loop_cell(drift, blocks, record.rep)
+    _, r = sldr._qr_pos(psi @ frame)
+    tangent_map = kron_tangent_map(r, np.linalg.solve(r, np.eye(len(r))), blocks)
+    out = []
+    for sig, (basis, _) in ((record.sigma_plus, bundles[2]), (record.sigma_minus, bundles[0])):
+        images = basis @ tangent_map.T
+        lhs = math.sqrt(max(float(np.linalg.det(images @ images.T)), 0.0))
+        rhs = math.exp(sldr.realize_functional(sig, drift.dim)(avec))
+        out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
+    return out[0], out[1]
+
+
+def loop_rate_exponents(drift, blocks: tuple[int, ...], record, T: float):
+    """Measured stable and unstable exponents and the center band, from
+    powers of the short-time map at time 0.25 (inputs in double range)."""
+    frame, ((stable, _), (center, _), (unstable, _)) = loop_cell(drift, blocks, record.rep)
+    step = 0.25
+    tangent_map = kron_tangent_map(
+        frame.T @ drift.expm(step) @ frame, frame.T @ drift.expm(-step) @ frame, blocks
+    )
+    n_pow = max(1, int(round(T / step)))
+
+    def measured(basis):
+        if not len(basis):
+            return ()
+        powered = np.linalg.matrix_power(basis @ tangent_map @ basis.T, n_pow)
+        return tuple(sorted((np.log(linalg.singular_values(powered)) / (n_pow * step)).tolist()))
+
+    band = None
+    if len(center):
+        powers = [center @ tangent_map @ center.T]
+        for _ in range(n_pow - 1):
+            powers.append(powers[0] @ powers[-1])
+        logs = np.log(linalg.singular_values(np.stack(powers))) / (step * np.arange(1, n_pow + 1))[:, None]
+        band = (float(logs.min()), float(logs.max()))
+    return measured(stable), measured(unstable), band

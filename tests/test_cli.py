@@ -270,7 +270,24 @@ def test_verify_rejects_powered_map_out_of_double_range(tmp_path, capsys):
     path = write_system(tmp_path, np.diag([13.0, 0.0, -13.0]))
     rc, out, err = run(capsys, ["verify", "--spec", path, "--T", "30"])
     assert (rc, out) == (2, "")
-    assert err.startswith("error: record (") and "leaves double range" in err
+    assert err == (
+        "error: record (): the powered short-time map leaves double range over horizon 30; "
+        "shorten --T\n"
+    )
+
+
+def test_verify_names_the_first_failing_record(tmp_path, capsys):
+    # e^(-24 * 30) is still a double, so record () passes; e^(24 * 30) is not,
+    # so (1,) and (1,0) fail, and the first of them in record order is named
+    path = write_system(tmp_path, np.diag([8.0, 8.0, -16.0]))
+    rc, out, err = run(capsys, ["verify", "--spec", path, "--T", "30"])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: record (1,): the powered short-time map leaves double range over horizon 30; "
+        "shorten --T\n"
+    )
+    rc, out, _ = run(capsys, ["verify", "--spec", path, "--T", "10"])
+    assert rc == 0 and out.startswith("record (): ") and "record (1,0): " in out
 
 
 def test_verify_missing_file(capsys):
@@ -496,6 +513,22 @@ def test_simulate_does_not_import_scipy(tmp_path):
     assert proc.stdout.startswith("t,")
 
 
+def test_simulate_does_not_load_the_verify_checks(tmp_path):
+    control = np.diag([1.0, 1.0, -2.0])
+    path = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]), [control], Box(((-1.0, 1.0),)))
+    code = (
+        "import sys, flagctrl.cli as c\n"
+        f"assert c.main(['simulate', '--spec', {path!r}, '--T', '0.5']) == 0\n"
+        "assert 'flagctrl.sldr' in sys.modules\n"
+        "assert 'flagctrl.checks' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("t,")
+
+
 def test_verify_does_not_import_scipy(tmp_path):
     path = write_system(tmp_path, np.diag([1.0, 1.0, -2.0]))
     code = (
@@ -555,3 +588,23 @@ def test_run_classification_script_refusals(argv):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--diag", "2,0,-2", "--T", "5", "--gap-tol", "nan"], "gap_tol must be finite and > 0, got nan"),
+        (
+            ["--diag", "13,0,-13", "--T", "30"],
+            "record (): the powered short-time map leaves double range over horizon 30; shorten --T",
+        ),
+    ],
+)
+def test_rate_experiment_script_refusals(argv, message):
+    # a refused input, and a measurement that fails after earlier records
+    # were measured, end like the CLI's refusals: exit 2, one error line,
+    # nothing on stdout
+    proc = subprocess.run(
+        [sys.executable, RATE_EXPERIMENT, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from flagctrl import linalg
 from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
-from flagctrl.sldr import Drift, random_special_orthogonal, verify_rates
+from flagctrl.sldr import Drift, RateReport, random_special_orthogonal, verify_rates
 
 
 def dgejsv_singular_values(m):
@@ -97,13 +97,24 @@ def test_singular_values_on_powered_subbundle_maps(w_a3, monkeypatch):
 
     monkeypatch.setattr(linalg, "singular_values", recorded)
     q = random_special_orthogonal(np.random.default_rng(44), 4)
+    bands = 0
     for spectrum, ftype in (((3.0, 1.0, -1.0, -3.0), ()), ((2.0, 2.0, -2.0, -2.0), (0, 2))):
         drift = Drift(q @ np.diag(spectrum) @ q.T)
         spec = FlagSpec(theta=frozenset(), flag_type=frozenset(ftype))
-        for rec in enumerate_chain_control_sets(w_a3, spec):
-            verify_rates(drift, spec, rec, 10.0)
-    stacks = [m for m in seen if m.ndim == 3]
-    assert stacks and all(len(m) == 40 for m in stacks)  # one call per center band
+        records = enumerate_chain_control_sets(w_a3, spec)
+        cells = drift._cells((), [rec.rep for rec in records])
+        calls = len(seen)
+        reports = verify_rates(drift, spec, records, 10.0)
+        assert all(isinstance(r, RateReport) for r in reports)
+        # one call per subbundle size: stable and unstable maps of one size
+        # share a stack, and each center size stacks every record's 40 powers
+        sizes = {c.shape[1] for groups in (cells.bundles[0], cells.bundles[2]) for _, c in groups} - {0}
+        centers = [c for _, c in cells.bundles[1] if c.shape[1]]
+        assert len(seen) - calls == len(sizes) + len(centers)
+        stacks = [m for m in seen[calls:] if m.ndim == 4]  # a center size's powers
+        assert [m.shape for m in stacks] == [(len(c), 40) + 2 * c.shape[1:2] for c in centers]
+        bands += len(centers)
+    assert bands  # the center check is not vacuous
     span = 0.0
     for m in (m for ms in seen for m in ms.reshape((-1,) + ms.shape[-2:])):
         ref = dgejsv_singular_values(m)

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import re
 
+import numpy as np
 import pytest
 
 import flagctrl
@@ -46,7 +47,11 @@ def test_removed_names_are_gone():
     from flagctrl import flagcalc, rootsys, weyl
 
     removed = {
-        sldr: ("permutation_matrix", "projective_derivative_det", "flag_from_basis", "_as_drift"),
+        sldr: (
+            "permutation_matrix", "projective_derivative_det", "flag_from_basis", "_as_drift",
+            "_realize_cell", "_tangent_map", "_flow_tangent_map", "_volume",
+            "invariant_realizations", "RealizationSplit",
+        ),
         flagcalc: ("evaluate_functional",),
         rootsys: (
             "reflect", "pairing_value", "evaluate", "characteristic_subset", "chamber_vector",
@@ -62,6 +67,10 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
             assert not hasattr(flagctrl, name), name
     assert not hasattr(sldr.RealizedFunctional, "exact")
+    # the checks hold no per-record path beside their batched one
+    drift = sldr.Drift(np.diag([1.0, -1.0]))
+    for name in ("_cell", "_cell_memo"):
+        assert not hasattr(drift, name), name
     assert not hasattr(rootsys.RootSystem, "sorted_roots")
     for name in ("zero", "__add__", "scale"):
         assert not hasattr(rootsys.AVector, name), name

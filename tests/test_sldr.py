@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from flagctrl import sldr
+from flagctrl import checks, sldr
 from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
 from flagctrl.sldr import (
     Box,
@@ -28,7 +28,6 @@ from flagctrl.sldr import (
     flag_point,
     flag_type_diagnostic,
     integrate,
-    invariant_realizations,
     iwasawa,
     ktheta_invariance_residual,
     load_system,
@@ -500,31 +499,47 @@ def test_fixed_flags_rejects_split_complex_pair(w_a2):
 def test_horizontal_basis_and_derivative_det():
     # tangent coordinates sit at (1, 0), (2, 0), (2, 1), row-major
     assert sldr._lower_index((1, 1, 1)).tolist() == [3, 6, 7]
-    tangent_map = sldr._flow_tangent_map(np.array([[2.0, 0.7], [0.0, 0.5]]), standard_flag(2))
-    assert abs(sldr._volume(tangent_map, np.eye(1)) - 0.25) < 1e-12  # closed form 1/a^2 on the line
-    assert sldr._volume(tangent_map, np.zeros((0, 1))) == 1.0
+    rows, cols = np.divmod(sldr._lower_index((1, 1)), 2)
+    r = np.array([[[2.0, 0.7], [0.0, 0.5]]])  # the triangular factor of the flow at the standard flag
+    tangent_map = checks._tangent_map(r, np.linalg.inv(r), rows, cols)
+    assert tangent_map.shape == (1, 1, 1)
+    assert abs(tangent_map[0, 0, 0] - 0.25) < 1e-12  # closed form 1/a^2 on the line
+    # the gather is kron(a, a^-1 ^T) restricted to the tangent positions, bit for bit
+    a = np.random.default_rng(13).standard_normal((6, 5, 5))
+    a_inv = np.linalg.inv(a)
+    for blocks in ((1, 1, 1, 1, 1), (2, 1, 2), (4, 1)):
+        idx = sldr._lower_index(blocks)
+        rows, cols = np.divmod(idx, 5)
+        for m, m_inv, got in zip(a, a_inv, checks._tangent_map(a, a_inv, rows, cols)):
+            assert np.array_equal(got, np.kron(m, m_inv.T)[np.ix_(idx, idx)])
+
+
+def invariant_realizations(drift, theta, w):
+    """The stable, center and unstable coordinate rows at the fixed flag of
+    ``w``, and their sorted exponents, from a one-cell batch."""
+    cells = drift._cells(theta, [w])
+    assert cells.errors[0] is None
+    return [groups[0][1][0] for groups in cells.bundles], cells.exponents[0]
 
 
 def test_invariant_realizations_regular(w_a2):
     x = Drift(np.diag([2.0, 0.0, -2.0]))
-    split = invariant_realizations(x, (), w_a2.identity)
-    assert split.stable_exponents == (-4.0, -2.0, -2.0)
-    assert split.center_exponents == () and split.unstable_exponents == ()
-    longest = word_element(w_a2, (0, 1, 0))
-    split = invariant_realizations(x, (), longest)
-    assert split.unstable_exponents == (2.0, 2.0, 4.0)
-    assert len(split.stable) == 0
-    gram = [[float(np.sum(a * b)) for b in split.unstable] for a in split.unstable]
+    _, exponents = invariant_realizations(x, (), w_a2.identity)
+    assert exponents == ((-4.0, -2.0, -2.0), (), ())
+    (stable, _, unstable), exponents = invariant_realizations(x, (), word_element(w_a2, (0, 1, 0)))
+    assert exponents == ((), (), (2.0, 2.0, 4.0))
+    assert len(stable) == 0 and not unstable.flags.writeable
+    gram = [[float(np.sum(a * b)) for b in unstable] for a in unstable]
     assert np.abs(np.array(gram) - np.eye(3)).max() < 1e-12
 
 
 def test_invariant_realizations_center(w_a2):
     x = Drift(np.diag([1.0, 1.0, -2.0]))
-    split = invariant_realizations(x, (), w_a2.identity)
-    assert split.center_exponents == (0.0,)
-    assert split.stable_exponents == (-3.0, -3.0)
-    mixed = invariant_realizations(x, (), word_element(w_a2, (1,)))
-    assert len(mixed.stable) == len(mixed.center) == len(mixed.unstable) == 1
+    _, (stable_exponents, center_exponents, _) = invariant_realizations(x, (), w_a2.identity)
+    assert center_exponents == (0.0,)
+    assert stable_exponents == (-3.0, -3.0)
+    mixed, _ = invariant_realizations(x, (), word_element(w_a2, (1,)))
+    assert [len(coords) for coords in mixed] == [1, 1, 1]
 
 
 def oracle_drifts(d):
@@ -554,26 +569,84 @@ def test_realizations_match_position_oracle(d):
         for theta in map(frozenset, ORACLE_THETAS[d]):
             spec = FlagSpec(theta=theta, flag_type=drift.split.theta)
             blocks = blocks_from_theta(theta, d)
-            for rec in enumerate_chain_control_sets(group, spec):
-                try:
-                    xw, real = drift._cell(theta, rec.rep)
-                except ValueError:
+            records = enumerate_chain_control_sets(group, spec)
+            cells = checks.realize(drift, theta, [rec.rep for rec in records])
+            _, r = sldr._qr_pos(drift.expm(2.0) @ cells.frames)
+            flow = checks._tangent_map(r, np.linalg.inv(r), cells.rows, cells.cols)
+            for i, rec in enumerate(records):
+                if cells.errors[i] is not None:
                     assert drift.split.complex_pairs  # a cell that splits the pair
                     continue
+                xw, (bundles, exponents) = fixed_flags(drift, theta, rec.rep), invariant_realizations(drift, theta, rec.rep)
+                assert np.array_equal(xw.rep, cells.frames[i])
                 frame, expected = oracles.realization_by_positions(drift.split, blocks, rec.rep.reduced_word)
                 assert np.abs(xw.rep - frame).max() < 1e-12
                 mask = oracles.lower_mask(blocks)
-                bundles = (real.stable, real.center, real.unstable)
-                exponents = (real.stable_exponents, real.center_exponents, real.unstable_exponents)
                 for coords, lams, (vecs, oracle_lams) in zip(bundles, exponents, expected):
                     assert lams == oracle_lams
                     oracle_coords = np.array([v[mask] for v in vecs]).reshape(len(vecs), mask.sum())
                     assert np.abs(coords.T @ coords - oracle_coords.T @ oracle_coords).max() < 1e-12
-                    vol = sldr._volume(sldr._flow_tangent_map(drift.expm(2.0), xw), coords)
+                    images = coords @ flow[i].T
+                    vol = math.sqrt(max(float(np.linalg.det(images @ images.T)), 0.0))
                     oracle_vol = oracles.gram_volume(drift.expm(2.0), frame, blocks, vecs)
                     assert abs(vol - oracle_vol) <= 1e-12 * oracle_vol
                 checked.add(len(drift.split.complex_pairs))
     assert checked == {0, 1}  # real spectra, and a complex pair inside a block
+
+
+@pytest.mark.parametrize("d", (3, 4, 5))
+def test_batched_checks_equal_one_record_batches(d, monkeypatch):
+    # chunks of 7 put chunk boundaries inside each sweep, with a short last
+    # chunk; every output of a record is its one-record batch's, and the
+    # one-record-at-a-time loop's of tests/oracles.py, bit for bit
+    monkeypatch.setattr(checks, "CHUNK", 7)
+    group = generate(type_a_system(d))
+    times = (0.5, 1.0, 2.0)
+    seen = set()
+    for x in oracle_drifts(d):
+        drift = Drift(x)
+        for theta in map(frozenset, ORACLE_THETAS[d]):
+            spec = FlagSpec(theta=theta, flag_type=drift.split.theta)
+            records = enumerate_chain_control_sets(group, spec)
+            cells = checks.realize(drift, theta, [rec.rep for rec in records])
+            results = list(checks.check_records(drift, spec, records, 3.0, times))
+            flags = fixed_flags(drift, theta, [rec.rep for rec in records])  # the batch form
+            assert len(results) == len(flags) == len(records)
+            for i, (rec, (skip, flag_drift, determinant, rates)) in enumerate(zip(records, results)):
+                if skip is not None:
+                    assert str(flags[i]) == str(skip)
+                    with pytest.raises(ValueError, match="complex eigenvalue pair"):
+                        fixed_flags(drift, theta, rec.rep)
+                    seen.add("skipped")
+                    continue
+                xw = fixed_flags(drift, theta, rec.rep)
+                assert np.array_equal(xw.rep, cells.frames[i]) and np.array_equal(flags[i].rep, xw.rep)
+                one, exponents = invariant_realizations(drift, theta, rec.rep)
+                for coords, groups in zip(one, cells.bundles):
+                    (batched,) = [c[pos == i][0] for pos, c in groups if i in pos]
+                    assert np.array_equal(coords, batched)
+                assert exponents == cells.exponents[i]
+                loop_frame, loop_bundles = oracles.loop_cell(drift, cells.blocks, rec.rep)
+                assert np.array_equal(loop_frame, xw.rep)
+                for coords, lams, (loop_coords, loop_lams) in zip(one, exponents, loop_bundles):
+                    assert np.array_equal(coords, loop_coords) and lams == loop_lams
+                # the fixed-flag check against the per-record flag functions
+                assert flag_drift == flag_distance(flag_act(drift.expm(0.5), xw), xw)
+                assert len(determinant) == len(times)
+                if rec.hyperbolic:
+                    assert determinant == tuple(
+                        determinant_formula_residuals(drift, spec, rec, t) for t in times
+                    )
+                    assert determinant == tuple(
+                        oracles.loop_determinant_residuals(drift, cells.blocks, rec, t) for t in times
+                    )
+                    seen.add("hyperbolic")
+                assert vars(rates) == vars(verify_rates(drift, spec, rec, 3.0))
+                measured = (rates.stable_measured, rates.unstable_measured, rates.center_range)
+                assert measured == oracles.loop_rate_exponents(drift, cells.blocks, rec, 3.0)
+                if rates.center_range is not None:
+                    seen.add("center band")
+    assert seen == {"skipped", "hyperbolic", "center band"}
 
 
 def test_determinant_formula_residuals(w_a2):
@@ -619,15 +692,25 @@ def test_verify_rates_regular(w_a2, w_a3, w_b2):
         verify_rates(x, bad, bad_rec, 2.0)
 
 
-def test_drift_keeps_one_cell_and_shares_expm(w_a2):
-    drift = Drift(np.diag([2.0, 0.0, -2.0]))
+def test_drift_keeps_one_chunk_and_shares_expm(w_a3, monkeypatch):
+    # the drift holds the cells of one chunk of records at a time, besides its own data
+    sizes = []
+    realize = checks.realize
+
+    def recorded(drift, theta, elements):
+        sizes.append(len(elements))
+        return realize(drift, theta, elements)
+
+    monkeypatch.setattr(checks, "realize", recorded)
+    monkeypatch.setattr(checks, "CHUNK", 7)
+    drift = Drift(np.diag([3.0, 1.0, -1.0, -3.0]))
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
-    for rec in enumerate_chain_control_sets(w_a2, spec):
-        xw = fixed_flags(drift, (), rec.rep)
-        assert invariant_realizations(drift, (), rec.rep) is drift._cell((), rec.rep)[1]
-        assert fixed_flags(drift, (), rec.rep) is xw
-        verify_rates(drift, spec, rec, 3.0)
-    assert len(drift._cell_memo) == 1  # only the record in hand is kept
+    records = enumerate_chain_control_sets(w_a3, spec)
+    results = list(checks.check_records(drift, spec, records, 3.0, (0.5, 1.0)))
+    assert len(results) == len(records) == 24
+    assert sizes == [7, 7, 7, 3]  # each chunk is realized once, for all three checks
+    assert not drift._cells_memo  # and dropped once checked
+    assert {key[0] for key in drift._memo} == {"expm", "rates"}
     assert drift.expm(0.5) is drift.expm(0.5)
     with pytest.raises(ValueError):
         drift.expm(0.5)[0, 0] = 1.0
