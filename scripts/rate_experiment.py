@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flagctrl.checks import check_records, value
 from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
-from flagctrl.sldr import Drift, random_traceless, type_a_system
+from flagctrl.sldr import Drift, check_records, random_traceless, type_a_system, value
 from flagctrl.weyl import generate
 
 

@@ -192,8 +192,7 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .checks import check_records, value
-    from .sldr import Drift, load_system, type_a_system
+    from .sldr import Drift, check_records, load_system, type_a_system, value
 
     sysspec = load_system(args.spec)
     drift = Drift(sysspec.drift, gap_tol=args.gap_tol)

@@ -1,10 +1,6 @@
 """Dense matrix functions for the numeric checks, in numpy alone: the
 exponential, and singular values to high relative accuracy on graded
 matrices, where numpy's bidiagonalizing SVD loses the small ones.
-
-They are kept out of ``sldr``: every process compiles ``sldr`` from source
-where bytecode is not cached, and that compile sets the peak memory of
-``simulate``, which uses neither function.
 """
 
 from __future__ import annotations

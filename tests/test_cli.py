@@ -513,20 +513,33 @@ def test_simulate_does_not_import_scipy(tmp_path):
     assert proc.stdout.startswith("t,")
 
 
-def test_simulate_does_not_load_the_verify_checks(tmp_path):
-    control = np.diag([1.0, 1.0, -2.0])
-    path = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]), [control], Box(((-1.0, 1.0),)))
-    code = (
-        "import sys, flagctrl.cli as c\n"
-        f"assert c.main(['simulate', '--spec', {path!r}, '--T', '0.5']) == 0\n"
-        "assert 'flagctrl.sldr' in sys.modules\n"
-        "assert 'flagctrl.checks' not in sys.modules\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("t,")
+def test_verify_reaches_the_traced_stages_once_per_chunk(tmp_path, monkeypatch, capsys):
+    # the benchmark times verify by wrapping these sldr globals, so verify must reach each
+    # through its module global: the three checks once per chunk of records, the
+    # determinant identity once per t and chunk
+    calls = {}
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return original(*args, **kwargs)
+
+        return counted
+
+    stages = ("load_system", "split_part", "fixed_flags", "determinant_formula_residuals",
+              "verify_rates")
+    for name in stages:
+        monkeypatch.setattr(sldr, name, counter(name, getattr(sldr, name)))
+    monkeypatch.setattr(sldr, "CHUNK", 7)
+    path = write_system(tmp_path, np.diag([3.0, 1.0, -1.0, -3.0]))
+    assert main(["verify", "--spec", path, "--T", "2"]) == 0
+    assert capsys.readouterr().out.endswith("verify: 120/120 checks passed\n")
+    assert len(calls["load_system"]) == len(calls["split_part"]) == 1
+    chunks = [7, 7, 7, 3]  # the 24 records of the maximal flag of SL(4)
+    assert [len(a[2]) for a in calls["fixed_flags"]] == chunks
+    assert [len(a[2]) for a in calls["verify_rates"]] == chunks
+    dets = [(len(a[2]), a[3]) for a in calls["determinant_formula_residuals"]]
+    assert dets == [(n, t) for n in chunks for t in (0.5, 1.0, 2.0)]
 
 
 def test_verify_does_not_import_scipy(tmp_path):
@@ -598,6 +611,8 @@ def test_run_classification_script_refusals(argv):
             ["--diag", "13,0,-13", "--T", "30"],
             "record (): the powered short-time map leaves double range over horizon 30; shorten --T",
         ),
+        (["--diag", "2,0,-2", "--T", "inf"], "horizon inf is not finite"),
+        (["--diag", "2,0,-2", "--T", "nan"], "horizon nan is not finite"),
     ],
 )
 def test_rate_experiment_script_refusals(argv, message):

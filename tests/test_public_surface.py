@@ -76,3 +76,5 @@ def test_removed_names_are_gone():
         assert not hasattr(rootsys.AVector, name), name
     assert not hasattr(weyl.WeylGroup, "simple_reflections")
     assert not hasattr(weyl.WeylElement, "matrix")
+    with pytest.raises(ModuleNotFoundError):  # verify's checks live in sldr
+        importlib.import_module("flagctrl.checks")

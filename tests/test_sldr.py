@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from flagctrl import checks, sldr
+from flagctrl import sldr
 from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
 from flagctrl.sldr import (
     Box,
@@ -501,7 +501,7 @@ def test_horizontal_basis_and_derivative_det():
     assert sldr._lower_index((1, 1, 1)).tolist() == [3, 6, 7]
     rows, cols = np.divmod(sldr._lower_index((1, 1)), 2)
     r = np.array([[[2.0, 0.7], [0.0, 0.5]]])  # the triangular factor of the flow at the standard flag
-    tangent_map = checks._tangent_map(r, np.linalg.inv(r), rows, cols)
+    tangent_map = sldr._tangent_maps(r, np.linalg.inv(r), rows, cols)
     assert tangent_map.shape == (1, 1, 1)
     assert abs(tangent_map[0, 0, 0] - 0.25) < 1e-12  # closed form 1/a^2 on the line
     # the gather is kron(a, a^-1 ^T) restricted to the tangent positions, bit for bit
@@ -510,7 +510,7 @@ def test_horizontal_basis_and_derivative_det():
     for blocks in ((1, 1, 1, 1, 1), (2, 1, 2), (4, 1)):
         idx = sldr._lower_index(blocks)
         rows, cols = np.divmod(idx, 5)
-        for m, m_inv, got in zip(a, a_inv, checks._tangent_map(a, a_inv, rows, cols)):
+        for m, m_inv, got in zip(a, a_inv, sldr._tangent_maps(a, a_inv, rows, cols)):
             assert np.array_equal(got, np.kron(m, m_inv.T)[np.ix_(idx, idx)])
 
 
@@ -570,9 +570,9 @@ def test_realizations_match_position_oracle(d):
             spec = FlagSpec(theta=theta, flag_type=drift.split.theta)
             blocks = blocks_from_theta(theta, d)
             records = enumerate_chain_control_sets(group, spec)
-            cells = checks.realize(drift, theta, [rec.rep for rec in records])
+            cells = sldr.realize(drift, theta, [rec.rep for rec in records])
             _, r = sldr._qr_pos(drift.expm(2.0) @ cells.frames)
-            flow = checks._tangent_map(r, np.linalg.inv(r), cells.rows, cells.cols)
+            flow = sldr._tangent_maps(r, np.linalg.inv(r), cells.rows, cells.cols)
             for i, rec in enumerate(records):
                 if cells.errors[i] is not None:
                     assert drift.split.complex_pairs  # a cell that splits the pair
@@ -599,7 +599,7 @@ def test_batched_checks_equal_one_record_batches(d, monkeypatch):
     # chunks of 7 put chunk boundaries inside each sweep, with a short last
     # chunk; every output of a record is its one-record batch's, and the
     # one-record-at-a-time loop's of tests/oracles.py, bit for bit
-    monkeypatch.setattr(checks, "CHUNK", 7)
+    monkeypatch.setattr(sldr, "CHUNK", 7)
     group = generate(type_a_system(d))
     times = (0.5, 1.0, 2.0)
     seen = set()
@@ -608,8 +608,8 @@ def test_batched_checks_equal_one_record_batches(d, monkeypatch):
         for theta in map(frozenset, ORACLE_THETAS[d]):
             spec = FlagSpec(theta=theta, flag_type=drift.split.theta)
             records = enumerate_chain_control_sets(group, spec)
-            cells = checks.realize(drift, theta, [rec.rep for rec in records])
-            results = list(checks.check_records(drift, spec, records, 3.0, times))
+            cells = sldr.realize(drift, theta, [rec.rep for rec in records])
+            results = list(sldr.check_records(drift, spec, records, 3.0, times))
             flags = fixed_flags(drift, theta, [rec.rep for rec in records])  # the batch form
             assert len(results) == len(flags) == len(records)
             for i, (rec, (skip, flag_drift, determinant, rates)) in enumerate(zip(records, results)):
@@ -656,6 +656,9 @@ def test_determinant_formula_residuals(w_a2):
         for t in (1.0, 2.0):
             ru, rs_ = determinant_formula_residuals(x, spec, rec, t)
             assert ru < 1e-8 and rs_ < 1e-8
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="not finite"):
+                determinant_formula_residuals(x, spec, rec, t)
     bad_spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
     recs = enumerate_chain_control_sets(w_a2, bad_spec)
     with pytest.raises(ValueError, match="hyperbolic"):
@@ -679,6 +682,9 @@ def test_verify_rates_regular(w_a2, w_a3, w_b2):
             assert abs(p - m) < 1e-10
     with pytest.raises(ValueError, match="horizon"):
         verify_rates(x, spec, recs[0], 0.5)
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            verify_rates(x, spec, recs[0], T)
     # a record of another group is refused, even where its word was just realized
     for group in (w_b2, w_a3):
         wrong = word_element(group, recs[-1].rep.reduced_word)
@@ -695,18 +701,18 @@ def test_verify_rates_regular(w_a2, w_a3, w_b2):
 def test_drift_keeps_one_chunk_and_shares_expm(w_a3, monkeypatch):
     # the drift holds the cells of one chunk of records at a time, besides its own data
     sizes = []
-    realize = checks.realize
+    realize = sldr.realize
 
     def recorded(drift, theta, elements):
         sizes.append(len(elements))
         return realize(drift, theta, elements)
 
-    monkeypatch.setattr(checks, "realize", recorded)
-    monkeypatch.setattr(checks, "CHUNK", 7)
+    monkeypatch.setattr(sldr, "realize", recorded)
+    monkeypatch.setattr(sldr, "CHUNK", 7)
     drift = Drift(np.diag([3.0, 1.0, -1.0, -3.0]))
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
     records = enumerate_chain_control_sets(w_a3, spec)
-    results = list(checks.check_records(drift, spec, records, 3.0, (0.5, 1.0)))
+    results = list(sldr.check_records(drift, spec, records, 3.0, (0.5, 1.0)))
     assert len(results) == len(records) == 24
     assert sizes == [7, 7, 7, 3]  # each chunk is realized once, for all three checks
     assert not drift._cells_memo  # and dropped once checked
