@@ -26,18 +26,11 @@ from .weyl import WeylElement, WeylGroup, double_cosets, generate, subgroup
 
 __version__ = "0.1.0"
 
-# The numeric side pulls in numpy, and never scipy; it loads on first use of one
-# of these names, so the exact side (``analyze``, ``cosets``) never imports it.
-_SLDR_NAMES = frozenset("""
-    Box ControlSignal ControlSystemSpec FlagPoint IntegratorConfig IwasawaTriple
-    Polytope Trajectory a_cocycle cocycle_sample constant_signal control_system
-    fixed_flags flag_act integrate iwasawa realize_functional split_part
-    standard_flag type_a_system verify_rates
-""".split())
-
-
+# The numeric side pulls in numpy, and never scipy; the names of ``__all__`` that
+# the imports above leave unbound come from ``sldr``, which loads on first use of
+# one, so the exact side (``analyze``, ``cosets``) never imports it.
 def __getattr__(name: str):
-    if name in _SLDR_NAMES:
+    if name in __all__:
         from . import sldr
 
         return getattr(sldr, name)

@@ -25,7 +25,6 @@ Weyl elements act as coordinate permutations built from their reduced words.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -868,9 +867,9 @@ def fixed_flags(drift: Drift, theta: Iterable[int], w: WeylElement) -> FlagPoint
 
     Built by permuting the ordered eigenbasis columns and orthonormalizing;
     leading spans of eigenvector prefixes are invariant under the flow.
-    Given a list of elements, realizes their cells as one batch (``batch``)
-    and returns, per element, its flag or the ValueError saying why it has
-    none; so do the two checks below on a list of records.
+    Given a chunk realized by ``realize``, returns per item its flag or the
+    ValueError saying why it has none (``batch``); so do the two checks
+    below on a chunk of records.
     """
     return batch(_flags, drift, theta, w)
 
@@ -885,9 +884,8 @@ class Drift:
 
     ``x`` is split once with ``gap_tol`` (see ``split_part``); ``frame`` is
     the attractor flag of its ordered eigenbasis.  exp(t x) is computed once
-    per distinct t and the cocycle slopes once per horizon.  Only the cells
-    of the latest batch of Weyl elements are kept, so memory does not grow
-    over a sweep of records: ``verify`` checks them ``CHUNK`` at a time.
+    per distinct t and the cocycle slopes once per horizon.  The cells of
+    Weyl elements are not kept here: ``realize`` returns them as a chunk.
     """
 
     x: np.ndarray
@@ -895,7 +893,6 @@ class Drift:
     split: SplitPart = field(init=False)
     frame: FlagPoint = field(init=False)
     _memo: dict = field(init=False, default_factory=dict, repr=False)
-    _cells_memo: list = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         x = np.array(self.x, dtype=float)
@@ -956,15 +953,6 @@ class Drift:
 
         return self._once(("rates", T), compute)
 
-    def _cells(self, theta: Iterable[int], elements: list[WeylElement]):
-        # realize of the latest batch only, matched by identity: hashing an element
-        # would compute and keep its w(rho)
-        theta, held = frozenset(theta), self._cells_memo
-        same = held and held[0] == theta and len(held[1]) == len(elements)
-        if not (same and all(a is b for a, b in zip(held[1], elements))):
-            held[:] = theta, list(elements), realize(self, theta, elements)
-        return held[2]
-
 
 def _check_flow_type(drift: Drift, spec: FlagSpec) -> None:
     if drift.split.theta != spec.flag_type:
@@ -982,7 +970,7 @@ def determinant_formula_residuals(
     Left side: Gram volume of the flow derivative on the unstable (stable)
     realization at the record's fixed flag.  Right side: exponential of the
     record's growth functional evaluated on the cocycle of the adapted
-    frame.  Returns (unstable defect, stable defect); on a list of records,
+    frame.  Returns (unstable defect, stable defect); on a chunk of records,
     None for one that is not hyperbolic.
     """
     if isinstance(record, ChainControlSetRecord) and not record.hyperbolic:
@@ -1027,9 +1015,11 @@ def verify_rates(
 CHUNK = 64  # records realized and checked together; a chunk's stacks set verify's peak memory
 _STEP = 0.25  # time of the short-time map whose powers give the growth exponents
 
-# Per cell: why it fixes no flag (or None), its frame, its sorted stable, center and unstable
-# exponents; ``bundles[c]`` lists (cells, their k x nnz coordinates) per size k of subbundle c.
-Cells = namedtuple("Cells", "blocks rows cols errors frames exponents bundles")
+
+class Cells(tuple):
+    """A chunk of records or Weyl elements with their cells (``realize``).  Per cell: why it fixes
+    no flag (or None), its frame, its sorted stable, center and unstable exponents; ``bundles[c]``
+    lists (cells, their k x nnz coordinates) per size k of subbundle c."""
 
 
 def value(entry):
@@ -1040,18 +1030,17 @@ def value(entry):
 
 
 def batch(stage, drift, theta, items, *args):
-    """``stage(drift, cells, items, *args)`` on a list of Weyl elements or records, realized as
-    one batch: one entry per item, its value or the ValueError that stops it.  On one item, its
-    value.  An error of the whole batch comes before a cell's, and a cell's before the stage's.
-    A stacked LAPACK, BLAS or Jacobi call treats each matrix as a call on it alone does, so a
-    record's numbers do not depend on its batch."""
-    group = items if isinstance(items, (list, tuple)) else [items]
-    cells = drift._cells(theta, [getattr(x, "rep", x) for x in group])  # a record's element
+    """``stage(drift, cells, *args)`` on a chunk ``items`` from ``realize``: one entry per item,
+    its value or the ValueError that stops it.  On one Weyl element or record, realized as a
+    chunk of one, its value.  An error of the whole chunk comes before a cell's, and a cell's
+    before the stage's.  A stacked LAPACK, BLAS or Jacobi call treats each matrix as a call on
+    it alone does, so a record's numbers do not depend on its chunk."""
+    cells = items if isinstance(items, Cells) else realize(drift, theta, [items])
     try:
-        entries = [err or v for err, v in zip(cells.errors, stage(drift, cells, group, *args))]
+        entries = [err or v for err, v in zip(cells.errors, stage(drift, cells, *args))]
     except ValueError as exc:
-        entries = [exc] * len(group)
-    return entries if group is items else value(entries[0])
+        entries = [exc] * len(cells)
+    return entries if cells is items else value(entries[0])
 
 
 def _tangent_maps(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -1062,11 +1051,13 @@ def _tangent_maps(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarr
     return out
 
 
-def realize(drift: Drift, theta: frozenset[int], elements: list) -> Cells:
-    """The cells of ``elements``: flag position j holds eigen position sigma[j], and (i, j),
-    growing at h_i - h_j, is realized by the matching column of the tangent map of the permuted
-    eigenbasis's triangular factor.  A cell cutting a complex pair across blocks fixes no flag."""
+def realize(drift: Drift, theta: Iterable[int], items: list) -> Cells:
+    """The chunk of ``items``, Weyl elements or records, with their cells: flag position j holds
+    eigen position sigma[j], and (i, j), growing at h_i - h_j, is realized by the matching column
+    of the tangent map of the permuted eigenbasis's triangular factor.  A cell cutting a complex
+    pair across blocks fixes no flag."""
     sp, d = drift.split, drift.dim
+    elements = [getattr(x, "rep", x) for x in items]  # a record's element
     blocks = blocks_from_theta(theta, d)
     rows, cols = np.divmod(_lower_index(blocks), d)
     errors, sigmas = [], []
@@ -1092,7 +1083,10 @@ def realize(drift: Drift, theta: frozenset[int], elements: list) -> Cells:
     lam, center = hw[:, rows] - hw[:, cols], gid[:, rows] == gid[:, cols]
     masks = (~center & (lam <= 0), center, ~center & (lam > 0))
     exponents = [tuple(tuple(sorted(row[m].tolist())) for m in ms) for row, *ms in zip(lam, *masks)]
-    return Cells(blocks, rows, cols, errors, q, exponents, _subbundles(r, rows, cols, masks))
+    cells = Cells(items)
+    vars(cells).update(blocks=blocks, rows=rows, cols=cols, errors=errors, frames=q,
+                       exponents=exponents, bundles=_subbundles(r, rows, cols, masks))
+    return cells
 
 
 def _subbundles(r: np.ndarray, rows: np.ndarray, cols: np.ndarray, masks: tuple) -> list:
@@ -1112,7 +1106,7 @@ def _subbundles(r: np.ndarray, rows: np.ndarray, cols: np.ndarray, masks: tuple)
     return bundles
 
 
-def _flags(drift: Drift, cells: Cells, elements: list) -> list:
+def _flags(drift: Drift, cells: Cells) -> list:
     return [FlagPoint(rep=frame, blocks=cells.blocks) for frame in cells.frames]
 
 
@@ -1126,7 +1120,7 @@ def flag_drifts(drift: Drift, cells: Cells) -> list:
     ]
 
 
-def _determinants(drift: Drift, cells: Cells, records: list, spec, t: float) -> list:
+def _determinants(drift: Drift, cells: Cells, spec, t: float) -> list:
     # per record, the relative defects of the determinant identity on the unstable and the
     # stable subbundle, None if it is not hyperbolic: the flow derivative of psi = exp(t x) at
     # x_w is the tangent map of the triangular factor of psi x_w
@@ -1137,13 +1131,13 @@ def _determinants(drift: Drift, cells: Cells, records: list, spec, t: float) -> 
     avec = a_cocycle(psi, drift.frame, cond_max=None)
     r = _qr_pos(psi @ cells.frames)[1]
     flow = _tangent_maps(r, np.linalg.solve(r, np.eye(len(psi))), cells.rows, cells.cols)
-    gram = np.empty((len(records), 2))
+    gram = np.empty((len(cells), 2))
     for side, c in enumerate((2, 0)):
         for pos, coords in cells.bundles[c]:
             images = coords @ np.swapaxes(flow[pos], 1, 2)
             gram[pos, side] = np.linalg.det(images @ np.swapaxes(images, 1, 2))
     out = []
-    for rec, grams in zip(records, gram.tolist()):
+    for rec, grams in zip(cells, gram.tolist()):
         if not rec.hyperbolic:
             out.append(None)
             continue
@@ -1170,7 +1164,7 @@ def _measure(items: np.ndarray, scale, finish) -> list:
     return out
 
 
-def _rates(drift: Drift, cells: Cells, records: list, spec, T: float) -> list:
+def _rates(drift: Drift, cells: Cells, spec, T: float) -> list:
     # per record, its RateReport: growth exponents from singular values of powers of the
     # tangent map of exp(_STEP x) at x_w on each subbundle, and the center's slope band
     if not math.isfinite(T):
@@ -1189,7 +1183,7 @@ def _rates(drift: Drift, cells: Cells, records: list, spec, T: float) -> list:
         for c, groups in enumerate(cells.bundles) for pos, coords in groups if coords.shape[1]
     ]
     del tangent  # the nnz x nnz stack, not the arithmetic, sets verify's peak memory
-    found = [[(), (), ()] for _ in records]  # per record and subbundle; the center's is its band
+    found = [[(), (), ()] for _ in cells]  # per record and subbundle; the center's is its band
     by_size = {}  # stable and unstable maps of one size share a stack
     # an overflowing power is rejected as non-finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1209,7 +1203,7 @@ def _rates(drift: Drift, cells: Cells, records: list, spec, T: float) -> list:
                 for i in pos:
                     found[i][c] = next(exponents)
     out = []
-    for rec, (se, _, ue), (stable, band, unstable) in zip(records, cells.exponents, found):
+    for rec, (se, _, ue), (stable, band, unstable) in zip(cells, cells.exponents, found):
         bad = [v for v in (stable, unstable, band) if not isinstance(v, tuple)]
         if bad:
             out.append(bad[0] or ValueError(
@@ -1230,14 +1224,12 @@ def check_records(drift: Drift, spec, records: list, T: float, det_times: list) 
     at each of ``det_times`` and its RateReport.  Entries that are errors are raised by
     ``value``, so the caller meets them in its own order."""
     for start in range(0, len(records), CHUNK):
-        chunk = records[start : start + CHUNK]
-        elements = [rec.rep for rec in chunk]
-        flags = fixed_flags(drift, spec.theta, elements)
+        chunk = realize(drift, spec.theta, records[start : start + CHUNK])
+        flags = fixed_flags(drift, spec.theta, chunk)
         skips = [x if isinstance(x, ValueError) else None for x in flags]
-        drifts = flag_drifts(drift, drift._cells(spec.theta, elements))  # the cells just realized
+        drifts = flag_drifts(drift, chunk)
         dets = [determinant_formula_residuals(drift, spec, chunk, t) for t in det_times]
         reports = verify_rates(drift, spec, chunk, T)
-        drift._cells_memo.clear()  # the chunk's cells are done with
         yield from zip(skips, drifts, list(zip(*dets)) or [()] * len(chunk), reports)
 
 
@@ -1362,6 +1354,8 @@ def flag_type_diagnostic(samples: Sequence[CocycleSample]) -> dict:
 
 
 def random_traceless(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+    if d < 2:  # the traceless part of a 1 x 1 draw is 0, whatever is drawn
+        raise ValueError("SL(d) realization needs d >= 2")
     m = rng.standard_normal((d, d))
     m -= np.trace(m) / d * np.eye(d)
     norm = float(np.linalg.norm(m))

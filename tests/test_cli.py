@@ -613,6 +613,8 @@ def test_run_classification_script_refusals(argv):
         ),
         (["--diag", "2,0,-2", "--T", "inf"], "horizon inf is not finite"),
         (["--diag", "2,0,-2", "--T", "nan"], "horizon nan is not finite"),
+        (["--random-dim", "1", "--T", "2"], "SL(d) realization needs d >= 2"),
+        (["--random-dim", "0"], "SL(d) realization needs d >= 2"),
     ],
 )
 def test_rate_experiment_script_refusals(argv, message):

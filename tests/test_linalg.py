@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from flagctrl import linalg
+from flagctrl import linalg, sldr
 from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
 from flagctrl.sldr import Drift, RateReport, random_special_orthogonal, verify_rates
 
@@ -102,9 +102,9 @@ def test_singular_values_on_powered_subbundle_maps(w_a3, monkeypatch):
         drift = Drift(q @ np.diag(spectrum) @ q.T)
         spec = FlagSpec(theta=frozenset(), flag_type=frozenset(ftype))
         records = enumerate_chain_control_sets(w_a3, spec)
-        cells = drift._cells((), [rec.rep for rec in records])
+        cells = sldr.realize(drift, (), records)
         calls = len(seen)
-        reports = verify_rates(drift, spec, records, 10.0)
+        reports = verify_rates(drift, spec, cells, 10.0)
         assert all(isinstance(r, RateReport) for r in reports)
         # one call per subbundle size: stable and unstable maps of one size
         # share a stack, and each center size stacks every record's 40 powers

@@ -5,6 +5,8 @@ import importlib
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +35,14 @@ def test_readme_python_block_runs(index, capsys):
 def test_package_names_resolve():
     for name in flagctrl.__all__:
         assert getattr(flagctrl, name) is not None, name
-    assert flagctrl._SLDR_NAMES <= set(sldr.__all__)
+    # the names that a fresh import leaves unbound are the lazy ones, all from sldr
+    code = "import flagctrl; print(*(n for n in flagctrl.__all__ if n not in vars(flagctrl)))"
+    src = os.path.dirname(os.path.dirname(flagctrl.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    lazy = set(proc.stdout.split())
+    assert proc.returncode == 0 and lazy and lazy <= set(sldr.__all__), proc.stderr
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(flagctrl.__path__)))
@@ -69,8 +78,9 @@ def test_removed_names_are_gone():
     assert not hasattr(sldr.RealizedFunctional, "exact")
     # the checks hold no per-record path beside their batched one
     drift = sldr.Drift(np.diag([1.0, -1.0]))
-    for name in ("_cell", "_cell_memo"):
+    for name in ("_cell", "_cell_memo", "_cells", "_cells_memo"):
         assert not hasattr(drift, name), name
+    assert not hasattr(flagctrl, "_SLDR_NAMES")  # the lazy names are those of __all__
     assert not hasattr(rootsys.RootSystem, "sorted_roots")
     for name in ("zero", "__add__", "scale"):
         assert not hasattr(rootsys.AVector, name), name

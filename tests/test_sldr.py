@@ -517,7 +517,7 @@ def test_horizontal_basis_and_derivative_det():
 def invariant_realizations(drift, theta, w):
     """The stable, center and unstable coordinate rows at the fixed flag of
     ``w``, and their sorted exponents, from a one-cell batch."""
-    cells = drift._cells(theta, [w])
+    cells = sldr.realize(drift, theta, [w])
     assert cells.errors[0] is None
     return [groups[0][1][0] for groups in cells.bundles], cells.exponents[0]
 
@@ -577,6 +577,10 @@ def test_realizations_match_position_oracle(d):
                 if cells.errors[i] is not None:
                     assert drift.split.complex_pairs  # a cell that splits the pair
                     continue
+                # the numeric split of the cell is the record's exact one
+                sizes = tuple(len(lams) for lams in cells.exponents[i])
+                assert sizes == (rec.dim_stable, rec.dim_center, rec.dim_unstable)
+                assert rec.hyperbolic == (not cells.exponents[i][1])
                 xw, (bundles, exponents) = fixed_flags(drift, theta, rec.rep), invariant_realizations(drift, theta, rec.rep)
                 assert np.array_equal(xw.rep, cells.frames[i])
                 frame, expected = oracles.realization_by_positions(drift.split, blocks, rec.rep.reduced_word)
@@ -610,7 +614,7 @@ def test_batched_checks_equal_one_record_batches(d, monkeypatch):
             records = enumerate_chain_control_sets(group, spec)
             cells = sldr.realize(drift, theta, [rec.rep for rec in records])
             results = list(sldr.check_records(drift, spec, records, 3.0, times))
-            flags = fixed_flags(drift, theta, [rec.rep for rec in records])  # the batch form
+            flags = fixed_flags(drift, theta, cells)  # the batch form
             assert len(results) == len(flags) == len(records)
             for i, (rec, (skip, flag_drift, determinant, rates)) in enumerate(zip(records, results)):
                 if skip is not None:
@@ -699,7 +703,7 @@ def test_verify_rates_regular(w_a2, w_a3, w_b2):
 
 
 def test_drift_keeps_one_chunk_and_shares_expm(w_a3, monkeypatch):
-    # the drift holds the cells of one chunk of records at a time, besides its own data
+    # each chunk of records is realized once, and the drift keeps only its own data
     sizes = []
     realize = sldr.realize
 
@@ -715,7 +719,6 @@ def test_drift_keeps_one_chunk_and_shares_expm(w_a3, monkeypatch):
     results = list(sldr.check_records(drift, spec, records, 3.0, (0.5, 1.0)))
     assert len(results) == len(records) == 24
     assert sizes == [7, 7, 7, 3]  # each chunk is realized once, for all three checks
-    assert not drift._cells_memo  # and dropped once checked
     assert {key[0] for key in drift._memo} == {"expm", "rates"}
     assert drift.expm(0.5) is drift.expm(0.5)
     with pytest.raises(ValueError):
