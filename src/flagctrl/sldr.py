@@ -132,9 +132,8 @@ def iwasawa(g: np.ndarray, *, cond_max: float | None = DEFAULT_COND_MAX) -> Iwas
     """Iwasawa factorization of a unimodular matrix via sign-fixed QR.
 
     ``cond_max`` guards against inputs whose factor accuracy is
-    conditioning-limited; pass None to disable the guard when the caller
-    controls conditioning by other means (for example cocycle accumulation
-    over short pieces of a flow).
+    conditioning-limited; None disables the guard where only the
+    orthogonal factor is used (``flag_act``).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -255,12 +254,7 @@ def _flag_distances(a: np.ndarray, b: np.ndarray, blocks: tuple[int, ...]) -> li
     return [max(column) for column in zip(*gaps)]
 
 
-def a_cocycle(
-    psi: np.ndarray,
-    flag: FlagPoint,
-    *,
-    cond_max: float | None = DEFAULT_COND_MAX,
-) -> np.ndarray:
+def a_cocycle(psi: np.ndarray, flag: FlagPoint) -> np.ndarray:
     """Abelian cocycle increment of ``psi`` at a maximal flag.
 
     The identity transition returns the exact zero vector.
@@ -271,7 +265,7 @@ def a_cocycle(
     d = flag.dim_ambient
     if np.array_equal(psi, np.eye(d)):
         return np.zeros(d)
-    return iwasawa(psi @ flag.rep, cond_max=cond_max).a_vec
+    return iwasawa(psi @ flag.rep).a_vec
 
 
 # ---------------------------------------------------------------------------
@@ -884,8 +878,8 @@ class Drift:
 
     ``x`` is split once with ``gap_tol`` (see ``split_part``); ``frame`` is
     the attractor flag of its ordered eigenbasis.  exp(t x) is computed once
-    per distinct t and the cocycle slopes once per horizon.  The cells of
-    Weyl elements are not kept here: ``realize`` returns them as a chunk.
+    per distinct t, the cocycle curve once per step size (``cocycle``) and the
+    slopes once per horizon; the cells of Weyl elements are not kept here.
     """
 
     x: np.ndarray
@@ -922,11 +916,23 @@ class Drift:
         """exp(t x) as a read-only array, computed once per distinct ``t``."""
         return self._once(("expm", t), lambda: linalg.expm(t * self.x))
 
+    def cocycle(self, t: float) -> list:
+        """(time, attractor-frame cocycle) at n + 1 equally spaced times from 0 to ``t``,
+        accumulated in n steps of at most 0.5, so long horizons stay well conditioned.  One curve
+        is kept per step size and extended as far as a caller reaches."""
+        n = max(1, math.ceil(abs(t) / 0.5))
+        curve = self._once(("cocycle", t / n), lambda: [(self.frame.rep, np.zeros(self.dim))])
+        stepm = self.expm(t / n)
+        while len(curve) <= n:
+            trip = iwasawa(stepm @ curve[-1][0])
+            curve.append((trip.k, curve[-1][1] + trip.a_vec))
+        for _, acc in curve:  # shared with every caller, as _once's arrays are
+            acc.flags.writeable = False
+        return [(k * (t / n), acc) for k, (_, acc) in enumerate(curve[: n + 1])]
+
     def _horizon_rates(self, T: float) -> tuple:
         """Roots outside the flow type, predicted and measured cocycle slopes
-        over [0, T], and the smallest slope from time 1 on.  The cocycle is
-        accumulated in steps of at most 0.5, so long horizons stay well
-        conditioned."""
+        over [0, T], and the smallest slope from time 1 on."""
 
         def compute() -> tuple:
             rs = type_a_system(self.dim)
@@ -938,18 +944,11 @@ class Drift:
                     "positive root lies outside it, so there is no rate to measure"
                 )
             functionals = [realize_functional(c, self.dim) for c in roots]
-            n_sub = max(1, int(math.ceil(T / 0.5)))
-            dt_sub = T / n_sub
-            stepm = self.expm(dt_sub)
-            frame, acc = self.frame.rep, np.zeros(self.dim)
-            curve = [(0.0, acc)]
-            for k in range(1, n_sub + 1):
-                trip = iwasawa(stepm @ frame)
-                frame, acc = trip.k, acc + trip.a_vec
-                curve.append((k * dt_sub, acc))
+            curve = self.cocycle(T)
             mu = min(f(a) / tau for tau, a in curve if tau >= 1.0 - 1e-12 for f in functionals)
             predicted = tuple(f(self.split.h) for f in functionals)
-            return tuple(roots), predicted, tuple(f(acc) / T for f in functionals), float(mu)
+            measured = tuple(f(curve[-1][1]) / T for f in functionals)
+            return tuple(roots), predicted, measured, float(mu)
 
         return self._once(("rates", T), compute)
 
@@ -967,11 +966,14 @@ def determinant_formula_residuals(
 ) -> tuple[float, float]:
     """Relative defects of the Jacobian determinant identity at time ``t``.
 
-    Left side: Gram volume of the flow derivative on the unstable (stable)
-    realization at the record's fixed flag.  Right side: exponential of the
-    record's growth functional evaluated on the cocycle of the adapted
-    frame.  Returns (unstable defect, stable defect); on a chunk of records,
-    None for one that is not hyperbolic.
+    Left side: log volume of the flow derivative on the unstable (stable)
+    realization at the record's fixed flag, which the flow fixes, so that
+    it is t / 0.25 times log|det| of the short-time map ``verify_rates``
+    powers.  Right side: the record's growth functional on the cocycle of
+    the attractor frame, accumulated in steps of at most 0.5
+    (``Drift.cocycle``).  Returns |expm1(left - right)|, the relative defect
+    of the Jacobian against exp(sigma), as (unstable defect, stable defect);
+    on a chunk of records, None for one that is not hyperbolic.
     """
     if isinstance(record, ChainControlSetRecord) and not record.hyperbolic:
         raise ValueError("the determinant identity requires a hyperbolic record")
@@ -1013,13 +1015,15 @@ def verify_rates(
 
 
 CHUNK = 64  # records realized and checked together; a chunk's stacks set verify's peak memory
-_STEP = 0.25  # time of the short-time map whose powers give the growth exponents
+_STEP = 0.25  # time of the short-time map whose powers give the exponents and log volumes
 
 
 class Cells(tuple):
     """A chunk of records or Weyl elements with their cells (``realize``).  Per cell: why it fixes
-    no flag (or None), its frame, its sorted stable, center and unstable exponents; ``bundles[c]``
-    lists (cells, their k x nnz coordinates) per size k of subbundle c."""
+    no flag (or None), its frame, its sorted stable, center and unstable exponents, and a hyperbolic
+    record's realized sigma+ and sigma- (else None).  ``bundles[c]`` and ``maps[c]`` list, per size
+    k of subbundle c, its cells with their k x nnz coordinates and with the k x k tangent map of
+    exp(_STEP x) on it, the one flow derivative that the determinant and the rate checks read."""
 
 
 def value(entry):
@@ -1083,9 +1087,19 @@ def realize(drift: Drift, theta: Iterable[int], items: list) -> Cells:
     lam, center = hw[:, rows] - hw[:, cols], gid[:, rows] == gid[:, cols]
     masks = (~center & (lam <= 0), center, ~center & (lam > 0))
     exponents = [tuple(tuple(sorted(row[m].tolist())) for m in ms) for row, *ms in zip(lam, *masks)]
+    functionals = [
+        tuple(realize_functional(s, d) for s in (x.sigma_plus, x.sigma_minus))
+        if err is None and getattr(x, "hyperbolic", False) else None
+        for x, err in zip(items, errors)
+    ]
+    bundles = _subbundles(r, rows, cols, masks)
+    back = np.swapaxes(q, 1, 2)  # _subbundles' nnz x nnz stack is gone: one is live at a time
+    tangent = _tangent_maps(*(back @ drift.expm(s) @ q for s in (_STEP, -_STEP)), rows, cols)
+    maps = [[(pos, c @ tangent[pos] @ np.swapaxes(c, 1, 2)) for pos, c in groups]
+            for groups in bundles]
     cells = Cells(items)
-    vars(cells).update(blocks=blocks, rows=rows, cols=cols, errors=errors, frames=q,
-                       exponents=exponents, bundles=_subbundles(r, rows, cols, masks))
+    vars(cells).update(blocks=blocks, errors=errors, frames=q, exponents=exponents,
+                       functionals=functionals, bundles=bundles, maps=maps)
     return cells
 
 
@@ -1122,29 +1136,20 @@ def flag_drifts(drift: Drift, cells: Cells) -> list:
 
 def _determinants(drift: Drift, cells: Cells, spec, t: float) -> list:
     # per record, the relative defects of the determinant identity on the unstable and the
-    # stable subbundle, None if it is not hyperbolic: the flow derivative of psi = exp(t x) at
-    # x_w is the tangent map of the triangular factor of psi x_w
+    # stable subbundle, None if it is not hyperbolic: x_w is fixed by the flow, so the flow
+    # derivative of exp(t x) there is the t / _STEP-th power of the short-time map
     if not math.isfinite(t):
         raise ValueError(f"determinant time {t!r} is not finite")
     _check_flow_type(drift, spec)
-    psi = drift.expm(t)
-    avec = a_cocycle(psi, drift.frame, cond_max=None)
-    r = _qr_pos(psi @ cells.frames)[1]
-    flow = _tangent_maps(r, np.linalg.solve(r, np.eye(len(psi))), cells.rows, cells.cols)
-    gram = np.empty((len(cells), 2))
+    avec = drift.cocycle(t)[-1][1]
+    logvol = np.zeros((len(cells), 2))
     for side, c in enumerate((2, 0)):
-        for pos, coords in cells.bundles[c]:
-            images = coords @ np.swapaxes(flow[pos], 1, 2)
-            gram[pos, side] = np.linalg.det(images @ np.swapaxes(images, 1, 2))
-    out = []
-    for rec, grams in zip(cells, gram.tolist()):
-        if not rec.hyperbolic:
-            out.append(None)
-            continue
-        fs = [realize_functional(s, drift.dim) for s in (rec.sigma_plus, rec.sigma_minus)]
-        sides = [(math.sqrt(max(v, 0.0)), math.exp(f(avec))) for f, v in zip(fs, grams)]
-        out.append(tuple(abs(lhs - rhs) / max(abs(rhs), 1e-300) for lhs, rhs in sides))
-    return out
+        for pos, m in cells.maps[c]:
+            logvol[pos, side] = np.linalg.slogdet(m)[1]
+    return [
+        fs and tuple(abs(math.expm1(t / _STEP * lhs - f(avec))) for f, lhs in zip(fs, logs))
+        for fs, logs in zip(cells.functionals, logvol.tolist())
+    ]
 
 
 def _measure(items: np.ndarray, scale, finish) -> list:
@@ -1175,14 +1180,7 @@ def _rates(drift: Drift, cells: Cells, spec, T: float) -> list:
     roots, predicted, measured, mu = drift._horizon_rates(T)
     n_pow = max(1, int(round(T / _STEP)))
     horizon, scale = n_pow * _STEP, (_STEP * np.arange(1, n_pow + 1))[:, None]
-    back = np.swapaxes(cells.frames, 1, 2)
-    ends = (back @ drift.expm(s) @ cells.frames for s in (_STEP, -_STEP))
-    tangent = _tangent_maps(*ends, cells.rows, cells.cols)
-    maps = [
-        (c, pos, coords @ tangent[pos] @ np.swapaxes(coords, 1, 2))
-        for c, groups in enumerate(cells.bundles) for pos, coords in groups if coords.shape[1]
-    ]
-    del tangent  # the nnz x nnz stack, not the arithmetic, sets verify's peak memory
+    maps = [(c, pos, m) for c, groups in enumerate(cells.maps) for pos, m in groups if m.shape[-1]]
     found = [[(), (), ()] for _ in cells]  # per record and subbundle; the center's is its band
     by_size = {}  # stable and unstable maps of one size share a stack
     # an overflowing power is rejected as non-finite, not warned about
@@ -1231,6 +1229,7 @@ def check_records(drift: Drift, spec, records: list, T: float, det_times: list) 
         dets = [determinant_formula_residuals(drift, spec, chunk, t) for t in det_times]
         reports = verify_rates(drift, spec, chunk, T)
         yield from zip(skips, drifts, list(zip(*dets)) or [()] * len(chunk), reports)
+        del chunk, flags  # so that the next chunk is realized without this one
 
 
 # ---------------------------------------------------------------------------

@@ -426,17 +426,25 @@ def loop_cell(drift, blocks: tuple[int, ...], w: WeylElement):
 
 
 def loop_determinant_residuals(drift, blocks: tuple[int, ...], record, t: float) -> tuple[float, float]:
-    psi = drift.expm(t)
-    avec = sldr.a_cocycle(psi, drift.frame, cond_max=None)
+    """Unstable and stable defects |expm1(left - right)| of the determinant
+    identity at time ``t``, one record at a time: the left side is t / 0.25
+    times log|det| of the short-time map on the subbundle, the right side
+    sigma+ (sigma-) of the attractor-frame cocycle accumulated in n equal
+    steps of at most 0.5."""
+    n = max(1, math.ceil(abs(t) / 0.5))
+    frame, acc = drift.frame.rep, np.zeros(drift.dim)
+    for _ in range(n):
+        trip = sldr.iwasawa(drift.expm(t / n) @ frame, cond_max=None)
+        frame, acc = trip.k, acc + trip.a_vec
     frame, bundles = loop_cell(drift, blocks, record.rep)
-    _, r = sldr._qr_pos(psi @ frame)
-    tangent_map = kron_tangent_map(r, np.linalg.solve(r, np.eye(len(r))), blocks)
+    step = 0.25
+    tangent_map = kron_tangent_map(
+        frame.T @ drift.expm(step) @ frame, frame.T @ drift.expm(-step) @ frame, blocks
+    )
     out = []
     for sig, (basis, _) in ((record.sigma_plus, bundles[2]), (record.sigma_minus, bundles[0])):
-        images = basis @ tangent_map.T
-        lhs = math.sqrt(max(float(np.linalg.det(images @ images.T)), 0.0))
-        rhs = math.exp(sldr.realize_functional(sig, drift.dim)(avec))
-        out.append(abs(lhs - rhs) / max(abs(rhs), 1e-300))
+        lhs = t / step * np.linalg.slogdet(basis @ tangent_map @ basis.T)[1]
+        out.append(abs(math.expm1(lhs - sldr.realize_functional(sig, drift.dim)(acc))))
     return out[0], out[1]
 
 

@@ -250,9 +250,9 @@ def test_verify_computes_drift_data_once(tmp_path, capsys, monkeypatch):
     assert counts["split_part"] == 1
     assert expm_args  # the count is not vacuous
     assert len({a.tobytes() for a in expm_args}) == len(expm_args)  # one per distinct time
-    # one per horizon sub-step, one fixed-flag check per record, one per
-    # determinant time: nothing from the horizon is repeated per record
-    assert counts["iwasawa"] <= math.ceil(T / 0.5) + n_records + 3
+    # one per step of the cocycle curve, which the rate check and every
+    # determinant time share: nothing is repeated per record or per time
+    assert counts["iwasawa"] == math.ceil(T / 0.5)
 
 
 def test_verify_passes_on_distinct_spectrum(tmp_path, capsys):
@@ -263,6 +263,18 @@ def test_verify_passes_on_distinct_spectrum(tmp_path, capsys):
     rc, out, err = run(capsys, ["verify", "--spec", path, "--T", "10"])
     assert (rc, err) == (0, "")
     assert out.endswith("verify: 600/600 checks passed\n")
+
+
+def test_verify_passes_on_a_wide_spectrum(tmp_path, capsys):
+    # exp(2x) spans e^-18 to e^18: the determinant identity reads its log volumes off the
+    # short-time map and its cocycle in steps of 0.5, so no factor leaves what the unimodular
+    # and conditioning checks accept
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+    path = write_system(tmp_path, q @ np.diag([9.0, 3.0, -3.0, -9.0]) @ q.T)
+    for T in ("2", "5"):
+        rc, out, err = run(capsys, ["verify", "--spec", path, "--T", T])
+        assert (rc, err) == (0, "")
+        assert out.endswith("verify: 120/120 checks passed\n")
 
 
 def test_verify_rejects_powered_map_out_of_double_range(tmp_path, capsys):

@@ -2,6 +2,7 @@
 the lazy numeric re-exports."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -76,6 +77,9 @@ def test_removed_names_are_gone():
             assert not hasattr(module, name), (module.__name__, name)
             assert not hasattr(flagctrl, name), name
     assert not hasattr(sldr.RealizedFunctional, "exact")
+    # the cocycle keeps iwasawa's conditioning guard; only iwasawa itself can waive it
+    assert "cond_max" not in inspect.signature(sldr.a_cocycle).parameters
+    assert "cond_max" in inspect.signature(sldr.iwasawa).parameters
     # the checks hold no per-record path beside their batched one
     drift = sldr.Drift(np.diag([1.0, -1.0]))
     for name in ("_cell", "_cell_memo", "_cells", "_cells_memo"):

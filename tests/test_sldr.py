@@ -571,8 +571,6 @@ def test_realizations_match_position_oracle(d):
             blocks = blocks_from_theta(theta, d)
             records = enumerate_chain_control_sets(group, spec)
             cells = sldr.realize(drift, theta, [rec.rep for rec in records])
-            _, r = sldr._qr_pos(drift.expm(2.0) @ cells.frames)
-            flow = sldr._tangent_maps(r, np.linalg.inv(r), cells.rows, cells.cols)
             for i, rec in enumerate(records):
                 if cells.errors[i] is not None:
                     assert drift.split.complex_pairs  # a cell that splits the pair
@@ -586,14 +584,17 @@ def test_realizations_match_position_oracle(d):
                 frame, expected = oracles.realization_by_positions(drift.split, blocks, rec.rep.reduced_word)
                 assert np.abs(xw.rep - frame).max() < 1e-12
                 mask = oracles.lower_mask(blocks)
-                for coords, lams, (vecs, oracle_lams) in zip(bundles, exponents, expected):
+                maps = [[m[pos == i][0] for pos, m in groups if i in pos] for groups in cells.maps]
+                for coords, lams, (m,), (vecs, oracle_lams) in zip(bundles, exponents, maps, expected):
                     assert lams == oracle_lams
                     oracle_coords = np.array([v[mask] for v in vecs]).reshape(len(vecs), mask.sum())
                     assert np.abs(coords.T @ coords - oracle_coords.T @ oracle_coords).max() < 1e-12
-                    images = coords @ flow[i].T
-                    vol = math.sqrt(max(float(np.linalg.det(images @ images.T)), 0.0))
-                    oracle_vol = oracles.gram_volume(drift.expm(2.0), frame, blocks, vecs)
-                    assert abs(vol - oracle_vol) <= 1e-12 * oracle_vol
+                    # the determinant identity's left side, t / 0.25 powers of the short-time
+                    # map, against the Gram volume of the flow derivative at time t
+                    for t in (0.5, 1.0, 2.0):
+                        log_vol = t / 0.25 * np.linalg.slogdet(m)[1]
+                        oracle_vol = oracles.gram_volume(drift.expm(t), frame, blocks, vecs)
+                        assert abs(log_vol - math.log(oracle_vol)) <= 1e-12
                 checked.add(len(drift.split.complex_pairs))
     assert checked == {0, 1}  # real spectra, and a complex pair inside a block
 
@@ -673,6 +674,18 @@ def test_determinant_formula_residuals(w_a2):
         determinant_formula_residuals(x, degenerate_spec, good_rec, 1.0)
 
 
+def test_determinant_identity_on_a_wide_spectrum(w_a3):
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+    drift = Drift(q @ np.diag([9.0, 3.0, -3.0, -9.0]) @ q.T)
+    spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
+    records = enumerate_chain_control_sets(w_a3, spec)
+    assert len(records) == 24 and all(rec.hyperbolic for rec in records)
+    cells = sldr.realize(drift, (), records)
+    for t in (0.5, 1.0, 2.0):
+        residuals = determinant_formula_residuals(drift, spec, cells, t)
+        assert max(max(pair) for pair in residuals) <= 1e-12
+
+
 def test_verify_rates_regular(w_a2, w_a3, w_b2):
     x = Drift(np.diag([2.0, 0.0, -2.0]))
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
@@ -711,7 +724,15 @@ def test_drift_keeps_one_chunk_and_shares_expm(w_a3, monkeypatch):
         sizes.append(len(elements))
         return realize(drift, theta, elements)
 
+    iwasawa_calls = []
+    iwasawa = sldr.iwasawa
+
+    def counted(g, **kwargs):
+        iwasawa_calls.append(g)
+        return iwasawa(g, **kwargs)
+
     monkeypatch.setattr(sldr, "realize", recorded)
+    monkeypatch.setattr(sldr, "iwasawa", counted)
     monkeypatch.setattr(sldr, "CHUNK", 7)
     drift = Drift(np.diag([3.0, 1.0, -1.0, -3.0]))
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset())
@@ -719,7 +740,17 @@ def test_drift_keeps_one_chunk_and_shares_expm(w_a3, monkeypatch):
     results = list(sldr.check_records(drift, spec, records, 3.0, (0.5, 1.0)))
     assert len(results) == len(records) == 24
     assert sizes == [7, 7, 7, 3]  # each chunk is realized once, for all three checks
-    assert {key[0] for key in drift._memo} == {"expm", "rates"}
+    assert {key[0] for key in drift._memo} == {"expm", "rates", "cocycle"}
+    # one cocycle curve in steps of 0.5 serves the horizon and every determinant time of
+    # every chunk: six steps reach T = 3, and each step is one factorization
+    assert [key for key in drift._memo if key[0] == "cocycle"] == [("cocycle", 0.5)]
+    assert len(iwasawa_calls) == 6
+    curve = drift.cocycle(3.0)
+    assert [tau for tau, _ in curve] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    assert drift.cocycle(0.5)[-1][1] is curve[1][1] and drift.cocycle(1.0)[-1][1] is curve[2][1]
+    assert len(iwasawa_calls) == 6
+    with pytest.raises(ValueError):
+        curve[-1][1][0] = 1.0
     assert drift.expm(0.5) is drift.expm(0.5)
     with pytest.raises(ValueError):
         drift.expm(0.5)[0, 0] = 1.0
