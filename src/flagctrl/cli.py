@@ -301,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

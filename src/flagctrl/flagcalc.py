@@ -14,9 +14,10 @@ each coset this module computes, exactly:
 * the pair of growth functionals whose exponentials give the unstable and
   stable Jacobian determinants of the flow.
 
-All four come from one tangent split per representative, taken from one
-permutation of the root positions (``weyl.root_permutation``); the public
-functions below are thin calls into that same split.
+All four come from one tangent split per representative w, read off the
+sign of (beta, mu) for each positive root beta at the orbit point mu =
+w(lambda_theta) (``_split``).  Records take mu from the orbit walk of
+``weyl.double_cosets``; the public functions below walk w's word for it.
 
 Everything here is integer and rational arithmetic on top of rootsys and
 weyl; the numerical counterpart lives in sldr.
@@ -25,11 +26,12 @@ weyl; the numerical counterpart lives in sldr.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import weyl
-from .rootsys import AVector, Root, RootSystem, form_value, positions, subset_mask
-from .weyl import DoubleCoset, WeylElement, WeylGroup
+from .rootsys import Root, RootSystem, form_value, positions, subset_mask
+from .weyl import DoubleCoset, Weight, WeylElement, WeylGroup
 
 __all__ = [
     "FlagSpec",
@@ -81,11 +83,11 @@ class TangentSplit(NamedTuple):
 
 class _Split(NamedTuple):
     # the tangent split as bitmasks over root positions of ``rs.index``,
-    # with ``w`` applied to the span of theta
+    # with the orbit point mu = w(lambda_theta) it was read off
     stable: int
     center: int
     unstable: int
-    theta_image: int
+    point: Weight
 
 
 def flag_dim(rs: RootSystem, theta: Iterable[int]) -> int:
@@ -95,26 +97,34 @@ def flag_dim(rs: RootSystem, theta: Iterable[int]) -> int:
     return sum(index.mult[k] for k in index.positive_positions if not inner >> k & 1)
 
 
-def _split(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> _Split:
-    """The one tangent split of ``w``, from one permutation of the roots."""
+def _point(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> Weight:
+    """mu = w(lambda_theta), walked along the word of ``w``."""
+    return w.weight_image(tuple(int(j not in spec.theta) for j in range(rs.rank)))
+
+
+def _split(rs: RootSystem, spec: FlagSpec, mu: Weight) -> _Split:
+    """The one tangent split at the orbit point ``mu`` = w(lambda_theta).
+
+    w sends the negative roots outside the span of theta onto the roots
+    beta with (beta, mu) < 0, and that span onto those with (beta, mu) = 0.
+    Images in the flow-type span are center; the rest are unstable if
+    positive, stable if negative.
+    """
     spec.validate(rs)
     index = rs.index
-    perm = weyl.root_permutation(rs, w)
-    inner_theta = index.span(subset_mask(rs, spec.theta))
     inner_type = index.span(subset_mask(rs, spec.flag_type))
-    stable = center = unstable = theta_image = 0
-    for k in index.positive_positions:
-        image = perm[index.neg[k]]
-        bit = 1 << image
-        if inner_theta >> k & 1:
-            theta_image |= bit | 1 << perm[k]
-        elif inner_type & bit:
-            center |= bit
-        elif index.sign[image] > 0:
-            unstable |= bit
+    stable = center = unstable = 0
+    for k, row in zip(index.positive_positions, index.pairing_rows):
+        pairing = sum(map(mul, row, mu))
+        if not pairing:
+            continue
+        if inner_type >> k & 1:
+            center |= 1 << (k if pairing < 0 else index.neg[k])
+        elif pairing < 0:
+            unstable |= 1 << k
         else:
-            stable |= bit
-    return _Split(stable, center, unstable, theta_image)
+            stable |= 1 << index.neg[k]
+    return _Split(stable, center, unstable, mu)
 
 
 def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[int, int, int]:
@@ -128,8 +138,9 @@ def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[in
 
 
 def _hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement, split: _Split) -> bool:
+    # the flow-type span lies in w(span theta) iff mu_i = 0 on the flow type
     by_center = not split.center
-    by_inclusion = not rs.index.span(subset_mask(rs, spec.flag_type)) & ~split.theta_image
+    by_inclusion = not any(split.point[i] for i in spec.flag_type)
     if by_center != by_inclusion:
         center = sorted(r.coords for r in rs.index.members(split.center))
         raise ConsistencyError(
@@ -143,7 +154,7 @@ def _hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement, split: _Split) -
 
 def _sigma(rs: RootSystem, spec: FlagSpec, split: _Split, sign: int) -> tuple[int, ...]:
     # multiplicity-weighted sum over one tangent class, then the exact
-    # annihilation check on the flow-type simple roots in the theta image
+    # annihilation check on the flow-type a_i in w(span theta): mu_i = 0
     index = rs.index
     total = [0] * rs.rank
     for k in positions(split.unstable if sign > 0 else split.stable):
@@ -152,9 +163,7 @@ def _sigma(rs: RootSystem, spec: FlagSpec, split: _Split, sign: int) -> tuple[in
             total[j] += m * c
     coords = tuple(total)
     for i in sorted(spec.flag_type):
-        alpha = rs.simple_roots[i]
-        in_image = split.theta_image >> index.position[alpha.coords] & 1
-        if in_image and form_value(rs, coords, alpha.coords) != 0:
+        if split.point[i] == 0 and form_value(rs, coords, rs.simple_roots[i].coords) != 0:
             raise ConsistencyError(
                 f"functional {coords} fails to annihilate the dual of simple root {i}"
             )
@@ -168,13 +177,13 @@ def tangent_roots(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> TangentSpli
     the span of theta; class membership is decided by sign against the span
     of the flow type.
     """
-    split = _split(rs, spec, w)
+    split = _split(rs, spec, _point(rs, spec, w))
     return TangentSplit(*(rs.index.members(m) for m in split[:3]))
 
 
 def subbundle_dims(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[int, int, int]:
     """Stable, center, unstable dimensions; they always sum to flag_dim."""
-    return _dims(rs, spec, _split(rs, spec, w), flag_dim(rs, spec.theta))
+    return _dims(rs, spec, _split(rs, spec, _point(rs, spec, w)), flag_dim(rs, spec.theta))
 
 
 def is_hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> bool:
@@ -184,7 +193,7 @@ def is_hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> bool:
     through the inclusion of the flow-type span in the image of the theta
     span; a disagreement is an internal error and raises, never returns.
     """
-    return _hyperbolic(rs, spec, w, _split(rs, spec, w))
+    return _hyperbolic(rs, spec, w, _split(rs, spec, _point(rs, spec, w)))
 
 
 def sigma_functional(
@@ -200,7 +209,7 @@ def sigma_functional(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    split = _split(rs, spec, w)
+    split = _split(rs, spec, _point(rs, spec, w))
     if not _hyperbolic(rs, spec, w, split):
         raise ValueError(
             "growth functionals are representative-dependent on non-hyperbolic "
@@ -242,7 +251,7 @@ def enumerate_chain_control_sets(
     records = []
     for coset in weyl.double_cosets(group, spec.flag_type, spec.theta):
         w = coset.rep
-        split = _split(rs, spec, w)
+        split = _split(rs, spec, coset.point)
         s, c, u = _dims(rs, spec, split, total_dim)
         hyperbolic = _hyperbolic(rs, spec, w, split)
         records.append(
@@ -291,8 +300,8 @@ def representative_invariance_check(
     ``w1`` must lie in the flow-type parabolic subgroup and ``w2`` in the
     theta parabolic subgroup.  Hyperbolicity must match between ``w`` and
     ``w1*w*w2``, and on hyperbolic cosets the two growth functionals must
-    agree as functionals, which is checked by exact evaluation on the full
-    dual basis of the Cartan subspace.
+    agree as functionals: since the symmetrized pairing is nondegenerate,
+    as coordinate tuples.
     """
     rs = group.system
     # Tits: an element lies in W_S when its reduced word uses only S
@@ -301,20 +310,13 @@ def representative_invariance_check(
     if not spec.theta.issuperset(weyl._canonical(rs, w2.reduced_word).reduced_word):
         raise ValueError(f"w2={w2.reduced_word} is not in the theta subgroup")
     other = weyl.compose(group, weyl.compose(group, w1, w), w2)
-    split_w, split_o = _split(rs, spec, w), _split(rs, spec, other)
+    split_w, split_o = (_split(rs, spec, _point(rs, spec, v)) for v in (w, other))
     hyp = _hyperbolic(rs, spec, w, split_w)
     if hyp != _hyperbolic(rs, spec, other, split_o):
         return False
-    if not hyp:
-        return True
-    basis = [AVector.from_root(a) for a in rs.simple_roots]
-    for sign in (1, -1):
-        f_w = _sigma(rs, spec, split_w, sign)
-        f_o = _sigma(rs, spec, split_o, sign)
-        for h in basis:
-            if form_value(rs, f_w, h.coords) != form_value(rs, f_o, h.coords):
-                return False
-    return True
+    return not hyp or all(
+        _sigma(rs, spec, split_w, sign) == _sigma(rs, spec, split_o, sign) for sign in (1, -1)
+    )
 
 
 def _record_json(record: ChainControlSetRecord) -> dict:

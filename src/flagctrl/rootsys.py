@@ -13,9 +13,9 @@ global rescaling of the form, so callers needing a trace-form or
 Killing-form scale can multiply through without changing any predicate.
 
 Each system carries a ``RootIndex``: its roots as positions 0..N-1 with
-tables for negation, sign, multiplicity, support and the simple
-reflections, so the Weyl action is a permutation of positions and a set of
-roots is an int bitmask.
+tables for negation, multiplicity, support, the simple reflections and the
+pairing of each positive root with weights, so a set of roots is an int
+bitmask and the sign of (beta, mu) is that of an integer dot product.
 
 All values are immutable after construction and safe to share between
 threads; the span cache of a ``RootIndex`` only ever gains entries, and
@@ -104,19 +104,22 @@ class RootIndex:
 
     A set of roots is an int bitmask over positions, and a subset of the
     simple roots is an int bitmask over simple-root indices.  ``neg[k]`` is
-    the position of the negated root, ``sign[k]`` is +1 or -1, ``support[k]``
-    is the bitmask of simple roots with a nonzero coordinate, and
-    ``reflections[i][k]`` is the position of the i-th simple reflection of
-    root ``k``.  Spans of simple-root subsets are computed once per subset.
+    the position of the negated root, ``support[k]`` is the bitmask of
+    simple roots with a nonzero coordinate, ``reflections[i][k]`` is the
+    position of the i-th simple reflection of root ``k``, and
+    ``pairing_rows`` holds, per positive position in order, the integers
+    c_i (a_i, a_i) / s for the root sum(c_i a_i), s the squared length of a
+    short root: a weight mu with coordinates mu_i on the fundamental
+    weights pairs to sum(row[i] * mu[i]) = 2 (beta, mu) / s.  Spans of
+    simple-root subsets are computed once per subset.
     """
 
     roots: tuple[Root, ...]
-    position: Mapping[tuple[int, ...], int]
     neg: tuple[int, ...]
-    sign: tuple[int, ...]
     mult: tuple[int, ...]
     support: tuple[int, ...]
     reflections: tuple[tuple[int, ...], ...]
+    pairing_rows: tuple[tuple[int, ...], ...]
     _spans: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -297,6 +300,8 @@ def build_root_system(
         raise AssertionError("positive roots do not cover half the system")
 
     ordered = tuple(sorted(roots))
+    # (a_i, a_i) / s: 1, 2 or 3, the ratio of two squared root lengths
+    lengths = tuple(int(d / min(dvec)) for d in dvec)
     position = {r.coords: k for k, r in enumerate(ordered)}
     reflections = tuple(
         tuple(position[_simple_reflect_coords(cartan, i, r.coords)] for r in ordered)
@@ -321,12 +326,13 @@ def build_root_system(
                     )
     index = RootIndex(
         roots=ordered,
-        position=MappingProxyType(position),
         neg=tuple(position[(-r).coords] for r in ordered),
-        sign=tuple(1 if r.is_positive else -1 for r in ordered),
         mult=mults,
         support=tuple(sum(1 << i for i, c in enumerate(r.coords) if c) for r in ordered),
         reflections=reflections,
+        pairing_rows=tuple(
+            tuple(c * n for c, n in zip(r.coords, lengths)) for r in ordered if r.is_positive
+        ),
     )
 
     return RootSystem(

@@ -86,6 +86,7 @@ __all__ = [
 DEFAULT_COND_MAX = 1e12
 _STRIDE_LOG_COND_MAX = math.log(1e4)  # cocycle_sample's refactor bound
 _QR_BATCH = 256  # cocycle_sample's output rows per stacked QR
+_RENORM_CADENCE = 10  # integrate's RK4 steps per determinant renormalization
 
 
 @lru_cache(maxsize=None)
@@ -369,13 +370,10 @@ def random_signal(rng: np.random.Generator, box: Box, T: float, period: float) -
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = 1e-3
-    renorm_cadence: int = 10
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.renorm_cadence < 1:
-            raise ValueError("renorm cadence must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,10 +450,7 @@ def system_to_json(spec: ControlSystemSpec) -> dict:
         "drift": spec.drift.tolist(),
         "controls": [m.tolist() for m in spec.controls],
         "control_range": crange,
-        "integrator": {
-            "dt": spec.integrator.dt,
-            "renorm_cadence": spec.integrator.renorm_cadence,
-        },
+        "integrator": {"dt": spec.integrator.dt},
     }
 
 
@@ -474,10 +469,7 @@ def system_from_json(doc: dict) -> ControlSystemSpec:
                 normals=np.asarray(crdoc["normals"], dtype=float),
                 offsets=np.asarray(crdoc["offsets"], dtype=float),
             )
-        integ = IntegratorConfig(
-            dt=float(idoc.get("dt", 1e-3)),
-            renorm_cadence=int(idoc.get("renorm_cadence", 10)),
-        )
+        integ = IntegratorConfig(dt=float(idoc.get("dt", 1e-3)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed control system document: {exc}") from exc
     if drift.shape != (d, d):
@@ -576,7 +568,7 @@ def _propagate(
 
 def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Trajectory:
     """Fixed-step RK4 flow of the right-invariant system, with determinant
-    renormalization every ``renorm_cadence`` steps.
+    renormalization every ``_RENORM_CADENCE`` steps.
 
     ``T`` may be negative; see ``_propagate`` for the grid conditions.
     """
@@ -587,7 +579,7 @@ def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Traje
     for i, step in enumerate(chain.from_iterable(repeat(*run) for run in runs)):
         if step is not None:
             psi = step @ psi
-            if (i + 1) % spec.integrator.renorm_cadence == 0 or i == n - 1:
+            if (i + 1) % _RENORM_CADENCE == 0 or i == n - 1:
                 det = float(np.linalg.det(psi))
                 if det <= 0.0 or abs(det - 1.0) > 1e-6:
                     raise ValueError(

@@ -13,8 +13,9 @@ trivial stabilizer, w(rho) names w: equality and hashing go through it, and
 products are words applied to rho and stripped back to their least reduced
 word.  With J empty, lambda_J is rho and its orbit is the group, so a
 ``WeylGroup`` reads its element list, by length then word, off the orbit of
-rho on first use.  On roots, w acts as a permutation of positions
-(``root_permutation``); no integer matrix of an element is built.
+rho on first use.  Each double coset carries its orbit point mu =
+w(lambda_J), from which ``flagcalc`` reads the action of w on roots; no
+integer matrix or root permutation of an element is built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "DoubleCoset",
     "generate",
     "parabolic_order",
-    "root_permutation",
     "compose",
     "subgroup",
     "double_cosets",
@@ -57,8 +57,12 @@ class WeylElement:
 
     @cached_property
     def rho_image(self) -> Weight:
-        """w(rho) on the fundamental weights; the word need not be reduced."""
-        mu = (1,) * self.system.rank
+        """w(rho) on the fundamental weights."""
+        return self.weight_image((1,) * self.system.rank)
+
+    def weight_image(self, mu: Weight) -> Weight:
+        """w(mu) on the fundamental weights, walked along the word, which
+        need not be reduced."""
         for i in reversed(self.reduced_word):
             mu = _reflect(self.system.cartan, mu, i)
         return mu
@@ -145,18 +149,6 @@ def generate(rs: RootSystem, order_cap: int | None = None) -> WeylGroup:
     return WeylGroup(system=rs, order=order)
 
 
-def root_permutation(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
-    """``w`` as a permutation of root positions in ``rs.index``.
-
-    ``perm[k]`` is the position of ``w`` applied to root ``k``, composed
-    from the simple-reflection permutations along the reduced word.
-    """
-    perm: Sequence[int] = range(len(rs.index.roots))
-    for i in w.reduced_word:
-        perm = [perm[k] for k in rs.index.reflections[i]]
-    return tuple(perm)
-
-
 def _strip(cartan: Cartan, mu: Weight) -> tuple[int, ...]:
     # the least descent, again and again, until mu is dominant: the
     # lex-least reduced word of the shortest w with w(lambda) = mu
@@ -188,10 +180,12 @@ def subgroup(group: WeylGroup, theta: Iterable[int]) -> frozenset[WeylElement]:
 
 
 class DoubleCoset(NamedTuple):
-    """One double coset: its minimal-length representative and its size."""
+    """One double coset: its minimal-length representative, its size, and
+    its orbit point rep(lambda_J) on the fundamental weights."""
 
     rep: WeylElement
     size: int
+    point: Weight
 
 
 def double_cosets(
@@ -200,11 +194,11 @@ def double_cosets(
     """Double cosets of two parabolic subgroups, in canonical order.
 
     One per point mu of the orbit of lambda_J (J = ``right``) with
-    mu_i >= 0 for every i in I = ``left``; its representative is the
-    coset's unique member of minimal length.  The coset has
-    |W_I|*|W_J|/|W_K| members, W_K = W_I meeting w W_J w^{-1} being the
-    stabilizer of mu in W_I: K is the i in I with mu_i = 0 (Kilmoyer).
-    The returned tuple is sorted by length, then reduced word.
+    mu_i >= 0 for every i in I = ``left``, carried as ``point``; its
+    representative is the coset's unique member of minimal length.  The
+    coset has |W_I|*|W_J|/|W_K| members, W_K = W_I meeting w W_J w^{-1}
+    being the stabilizer of mu in W_I: K is the i in I with mu_i = 0
+    (Kilmoyer).  The returned tuple is sorted by length, then reduced word.
     """
     left, right = frozenset(left), frozenset(right)
     rs = group.system
@@ -220,7 +214,7 @@ def double_cosets(
             if all(mu[i] >= 0 for i in left):
                 meet = frozenset(i for i in left if mu[i] == 0)
                 rep = WeylElement(words[mu], rs)
-                cosets.append(DoubleCoset(rep, product // _parabolic_order(rs.cartan, meet)))
+                cosets.append(DoubleCoset(rep, product // _parabolic_order(rs.cartan, meet), mu))
         above = words
     if sum(c.size for c in cosets) != group.order:
         raise AssertionError("double cosets do not partition the group")

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import oracles
-from flagctrl import linalg, sldr, weyl
+from flagctrl import flagcalc, linalg, sldr, weyl
 from flagctrl.cli import main
+from flagctrl.rootsys import build_root_system
 from flagctrl.sldr import (
     Box,
     Polytope,
@@ -92,20 +93,29 @@ def test_analyze_order_cap(capsys):
     assert "error:" in err
 
 
-def test_analyze_computes_one_root_permutation_per_record(capsys, monkeypatch):
-    calls = []
-    real = weyl.root_permutation
+def test_analyze_splits_each_record_once_at_its_orbit_point(capsys, monkeypatch):
+    # one tangent split per record, in record order, at the point the orbit
+    # walk hands over: no record walks its word to find w(lambda_theta)
+    splits, walks = [], []
+    real_split, real_walk = flagcalc._split, weyl.WeylElement.weight_image
 
-    def counted(rs, w):
-        calls.append(w.reduced_word)
-        return real(rs, w)
+    def split(rs, spec, mu):
+        splits.append(mu)
+        return real_split(rs, spec, mu)
 
-    monkeypatch.setattr(weyl, "root_permutation", counted)
+    def walk(w, mu):
+        walks.append(w.reduced_word)
+        return real_walk(w, mu)
+
+    monkeypatch.setattr(flagcalc, "_split", split)
+    monkeypatch.setattr(weyl.WeylElement, "weight_image", walk)
     rc, out, _ = run(capsys, ["analyze", "--type", "D", "--rank", "4"])
-    assert rc == 0
+    monkeypatch.undo()
+    assert rc == 0 and walks == []
     words = [tuple(r["coset_rep_word"]) for r in json.loads(out)["records"]]
     assert len(words) == 192
-    assert calls == words
+    rs = build_root_system("D", 4)
+    assert splits == [weyl.WeylElement(word, rs).weight_image((1, 1, 1, 1)) for word in words]
 
 
 def test_exact_commands_skip_the_element_walk(tmp_path, capsys, monkeypatch):
@@ -448,6 +458,20 @@ def test_simulate_rejects_off_grid_period(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert "integer multiple of dt" in err
+
+
+def test_simulate_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a horizon whose control draws do not fit in memory: numpy raises a
+    # MemoryError subclass ("Unable to allocate ..."), stood in for here
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(sldr, "random_signal", refuse)
+    path = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]))
+    rc, out, err = run(capsys, ["simulate", "--spec", path, "--T", "1e9"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: Unable to allocate 149. GiB for an array\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagctrl import flagcalc, weyl
 from flagctrl.flagcalc import (
     ConsistencyError,
     FlagSpec,
@@ -253,6 +254,29 @@ def test_flagspec_validation(a2):
     ok = FlagSpec(theta=[0], flag_type=(1,))  # coerced to frozensets
     assert ok.theta == frozenset({0}) and ok.flag_type == frozenset({1})
     ok.validate(a2)
+
+
+def test_consistency_checks_raise_when_broken(w_a2, a2, monkeypatch):
+    # each cross-check raises, never returns, when its two sides disagree:
+    # splits of A2's identity at rho with a field broken, then enumerations
+    # with a wrong longest element and with every coset twice
+    spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
+    split = flagcalc._split(a2, spec, (1, 1))
+    with pytest.raises(ConsistencyError, match="criteria disagree"):
+        flagcalc._hyperbolic(a2, spec, w_a2.identity, split._replace(point=(0, 1)))
+    with pytest.raises(ConsistencyError, match="misses flag_dim"):
+        flagcalc._dims(a2, spec, split._replace(stable=0), 3)
+    alpha1 = 1 << a2.index.roots.index(a2.simple_roots[1])
+    with pytest.raises(ConsistencyError, match="fails to annihilate"):
+        flagcalc._sigma(a2, spec, split._replace(unstable=alpha1, point=(0, 1)), +1)
+    cosets = weyl.double_cosets(w_a2, spec.flag_type, spec.theta)
+    monkeypatch.setattr(weyl, "longest_coset_rep", lambda *args: w_a2.identity)
+    with pytest.raises(ConsistencyError, match="longest element"):
+        enumerate_chain_control_sets(w_a2, spec)
+    monkeypatch.undo()
+    monkeypatch.setattr(weyl, "double_cosets", lambda *args: cosets * 2)
+    with pytest.raises(ConsistencyError, match="unique attractor"):
+        enumerate_chain_control_sets(w_a2, spec)
 
 
 def test_records_sorted_and_unique_extremes(w_a3):

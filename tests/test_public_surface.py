@@ -69,7 +69,7 @@ def test_removed_names_are_gone():
         ),
         weyl: (
             "act", "act_avector", "length", "inverse", "simple_reflection_matrix",
-            "_mat_mul", "_mat_vec", "_identity_matrix", "reduce",
+            "_mat_mul", "_mat_vec", "_identity_matrix", "reduce", "root_permutation",
         ),
     }
     for module, names in removed.items():

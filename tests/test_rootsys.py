@@ -71,11 +71,28 @@ def test_reflect_closure_and_involution(g2):
     index = g2.index
     for a, perm in zip(g2.simple_roots, index.reflections):
         assert all(perm[perm[k]] == k for k in range(len(perm)))
-        assert perm[index.position[a.coords]] == index.position[(-a).coords]
+        assert perm[index.roots.index(a)] == index.roots.index(-a)
         for k, beta in enumerate(index.roots):
             c = 2 * form_value(g2, beta.coords, a.coords) / form_value(g2, a.coords, a.coords)
             image = tuple(b - c * x for b, x in zip(beta.coords, a.coords))
             assert index.roots[perm[k]].coords == image
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)])
+def test_pairing_rows_pair_as_the_form(family, rank):
+    # a simple root a_j, as a weight, has coordinates cartan[i][j]: each
+    # positive root's row pairs with it to 2 (beta, a_j) / s, s the squared
+    # length of a short root, in integers
+    rs = build_root_system(family, rank)
+    short = min(form_value(rs, a.coords, a.coords) for a in rs.simple_roots)
+    rows = rs.index.pairing_rows
+    assert len(rows) == len(rs.positive_roots)
+    for beta, row in zip(rs.sorted_positive_roots(), rows):
+        assert all(isinstance(x, int) for x in row)
+        for j, a in enumerate(rs.simple_roots):
+            mu = [rs.cartan[i][j] for i in range(rank)]
+            expected = 2 * form_value(rs, beta.coords, a.coords) / short
+            assert sum(x * m for x, m in zip(row, mu)) == expected
 
 
 def test_span_subset(a3):

@@ -1,12 +1,13 @@
 import ast
 import os
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flagctrl.rootsys import Root, build_root_system, form_value
+from flagctrl.rootsys import Root, build_root_system
 from flagctrl.weyl import (
     WeylElement,
     WeylGroup,
@@ -15,7 +16,6 @@ from flagctrl.weyl import (
     double_cosets,
     generate,
     parabolic_order,
-    root_permutation,
     subgroup,
 )
 
@@ -139,31 +139,34 @@ def test_length_equals_inversion_count(w_b2, w_a3):
             assert len(w.reduced_word) == len(oracles.inversion_set(group, w))
 
 
-def test_action_preserves_roots_and_form(w_g2, g2):
-    roots = g2.index.roots
-    for w in w_g2.elements:
-        perm = root_permutation(g2, w)
-        assert sorted(perm) == list(range(len(roots)))
-        for a, pa in zip(roots, perm):
-            for b, pb in zip(roots, perm):
-                pair = form_value(g2, roots[pa].coords, roots[pb].coords)
-                assert pair == form_value(g2, a.coords, b.coords)
+def fraction_solve(a, b):
+    """x with a x = b, over the rationals, by Gauss-Jordan elimination."""
+    n = len(b)
+    rows = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
 @pytest.mark.parametrize("family,rank", ACTED)
-def test_root_permutation_matches_matrix(family, rank):
+def test_coset_points_are_matrix_images_of_lambda(family, rank):
+    # each coset's point is rep(lambda_J), lambda_J moved to simple-root
+    # coordinates (mu_i = sum_k x_k cartan[i][k]), acted on by the oracle's
+    # matrix and read back on the fundamental weights
     rs = build_root_system(family, rank)
     group = generate(rs)
-    index = rs.index
-    for w in group.elements:
-        perm = root_permutation(rs, w)
-        assert [index.roots[k] for k in perm] == [image(w, r) for r in index.roots]
-    # the longest element negates the positive roots, s_i negates a_i
-    perm = root_permutation(rs, group.longest)
-    assert all(index.sign[perm[k]] < 0 for k in index.positive_positions)
-    for i, a in enumerate(rs.simple_roots):
-        k = index.position[a.coords]
-        assert root_permutation(rs, WeylElement((i,), rs))[k] == index.neg[k]
+    subsets = list(oracles.all_subsets(rank))
+    for left, right in [(left, right) for left in subsets for right in subsets][::3]:
+        lam = [int(j not in right) for j in range(rank)]
+        x = fraction_solve(rs.cartan, lam)
+        for c in double_cosets(group, left, right):
+            y = oracles.mat_vec(oracles.matrix(c.rep), x)
+            assert c.point == tuple(sum(row[k] * y[k] for k in range(rank)) for row in rs.cartan)
 
 
 @given(st.integers(0, 23), st.integers(0, 23))
@@ -218,7 +221,7 @@ def test_oracles_do_not_use_the_orbit_code():
         tree = ast.parse(fh.read())
     banned = {
         "double_cosets", "longest_coset_rep", "_canonical", "compose", "inverse", "subgroup",
-        "elements", "longest", "rho_image",
+        "elements", "longest", "rho_image", "weight_image", "point",
     }
     names = set()
     for node in ast.walk(tree):
