@@ -12,6 +12,7 @@ import itertools
 import json
 import sys
 
+from flagctrl.cli import _positive_int
 from flagctrl.flagcalc import FlagSpec, classification_report, flag_dim
 from flagctrl.rootsys import FAMILIES, build_root_system
 from flagctrl.weyl import generate
@@ -31,7 +32,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--type", required=True, choices=sorted(FAMILIES))
     ap.add_argument("--rank", required=True, type=int)
-    ap.add_argument("--order-cap", type=int)  # None: weyl.DEFAULT_ORDER_CAP
+    ap.add_argument("--order-cap", type=_positive_int)  # None: weyl.DEFAULT_ORDER_CAP
     ap.add_argument("--json", help="also dump every report to this file")
     args = ap.parse_args()
 

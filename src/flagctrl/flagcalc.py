@@ -30,7 +30,7 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import weyl
-from .rootsys import Root, RootSystem, form_value, positions, subset_mask
+from .rootsys import Root, RootSystem, subset_mask
 from .weyl import DoubleCoset, Weight, WeylElement, WeylGroup
 
 __all__ = [
@@ -82,11 +82,11 @@ class TangentSplit(NamedTuple):
 
 
 class _Split(NamedTuple):
-    # the tangent split as bitmasks over root positions of ``rs.index``,
-    # with the orbit point mu = w(lambda_theta) it was read off
-    stable: int
-    center: int
-    unstable: int
+    # the tangent split as tuples of root positions of ``rs.index``, with
+    # the orbit point mu = w(lambda_theta) it was read off
+    stable: tuple[int, ...]
+    center: tuple[int, ...]
+    unstable: tuple[int, ...]
     point: Weight
 
 
@@ -98,7 +98,8 @@ def flag_dim(rs: RootSystem, theta: Iterable[int]) -> int:
 
 
 def _point(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> Weight:
-    """mu = w(lambda_theta), walked along the word of ``w``."""
+    """mu = w(lambda_theta), walked along the word of ``w``, for a validated ``spec``."""
+    spec.validate(rs)
     return w.weight_image(tuple(int(j not in spec.theta) for j in range(rs.rank)))
 
 
@@ -110,26 +111,25 @@ def _split(rs: RootSystem, spec: FlagSpec, mu: Weight) -> _Split:
     Images in the flow-type span are center; the rest are unstable if
     positive, stable if negative.
     """
-    spec.validate(rs)
     index = rs.index
     inner_type = index.span(subset_mask(rs, spec.flag_type))
-    stable = center = unstable = 0
+    stable, center, unstable = [], [], []
     for k, row in zip(index.positive_positions, index.pairing_rows):
         pairing = sum(map(mul, row, mu))
         if not pairing:
             continue
         if inner_type >> k & 1:
-            center |= 1 << (k if pairing < 0 else index.neg[k])
+            center.append(k if pairing < 0 else index.neg[k])
         elif pairing < 0:
-            unstable |= 1 << k
+            unstable.append(k)
         else:
-            stable |= 1 << index.neg[k]
-    return _Split(stable, center, unstable, mu)
+            stable.append(index.neg[k])
+    return _Split(tuple(stable), tuple(center), tuple(unstable), mu)
 
 
 def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[int, int, int]:
-    mult = rs.index.mult
-    s, c, u = (sum(mult[k] for k in positions(m)) for m in split[:3])
+    mult = rs.index.mult.__getitem__
+    s, c, u = (sum(map(mult, part)) for part in split[:3])
     if s + c + u != total:
         raise ConsistencyError(
             f"dimension split {s}+{c}+{u} misses flag_dim for theta={sorted(spec.theta)}"
@@ -142,7 +142,7 @@ def _hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement, split: _Split) -
     by_center = not split.center
     by_inclusion = not any(split.point[i] for i in spec.flag_type)
     if by_center != by_inclusion:
-        center = sorted(r.coords for r in rs.index.members(split.center))
+        center = sorted(rs.index.roots[k].coords for k in split.center)
         raise ConsistencyError(
             "hyperbolicity criteria disagree: "
             f"center-class test gives {by_center}, span-inclusion test gives {by_inclusion} "
@@ -153,17 +153,11 @@ def _hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement, split: _Split) -
 
 
 def _sigma(rs: RootSystem, spec: FlagSpec, split: _Split, sign: int) -> tuple[int, ...]:
-    # multiplicity-weighted sum over one tangent class, then the exact
-    # annihilation check on the flow-type a_i in w(span theta): mu_i = 0
-    index = rs.index
-    total = [0] * rs.rank
-    for k in positions(split.unstable if sign > 0 else split.stable):
-        m = index.mult[k]
-        for j, c in enumerate(index.roots[k].coords):
-            total[j] += m * c
-    coords = tuple(total)
+    # column sums from lists (iterators kept memory live); (sigma, a_i) = d_i (cartan[i], sigma)
+    rows = list(map(rs.index.weighted.__getitem__, split.unstable if sign > 0 else split.stable))
+    coords = tuple([sum(column) for column in zip(*rows)]) or (0,) * rs.rank
     for i in sorted(spec.flag_type):
-        if split.point[i] == 0 and form_value(rs, coords, rs.simple_roots[i].coords) != 0:
+        if split.point[i] == 0 and sum(map(mul, rs.cartan[i], coords)):
             raise ConsistencyError(
                 f"functional {coords} fails to annihilate the dual of simple root {i}"
             )
@@ -178,7 +172,7 @@ def tangent_roots(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> TangentSpli
     of the flow type.
     """
     split = _split(rs, spec, _point(rs, spec, w))
-    return TangentSplit(*(rs.index.members(m) for m in split[:3]))
+    return TangentSplit(*(frozenset(map(rs.index.roots.__getitem__, part)) for part in split[:3]))
 
 
 def subbundle_dims(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[int, int, int]:

@@ -13,9 +13,10 @@ global rescaling of the form, so callers needing a trace-form or
 Killing-form scale can multiply through without changing any predicate.
 
 Each system carries a ``RootIndex``: its roots as positions 0..N-1 with
-tables for negation, multiplicity, support, the simple reflections and the
-pairing of each positive root with weights, so a set of roots is an int
-bitmask and the sign of (beta, mu) is that of an integer dot product.
+tables for negation, multiplicity, weighted coordinates, support, the simple
+reflections and the pairing of positive roots with weights.  A span of roots
+is an int bitmask, a tangent class a tuple of positions, and the sign of
+(beta, mu) that of an integer dot product.
 
 All values are immutable after construction and safe to share between
 threads; the span cache of a ``RootIndex`` only ever gains entries, and
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Root",
@@ -41,7 +42,6 @@ __all__ = [
     "build_root_system",
     "span_subset",
     "subset_mask",
-    "positions",
     "form_value",
 ]
 
@@ -102,11 +102,13 @@ class AVector:
 class RootIndex:
     """Roots as positions in sorted order, with one table entry per position.
 
-    A set of roots is an int bitmask over positions, and a subset of the
-    simple roots is an int bitmask over simple-root indices.  ``neg[k]`` is
-    the position of the negated root, ``support[k]`` is the bitmask of
-    simple roots with a nonzero coordinate, ``reflections[i][k]`` is the
-    position of the i-th simple reflection of root ``k``, and
+    A span of roots is an int bitmask over positions, a tangent class a
+    tuple of positions, and a subset of the simple roots an int bitmask over
+    simple-root indices.  ``neg[k]`` is the position of the negated root,
+    ``weighted[k]`` root k's coordinates times its multiplicity (a class's
+    growth functional is the column sum of its rows), ``support[k]`` the
+    bitmask of simple roots with a nonzero coordinate, ``reflections[i][k]``
+    the position of the i-th simple reflection of root ``k``, and
     ``pairing_rows`` holds, per positive position in order, the integers
     c_i (a_i, a_i) / s for the root sum(c_i a_i), s the squared length of a
     short root: a weight mu with coordinates mu_i on the fundamental
@@ -117,6 +119,7 @@ class RootIndex:
     roots: tuple[Root, ...]
     neg: tuple[int, ...]
     mult: tuple[int, ...]
+    weighted: tuple[tuple[int, ...], ...]
     support: tuple[int, ...]
     reflections: tuple[tuple[int, ...], ...]
     pairing_rows: tuple[tuple[int, ...], ...]
@@ -137,15 +140,7 @@ class RootIndex:
         return mask
 
     def members(self, mask: int) -> frozenset[Root]:
-        return frozenset(self.roots[k] for k in positions(mask))
-
-
-def positions(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return frozenset(r for k, r in enumerate(self.roots) if mask >> k & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,6 +323,7 @@ def build_root_system(
         roots=ordered,
         neg=tuple(position[(-r).coords] for r in ordered),
         mult=mults,
+        weighted=tuple(tuple(m * c for c in r.coords) for r, m in zip(ordered, mults)),
         support=tuple(sum(1 << i for i, c in enumerate(r.coords) if c) for r in ordered),
         reflections=reflections,
         pairing_rows=tuple(

@@ -1169,6 +1169,14 @@ def _rates(drift: Drift, cells: Cells, spec, T: float) -> list:
     if T < 1.0:
         raise ValueError("need a horizon of at least 1")
     _check_flow_type(drift, spec)
+    # with more than one block the repeller's unstable class holds the highest root, growing at
+    # h_max - h_min >= max|h|, so past T max|h| = 2 * 745 its powered map is sure to overflow
+    top = float(np.abs(drift.split.h).max())
+    if len(cells.blocks) > 1 and T * top > 1490:
+        raise ValueError(
+            f"horizon {T:g} times the largest real part {top:g} in modulus exceeds 1490: "
+            "the powered short-time maps leave double range; shorten --T"
+        )
     roots, predicted, measured, mu = drift._horizon_rates(T)
     n_pow = max(1, int(round(T / _STEP)))
     horizon, scale = n_pow * _STEP, (_STEP * np.arange(1, n_pow + 1))[:, None]

@@ -628,15 +628,28 @@ def test_rate_experiment_script():
     assert "center slope band" in script("--diag", "1,1,-2", "--T", "10")
 
 
-@pytest.mark.parametrize("argv", [["--type", "E", "--rank", "7"], ["--type", "A", "--rank", "0"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--type", "E", "--rank", "7"],
+        ["--type", "A", "--rank", "0"],
+        ["--type", "A", "--rank", "2", "--order-cap", "0"],
+        ["--type", "A", "--rank", "2", "--order-cap", "-3"],
+    ],
+)
 def test_run_classification_script_refusals(argv):
     # the order cap and a bad type end like the CLI's refusals: exit 2, one
-    # error line, no traceback
+    # error line, no traceback; a cap that is not a positive integer is a
+    # usage error, as in the CLI
     proc = subprocess.run(
         [sys.executable, RUN_CLASSIFICATION, *argv], capture_output=True, text=True, env=child_env()
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if "--order-cap" in argv:
+        assert proc.stderr.startswith("usage: ")
+        assert "error: argument --order-cap: expected a positive integer" in proc.stderr
+    else:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -661,3 +674,23 @@ def test_rate_experiment_script_refusals(argv, message):
         [sys.executable, RATE_EXPERIMENT, *argv], capture_output=True, text=True, env=child_env()
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [sys.executable, "-m", "flagctrl.cli", "verify", "--spec", "{spec}", "--T", "1e300"],
+        [sys.executable, RATE_EXPERIMENT, "--diag", "2,0,-2", "--T", "1e300"],
+    ],
+)
+def test_huge_horizon_is_refused_up_front(tmp_path, argv):
+    # the powered maps would leave double range long before the cocycle over
+    # [0, T] is built, so the refusal comes first: exit 2 in seconds
+    spec = write_system(tmp_path, np.diag([2.0, 0.0, -2.0]))
+    argv = [a.format(spec=spec) for a in argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: horizon 1e+300 times the largest real part 2 in modulus exceeds 1490: "
+        "the powered short-time maps leave double range; shorten --T\n"
+    )

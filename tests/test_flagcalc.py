@@ -144,16 +144,29 @@ def cells(group, pairs=None, stride=1):
             yield group.system, spec, spans, w
 
 
+def long_one_short_two(family, rank):
+    """The group of a system with multiplicity 1 on long roots, 2 on short ones."""
+    plain = build_root_system(family, rank)
+    rs = build_root_system(
+        family, rank, mult=lambda r: 1 if form_value(plain, r.coords, r.coords) == 2 else 2
+    )
+    assert set(rs.index.mult) == {1, 2}
+    return generate(rs)
+
+
 @pytest.fixture(scope="module")
 def oracle_cells(w_a2, w_b2, w_g2, w_a3, w_b3, w_c3, w_a4, w_d4, w_f4):
     """All (theta, flag type) pairs of the rank 2 groups and A3 with every
     element, of B3 and C3 with every 2nd and of A4 and D4 with every 8th;
-    F4 on fixed pairs with every 16th element."""
+    F4 on fixed pairs with every 16th element.  B2, G2 and B3 also come
+    with mixed multiplicities, 1 on long roots and 2 on short ones."""
     out = []
     for group, stride in ((w_a2, 1), (w_b2, 1), (w_g2, 1), (w_a3, 1), (w_b3, 2), (w_c3, 2),
                           (w_a4, 8), (w_d4, 8)):
         out += cells(group, stride=stride)
     out += cells(w_f4, F4_PAIRS, stride=16)
+    for family, rank, stride in (("B", 2, 1), ("G", 2, 1), ("B", 3, 2)):
+        out += cells(long_one_short_two(family, rank), stride=stride)
     return out
 
 
@@ -173,6 +186,14 @@ def test_sigma_matches_brute(oracle_cells):
         for sign in (1, -1):
             expected = oracles.brute_sigma(rs, spec.theta, spec.flag_type, w, sign, spans)
             assert sigma_functional(rs, spec, w, sign) == expected
+
+
+def test_enumeration_validates_the_spec_once(w_d4, monkeypatch):
+    calls = []
+    real = FlagSpec.validate
+    monkeypatch.setattr(FlagSpec, "validate", lambda spec, rs: calls.append(rs) or real(spec, rs))
+    records = enumerate_chain_control_sets(w_d4, FlagSpec(theta=frozenset(), flag_type=frozenset()))
+    assert len(records) == 192 and len(calls) == 1
 
 
 def test_sigma_rejects_bad_input(w_a2, a2):
@@ -265,8 +286,8 @@ def test_consistency_checks_raise_when_broken(w_a2, a2, monkeypatch):
     with pytest.raises(ConsistencyError, match="criteria disagree"):
         flagcalc._hyperbolic(a2, spec, w_a2.identity, split._replace(point=(0, 1)))
     with pytest.raises(ConsistencyError, match="misses flag_dim"):
-        flagcalc._dims(a2, spec, split._replace(stable=0), 3)
-    alpha1 = 1 << a2.index.roots.index(a2.simple_roots[1])
+        flagcalc._dims(a2, spec, split._replace(stable=()), 3)
+    alpha1 = (a2.index.roots.index(a2.simple_roots[1]),)
     with pytest.raises(ConsistencyError, match="fails to annihilate"):
         flagcalc._sigma(a2, spec, split._replace(unstable=alpha1, point=(0, 1)), +1)
     cosets = weyl.double_cosets(w_a2, spec.flag_type, spec.theta)

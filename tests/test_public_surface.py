@@ -65,7 +65,7 @@ def test_removed_names_are_gone():
         flagcalc: ("evaluate_functional",),
         rootsys: (
             "reflect", "pairing_value", "evaluate", "characteristic_subset", "chamber_vector",
-            "a_theta_basis", "root_system_json", "root_system_to_text", "json",
+            "a_theta_basis", "root_system_json", "root_system_to_text", "json", "positions",
         ),
         weyl: (
             "act", "act_avector", "length", "inverse", "simple_reflection_matrix",
