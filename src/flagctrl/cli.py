@@ -11,13 +11,15 @@ Exit codes: 0 success, 1 failed verification or internal inconsistency,
 2 usage or input error.  Set FLAGCTRL_LOG=DEBUG (or any level name) for
 progress logging on stderr.  analyze, cosets and simulate write
 deterministic bytes to stdout for fixed arguments.
+
+Each run is a fresh process, so this module imports only what every
+command runs: ``json`` loads where JSON is written, ``logging`` only when
+FLAGCTRL_LOG is set, and numpy with ``sldr`` only in verify and simulate.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import math
 import os
 import sys
@@ -34,7 +36,13 @@ from .weyl import coset_table_json, generate
 
 __all__ = ["main", "entrypoint"]
 
-log = logging.getLogger("flagctrl")
+
+def _debug(msg: str, *args: object) -> None:
+    # a debug line on the "flagctrl" logger; with logging never imported, no
+    # handler can take it, so there is nothing to do
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("flagctrl").debug(msg, *args)
 
 
 def _indices(text: str) -> frozenset[int]:
@@ -73,6 +81,8 @@ _positive_int = _number(int, lambda n: n > 0, "a positive integer")
 
 
 def _emit_json(doc: object) -> None:
+    import json
+
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -135,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_analyze(args: argparse.Namespace) -> int:
     rs = build_root_system(args.type, args.rank)
     group = generate(rs, order_cap=args.order_cap)
-    log.debug("Weyl group of %s has order %d", rs.lie_type, group.order)
+    _debug("Weyl group of %s has order %d", rs.lie_type, group.order)
     spec = FlagSpec(theta=args.theta, flag_type=args.flagtype)
     spec.validate(rs)
     if args.format == "json":
@@ -202,7 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fspec = FlagSpec(theta=args.theta, flag_type=sp.theta)
     fspec.validate(rs)
     records = enumerate_chain_control_sets(group, fspec)
-    log.debug(
+    _debug(
         "drift flow type %s, %d records on theta=%s",
         sorted(sp.theta),
         len(records),
@@ -257,6 +267,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         standard_flag,
     )
 
+    import json
+
     import numpy as np
 
     sysspec = load_system(args.spec)
@@ -289,6 +301,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("FLAGCTRL_LOG")
     if level:
+        import logging
+
         logging.basicConfig(
             level=getattr(logging, level.upper(), logging.INFO),
             format="%(levelname)s %(name)s: %(message)s",

@@ -25,7 +25,7 @@ weyl; the numerical counterpart lives in sldr.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -53,16 +53,14 @@ class ConsistencyError(RuntimeError):
     """Two independent criteria that must agree disagreed; report, never mask."""
 
 
-@dataclass(frozen=True)
-class FlagSpec:
-    """Problem statement: flag manifold subset and flow type subset."""
+class FlagSpec(namedtuple("FlagSpec", "theta flag_type")):
+    """Problem statement: flag manifold subset and flow type subset, each
+    held as a frozenset of simple-root indices."""
 
-    theta: frozenset[int]
-    flag_type: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", frozenset(self.theta))
-        object.__setattr__(self, "flag_type", frozenset(self.flag_type))
+    def __new__(cls, theta: Iterable[int], flag_type: Iterable[int]) -> FlagSpec:
+        return super().__new__(cls, frozenset(theta), frozenset(flag_type))
 
     def validate(self, rs: RootSystem) -> None:
         for name, subset in (("theta", self.theta), ("flag_type", self.flag_type)):
@@ -213,8 +211,7 @@ def sigma_functional(
     return _sigma(rs, spec, split, sign)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainControlSetRecord:
+class ChainControlSetRecord(NamedTuple):
     """One chain control set: coset, dimensions, hyperbolicity, functionals."""
 
     coset: DoubleCoset

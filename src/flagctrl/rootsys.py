@@ -5,7 +5,9 @@ subspace carry rational coordinates in the basis of pairing-duals of the
 simple roots, so a root and its dual vector share coordinates.  The single
 bridge between the two sides is the symmetrized Cartan matrix ``pairing``,
 through which ``form_value`` evaluates exactly over the rationals: no
-floats anywhere.
+floats anywhere.  The rational side (``pairing``, ``AVector``,
+``form_value``) loads ``fractions`` on first use; the classification itself
+runs on the integer root lengths.
 
 Normalization: long roots have squared length 2.  Everything computed
 downstream (zero tests, sign tests, subset inclusions) is invariant under a
@@ -19,17 +21,19 @@ is an int bitmask, a tangent class a tuple of positions, and the sign of
 (beta, mu) that of an integer dot product.
 
 All values are immutable after construction and safe to share between
-threads; the span cache of a ``RootIndex`` only ever gains entries, and
-every thread would compute the same ones.
+threads; the span cache of a ``RootIndex`` and the lazy ``pairing`` only
+ever gain entries, and every thread would compute the same ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from collections import namedtuple
+from functools import cached_property, total_ordering
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Root",
@@ -60,46 +64,90 @@ _ROOT_COUNT: dict[str, Callable[[int], int]] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """A root as an integer coordinate vector over the simple roots."""
+_bind = object.__setattr__
 
-    coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coords or all(c == 0 for c in self.coords):
+class _Frozen:
+    """Base of the immutable classes that are not tuples.
+
+    ``__init__`` binds the fields that the class annotates, each once, by
+    position or keyword, as ``cached_property`` binds its value; nothing
+    rebinds them, and ``repr`` lists them.  A slotted subclass binds its own
+    through ``_bind``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object, **fields: object) -> None:
+        names = type(self).__annotations__
+        fields.update(zip(names, values))
+        if len(values) > len(names) or fields.keys() != names.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        vars(self).update(fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__annotations__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Root(namedtuple("Root", "coords")):
+    """A root as an integer coordinate vector over the simple roots,
+    ordered, equal and hashed as the tuple ``(coords,)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords: tuple[int, ...]) -> Root:
+        if not any(coords):
             raise ValueError("a root must be a nonzero coordinate vector")
+        return super().__new__(cls, coords)
 
-    def __neg__(self) -> "Root":
+    def __neg__(self) -> Root:
         return Root(tuple(-c for c in self.coords))
 
     @property
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    @cached_property
+    @property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.coords) if c != 0)
 
 
-@dataclass(frozen=True, order=True)
-class AVector:
+@total_ordering
+class AVector(_Frozen):
     """A Cartan-subspace vector in the dual basis of the simple roots.
 
-    Coordinates are exact rationals.  The dual vector of a root has the
-    same coordinates as the root itself, which makes ``from_root`` the
-    whole dictionary between the two sides.
+    Coordinates are exact rationals, compared and ordered as a tuple; not a
+    tuple itself, so that ``+`` is no concatenation.  The dual vector of a
+    root has the same coordinates as the root itself, which makes
+    ``from_root`` the whole dictionary between the two sides.
     """
 
     coords: tuple[Fraction, ...]
 
+    def __eq__(self, other: object) -> bool:
+        return self.coords == other.coords if type(other) is AVector else NotImplemented
+
+    def __lt__(self, other: AVector) -> bool:
+        return self.coords < other.coords if type(other) is AVector else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
     @staticmethod
-    def from_root(root: Root) -> "AVector":
-        return AVector(tuple(Fraction(c) for c in root.coords))
+    def from_root(root: Root) -> AVector:
+        from fractions import Fraction
+
+        return AVector(tuple(map(Fraction, root.coords)))
 
 
-@dataclass(frozen=True, eq=False)
-class RootIndex:
+class RootIndex(_Frozen):
     """Roots as positions in sorted order, with one table entry per position.
 
     A span of roots is an int bitmask over positions, a tangent class a
@@ -113,7 +161,8 @@ class RootIndex:
     c_i (a_i, a_i) / s for the root sum(c_i a_i), s the squared length of a
     short root: a weight mu with coordinates mu_i on the fundamental
     weights pairs to sum(row[i] * mu[i]) = 2 (beta, mu) / s.  Spans of
-    simple-root subsets are computed once per subset.
+    simple-root subsets are computed once per subset.  Indices compare by
+    identity.
     """
 
     roots: tuple[Root, ...]
@@ -123,7 +172,10 @@ class RootIndex:
     support: tuple[int, ...]
     reflections: tuple[tuple[int, ...], ...]
     pairing_rows: tuple[tuple[int, ...], ...]
-    _spans: dict = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def _spans(self) -> dict[int, int]:
+        return {}
 
     @property
     def positive_positions(self) -> range:
@@ -143,25 +195,36 @@ class RootIndex:
         return frozenset(r for k, r in enumerate(self.roots) if mask >> k & 1)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
-    """An irreducible finite root system with exact pairing data.
+class RootSystem(_Frozen):
+    """An irreducible finite root system with exact pairing data, compared
+    by identity.
 
     ``cartan[i][j]`` is ``2 (a_i, a_j) / (a_i, a_i)`` for simple roots
     ``a_i``, so the i-th simple reflection subtracts ``cartan[i][j]``
     copies of ``a_i`` from ``a_j``.  ``pairing`` is the symmetrized form
-    ``diag(d) @ cartan`` with ``max d = 1``.
+    ``diag(d) @ cartan`` with ``max d = 1``, in ``Fraction``s, built on
+    first use.
     """
 
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    pairing: tuple[tuple[Fraction, ...], ...]
     simple_roots: tuple[Root, ...]
     roots: frozenset[Root]
     positive_roots: frozenset[Root]
     mult: Mapping[Root, int]
     index: RootIndex
+
+    @cached_property
+    def pairing(self) -> tuple[tuple[Fraction, ...], ...]:
+        from fractions import Fraction
+
+        # d_i = (a_i, a_i) / (long root length)
+        lengths = _root_lengths(self.cartan)
+        top = max(lengths)
+        return tuple(
+            tuple(Fraction(n * c, top) for c in row) for n, row in zip(lengths, self.cartan)
+        )
 
     @property
     def lie_type(self) -> str:
@@ -223,22 +286,25 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
-    # solve d_i c_ij = d_j c_ji on the Dynkin graph, normalize max d = 1
+def _root_lengths(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    # (a_i, a_i) / s, s the squared length of a short root: 1, 2 or 3.  Solve
+    # d_i c_ij = d_j c_ji on the Dynkin graph in integers from d_0 = 6: each
+    # edge scales by 1, 2, 3 or their inverse, and an irreducible diagram has
+    # at most one multiple edge, so every division is exact
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d: list[int | None] = [None] * n
+    d[0] = 6
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(n):
             if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                d[j] = d[i] * cartan[i][j] // cartan[j][i]
                 todo.append(j)
-    if any(x is None for x in d):
+    if None in d:
         raise ValueError("Cartan matrix has a disconnected Dynkin graph")
-    top = max(d)  # type: ignore[type-var]
-    return tuple(x / top for x in d)  # type: ignore[operator]
+    short = min(d)  # type: ignore[type-var]
+    return tuple(x // short for x in d)  # type: ignore[operator]
 
 
 def _simple_reflect_coords(
@@ -261,10 +327,7 @@ def build_root_system(
     default is the constant map 1.
     """
     cartan = cartan_matrix(family, rank)
-    dvec = _symmetrizer(cartan)
-    pairing = tuple(
-        tuple(dvec[i] * cartan[i][j] for j in range(rank)) for i in range(rank)
-    )
+    lengths = _root_lengths(cartan)
     simple = tuple(
         Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
     )
@@ -295,8 +358,6 @@ def build_root_system(
         raise AssertionError("positive roots do not cover half the system")
 
     ordered = tuple(sorted(roots))
-    # (a_i, a_i) / s: 1, 2 or 3, the ratio of two squared root lengths
-    lengths = tuple(int(d / min(dvec)) for d in dvec)
     position = {r.coords: k for k, r in enumerate(ordered)}
     reflections = tuple(
         tuple(position[_simple_reflect_coords(cartan, i, r.coords)] for r in ordered)
@@ -335,7 +396,6 @@ def build_root_system(
         family=family,
         rank=rank,
         cartan=cartan,
-        pairing=pairing,
         simple_roots=simple,
         roots=roots,
         positive_roots=positive,
@@ -350,6 +410,8 @@ def form_value(
     b: Sequence[int | Fraction],
 ) -> Fraction:
     """Exact bilinear form of two coordinate vectors through ``pairing``."""
+    from fractions import Fraction
+
     if len(a) != rs.rank or len(b) != rs.rank:
         raise ValueError(f"coordinate length must equal rank {rs.rank}")
     total = Fraction(0)

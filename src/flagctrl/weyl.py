@@ -20,11 +20,10 @@ integer matrix or root permutation of an element is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rootsys import RootSystem, _check_subset
+from .rootsys import RootSystem, _bind, _check_subset, _Frozen
 
 __all__ = [
     "WeylElement",
@@ -48,17 +47,30 @@ Cartan = tuple[tuple[int, ...], ...]
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class WeylElement:
+class WeylElement(_Frozen):
     """Group element: its canonical reduced word, named by its image of rho."""
 
-    reduced_word: tuple[int, ...]
-    system: RootSystem = field(repr=False)
+    __slots__ = ("reduced_word", "system", "_rho")
 
-    @cached_property
+    def __init__(self, reduced_word: tuple[int, ...], system: RootSystem) -> None:
+        _bind(self, "reduced_word", reduced_word)
+        _bind(self, "system", system)
+
+    def __repr__(self) -> str:
+        return f"WeylElement(reduced_word={self.reduced_word!r})"
+
+    def __reduce__(self) -> tuple:
+        # copies rebuild through __init__, past the frozen __setattr__
+        return WeylElement, (self.reduced_word, self.system)
+
+    @property
     def rho_image(self) -> Weight:
-        """w(rho) on the fundamental weights."""
-        return self.weight_image((1,) * self.system.rank)
+        """w(rho) on the fundamental weights, walked on first use."""
+        try:
+            return self._rho
+        except AttributeError:
+            _bind(self, "_rho", self.weight_image((1,) * self.system.rank))
+            return self._rho
 
     def weight_image(self, mu: Weight) -> Weight:
         """w(mu) on the fundamental weights, walked along the word, which
@@ -111,10 +123,10 @@ def parabolic_order(rs: RootSystem, subset: Iterable[int]) -> int:
     return _parabolic_order(rs.cartan, subset)
 
 
-@dataclass(frozen=True, eq=False)
-class WeylGroup:
-    """The group of ``system`` and its order; its elements, by length then
-    lexicographic reduced word, are read off the orbit of rho on first use."""
+class WeylGroup(_Frozen):
+    """The group of ``system`` and its order, compared by identity; its
+    elements, by length then lexicographic reduced word, are read off the
+    orbit of rho on first use."""
 
     system: RootSystem
     order: int

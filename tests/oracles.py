@@ -15,7 +15,9 @@ reproduce their every bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 from operator import mul
 
 import numpy as np
@@ -30,6 +32,25 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def symmetrizer(cartan: Matrix) -> tuple[Fraction, ...]:
+    """The rational d with d_i c_ij = d_j c_ji and max d = 1, swept over all
+    pairs (i, j) until every d_j is found from a neighbour on the Dynkin graph."""
+    d: list[Fraction | None] = [Fraction(1)] + [None] * (len(cartan) - 1)
+    while None in d:
+        for i, j in product(range(len(cartan)), repeat=2):
+            if d[i] is not None and d[j] is None and cartan[i][j]:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+    return tuple(x / max(d) for x in d)
+
+
+def form(cartan: Matrix, a, b) -> Fraction:
+    """sum_ij a_i b_j d_i c_ij over the rationals, d from ``symmetrizer``."""
+    d = symmetrizer(cartan)
+    pairs = product(range(len(cartan)), repeat=2)
+    terms = (Fraction(a[i]) * Fraction(b[j]) * d[i] * cartan[i][j] for i, j in pairs)
+    return sum(terms, Fraction(0))
 
 
 def brute_span(rs: RootSystem, subset: frozenset[int]) -> set[Root]:

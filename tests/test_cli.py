@@ -31,10 +31,12 @@ def run(capsys, argv):
 
 def child_env(**extra):
     # a child process imports the same flagctrl as the tests, also when only
-    # pytest's pythonpath setting, not PYTHONPATH, points at src/
+    # pytest's pythonpath setting, not PYTHONPATH, points at src/; it logs
+    # only where ``extra`` sets FLAGCTRL_LOG
     src = os.path.dirname(os.path.dirname(sldr.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
+    inherited = {k: v for k, v in os.environ.items() if k != "FLAGCTRL_LOG"}
+    return dict(inherited, PYTHONPATH=path, **extra)
 
 
 def write_system(tmp_path, drift, controls=(), crange=None, name="sys.json"):
@@ -518,6 +520,42 @@ def test_log_env_enables_stderr_logging():
     assert proc.stdout.startswith('{"')
 
 
+def _child(argv, **env):
+    return subprocess.run(
+        [sys.executable, "-m", "flagctrl.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(**env),
+    )
+
+
+def test_log_env_below_debug_prints_no_debug_line():
+    proc = _child(["analyze", "--type", "A", "--rank", "2"], FLAGCTRL_LOG="INFO")
+    assert proc.returncode == 0 and proc.stdout.startswith('{"')
+    assert proc.stderr == ""
+
+
+def test_unset_log_env_keeps_stderr_empty_and_logging_unloaded():
+    proc = _child(["analyze", "--type", "A", "--rank", "2"])
+    assert proc.returncode == 0 and proc.stdout.startswith('{"') and proc.stderr == ""
+    code = (
+        "import sys, flagctrl.cli as c\n"
+        "assert c.main(['analyze', '--type', 'A', '--rank', '2']) == 0\n"
+        "assert 'logging' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+def test_log_env_debug_reports_the_drift_flow_type(tmp_path):
+    path = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]))
+    proc = _child(["verify", "--spec", path, "--T", "2", "--theta", "1"], FLAGCTRL_LOG="DEBUG")
+    assert proc.returncode == 0 and proc.stdout.endswith("checks passed\n")
+    assert proc.stderr == "DEBUG flagctrl: drift flow type [], 3 records on theta=[1]\n"
+
+
 def test_exact_commands_do_not_import_numpy():
     code = (
         "import sys, flagctrl.cli as c\n"
@@ -531,6 +569,34 @@ def test_exact_commands_do_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 2
+
+
+def test_exact_commands_load_only_what_they_run():
+    # analyze and cosets need no dataclasses (inspect with them), logging,
+    # fractions or decimal, and a text run no json; counted from before the
+    # import of flagctrl, so that what the interpreter loads at start does not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import flagctrl.cli as c\n"
+        "def loaded(names):\n"
+        "    return sorted(set(names) & (set(sys.modules) - before))\n"
+        "for fmt in ('text', 'json'):\n"
+        "    argv = ['--type', 'B', '--rank', '3', '--format', fmt]\n"
+        "    assert c.main(['analyze', *argv, '--theta', '0', '--flagtype', '1']) == 0\n"
+        "    assert c.main(['cosets', *argv, '--left', '0', '--right', '1,2']) == 0\n"
+        "    if fmt == 'text':\n"
+        "        assert not loaded(['json']), loaded(['json'])\n"
+        "banned = loaded(['dataclasses', 'inspect', 'logging', 'fractions', 'decimal', 'json'])\n"
+        "assert banned == ['json'], banned\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()  # two text outputs, then two json documents
+    assert sum(line.startswith("lie_type") for line in lines) == 2
+    assert sum(line.startswith("{") for line in lines) == 2
 
 
 def test_simulate_does_not_import_scipy(tmp_path):

@@ -92,3 +92,41 @@ def test_removed_names_are_gone():
     assert not hasattr(weyl.WeylElement, "matrix")
     with pytest.raises(ModuleNotFoundError):  # verify's checks live in sldr
         importlib.import_module("flagctrl.checks")
+
+
+def test_value_classes_keep_their_contract(w_b2):
+    from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets
+    from flagctrl.rootsys import Root
+    from flagctrl.weyl import WeylElement
+
+    # Root: ordered by coordinates, nonzero, negated coordinate by coordinate
+    roots = [Root((1, 0)), Root((-1, -1)), Root((0, 1)), Root((-1, 0)), Root((1, 1))]
+    assert [r.coords for r in sorted(roots)] == [(-1, -1), (-1, 0), (0, 1), (1, 0), (1, 1)]
+    assert Root((0, 1)) < Root((1, 0)) <= Root((1, 0)) < Root((1, 1))
+    for coords in ((0, 0), ()):
+        with pytest.raises(ValueError, match="nonzero"):
+            Root(coords)
+    assert -Root((1, -2)) == Root((-1, 2)) and (-Root((1, -2))).coords == (-1, 2)
+    assert Root((2, 1)) == Root((2, 1)) and hash(Root((2, 1))) == hash(Root((2, 1)))
+    # FlagSpec: any iterables, held as frozensets, equal and hashed by value
+    spec = FlagSpec(theta=[1, 0, 1], flag_type=(2,))
+    assert type(spec.theta) is frozenset and type(spec.flag_type) is frozenset
+    assert spec.theta == {0, 1} and spec.flag_type == {2}
+    same = FlagSpec({0, 1}, frozenset({2}))
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != FlagSpec(theta={0}, flag_type={2})
+    # WeylElement: named by w(rho), whatever word spells it
+    rs = w_b2.system
+    s1 = WeylElement((1,), rs)
+    for word in ((0, 1, 1, 0, 1), (1, 0, 0), (0, 0, 1, 1, 1)):
+        w = WeylElement(word, rs)
+        assert w == s1 and hash(w) == hash(s1) and not (w != s1)
+    assert WeylElement((0, 0), rs) == w_b2.identity and WeylElement((0,), rs) != s1
+    assert len({WeylElement((0, 1, 0, 1), rs), WeylElement((1, 0, 1, 0), rs)}) == 1
+    # no field can be reassigned
+    record = enumerate_chain_control_sets(w_b2, FlagSpec((), ()))[0]
+    for value, name in ((Root((1, 0)), "coords"), (spec, "theta"), (spec, "flag_type"),
+                        (s1, "reduced_word"), (s1, "system"), (record, "hyperbolic"),
+                        (record, "rep"), (rs, "rank"), (w_b2, "order")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))

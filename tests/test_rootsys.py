@@ -2,7 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from flagctrl.rootsys import AVector, Root, build_root_system, cartan_matrix, form_value, span_subset
+import oracles
+from flagctrl.rootsys import (
+    FAMILIES,
+    MAX_RANK,
+    AVector,
+    Root,
+    build_root_system,
+    cartan_matrix,
+    form_value,
+    span_subset,
+)
 
 ALL_TYPES = [
     ("A", 1, 2), ("A", 2, 6), ("A", 3, 12), ("A", 4, 20), ("A", 8, 72),
@@ -47,6 +57,42 @@ def test_pairing_symmetric_positive_diagonal(family, rank, _):
     # long-root normalization: largest squared length is 2
     lengths = {form_value(rs, r.coords, r.coords) for r in rs.roots}
     assert max(lengths) == 2
+
+
+def _is_valid(family, rank):
+    try:
+        cartan_matrix(family, rank)
+    except ValueError:
+        return False
+    return True
+
+
+VALID_TYPES = [(f, n) for f in FAMILIES for n in range(1, MAX_RANK + 1) if _is_valid(f, n)]
+
+
+@pytest.mark.parametrize("family,rank", VALID_TYPES)
+def test_lengths_pairing_and_form_match_the_rational_symmetrizer(family, rank):
+    # the integer root lengths, the rational pairing and form_value against a
+    # Fraction symmetrizer computed apart from the library
+    rs = build_root_system(family, rank)
+    d = oracles.symmetrizer(rs.cartan)
+    lengths = tuple(x / min(d) for x in d)
+    assert set(lengths) <= {1, 2, 3} and min(lengths) == 1
+    # pairing_rows holds c_i (a_i, a_i) / s for each positive root sum(c_i a_i)
+    positive = rs.index.roots[rs.index.positive_positions.start :]
+    assert rs.index.pairing_rows == tuple(
+        tuple(c * n for c, n in zip(r.coords, lengths)) for r in positive
+    )
+    assert rs.pairing == tuple(
+        tuple(d[i] * rs.cartan[i][j] for j in range(rank)) for i in range(rank)
+    )
+    assert all(type(x) is Fraction for row in rs.pairing for x in row)
+    vectors = [a.coords for a in rs.simple_roots] + [positive[-1].coords]
+    vectors.append(tuple(Fraction(i + 1, 3) * (-1) ** i for i in range(rank)))
+    for a in vectors:
+        for b in vectors:
+            value = form_value(rs, a, b)
+            assert type(value) is Fraction and value == oracles.form(rs.cartan, a, b)
 
 
 def test_root_container():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -706,7 +705,7 @@ def test_verify_rates_regular(w_a2, w_a3, w_b2):
     for group in (w_b2, w_a3):
         wrong = word_element(group, recs[-1].rep.reduced_word)
         with pytest.raises(ValueError, match="does not match SL"):
-            verify_rates(x, spec, dataclasses.replace(recs[-1], rep=wrong), 2.0)
+            verify_rates(x, spec, recs[-1]._replace(rep=wrong), 2.0)
         with pytest.raises(ValueError, match="does not match SL"):
             fixed_flags(x, (), wrong)
     bad = FlagSpec(theta=frozenset(), flag_type=frozenset({1}))
