@@ -16,8 +16,12 @@ each coset this module computes, exactly:
 
 All four come from one tangent split per representative w, read off the
 sign of (beta, mu) for each positive root beta at the orbit point mu =
-w(lambda_theta) (``_split``).  Records take mu from the orbit walk of
-``weyl.double_cosets``; the public functions below walk w's word for it.
+w(lambda_theta) (``_split``).  The split runs on the lane-packed tables of
+``rootsys.RootIndex``: one biased sum holds every pairing, two masks their
+signs, and one product per class its dimension and, on a hyperbolic coset,
+its coordinate sum, so no step walks the roots.  Records take mu from the
+orbit walk of ``weyl.double_cosets``; the public functions below walk w's
+word for it.
 
 Everything here is integer and rational arithmetic on top of rootsys and
 weyl; the numerical counterpart lives in sldr.
@@ -26,7 +30,7 @@ weyl; the numerical counterpart lives in sldr.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, NamedTuple
 
 from . import weyl
@@ -80,8 +84,10 @@ class TangentSplit(NamedTuple):
 
 
 class _Split(NamedTuple):
-    # the tangent split as tuples of root positions of ``rs.index``, with
-    # the orbit point mu = w(lambda_theta) it was read off
+    # the tangent split at the orbit point mu = w(lambda_theta), each class
+    # as the ``RootIndex.sums`` of the positive roots beta whose image +-beta
+    # it holds, (dimension, coordinate sum of the beta), where the stable
+    # class holds the -beta; (dimension,) alone off a hyperbolic coset
     stable: tuple[int, ...]
     center: tuple[int, ...]
     unstable: tuple[int, ...]
@@ -107,27 +113,22 @@ def _split(rs: RootSystem, spec: FlagSpec, mu: Weight) -> _Split:
     w sends the negative roots outside the span of theta onto the roots
     beta with (beta, mu) < 0, and that span onto those with (beta, mu) = 0.
     Images in the flow-type span are center; the rest are unstable if
-    positive, stable if negative.
+    positive, stable if negative: a positive root beta with (beta, mu) < 0
+    is an image itself, one with (beta, mu) > 0 through -beta.
     """
     index = rs.index
-    inner_type = index.span(subset_mask(rs, spec.flag_type))
-    stable, center, unstable = [], [], []
-    for k, row in zip(index.positive_positions, index.pairing_rows):
-        pairing = sum(map(mul, row, mu))
-        if not pairing:
-            continue
-        if inner_type >> k & 1:
-            center.append(k if pairing < 0 else index.neg[k])
-        elif pairing < 0:
-            unstable.append(k)
-        else:
-            stable.append(index.neg[k])
-    return _Split(tuple(stable), tuple(center), tuple(unstable), mu)
+    below, above = index.signs(mu)
+    inner = index.lanes(spec.flag_type)
+    center = (below | above) & inner
+    if center:
+        # no growth functionals off a hyperbolic coset: dimensions only
+        size = index.size
+        return _Split((size(above & ~inner),), (size(center),), (size(below & ~inner),), mu)
+    return _Split(index.sums(above & ~inner), (0,), index.sums(below & ~inner), mu)
 
 
 def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[int, int, int]:
-    mult = rs.index.mult.__getitem__
-    s, c, u = (sum(map(mult, part)) for part in split[:3])
+    s, c, u = split.stable[0], split.center[0], split.unstable[0]
     if s + c + u != total:
         raise ConsistencyError(
             f"dimension split {s}+{c}+{u} misses flag_dim for theta={sorted(spec.theta)}"
@@ -137,23 +138,21 @@ def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[in
 
 def _hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement, split: _Split) -> bool:
     # the flow-type span lies in w(span theta) iff mu_i = 0 on the flow type
-    by_center = not split.center
+    by_center = not split.center[0]
     by_inclusion = not any(split.point[i] for i in spec.flag_type)
     if by_center != by_inclusion:
-        center = sorted(rs.index.roots[k].coords for k in split.center)
         raise ConsistencyError(
             "hyperbolicity criteria disagree: "
             f"center-class test gives {by_center}, span-inclusion test gives {by_inclusion} "
             f"(theta={sorted(spec.theta)}, flag_type={sorted(spec.flag_type)}, "
-            f"w={w.reduced_word}, center={center})"
+            f"w={w.reduced_word}, center dimension {split.center[0]})"
         )
     return by_center
 
 
 def _sigma(rs: RootSystem, spec: FlagSpec, split: _Split, sign: int) -> tuple[int, ...]:
-    # column sums from lists (iterators kept memory live); (sigma, a_i) = d_i (cartan[i], sigma)
-    rows = list(map(rs.index.weighted.__getitem__, split.unstable if sign > 0 else split.stable))
-    coords = tuple([sum(column) for column in zip(*rows)]) or (0,) * rs.rank
+    # (sigma, a_i) = d_i (cartan[i], sigma)
+    coords = split.unstable[1:] if sign > 0 else tuple(map(neg, split.stable[1:]))
     for i in sorted(spec.flag_type):
         if split.point[i] == 0 and sum(map(mul, rs.cartan[i], coords)):
             raise ConsistencyError(
@@ -169,8 +168,14 @@ def tangent_roots(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> TangentSpli
     the span of theta; class membership is decided by sign against the span
     of the flow type.
     """
-    split = _split(rs, spec, _point(rs, spec, w))
-    return TangentSplit(*(frozenset(map(rs.index.roots.__getitem__, part)) for part in split[:3]))
+    index = rs.index
+    below, above = index.signs(_point(rs, spec, w))
+    inner, members = index.lanes(spec.flag_type), index.members
+    return TangentSplit(
+        stable=frozenset(map(neg, members(above & ~inner))),
+        center=members(below & inner) | frozenset(map(neg, members(above & inner))),
+        unstable=members(below & ~inner),
+    )
 
 
 def subbundle_dims(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[int, int, int]:

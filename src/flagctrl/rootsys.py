@@ -14,21 +14,28 @@ downstream (zero tests, sign tests, subset inclusions) is invariant under a
 global rescaling of the form, so callers needing a trace-form or
 Killing-form scale can multiply through without changing any predicate.
 
-Each system carries a ``RootIndex``: its roots as positions 0..N-1 with
-tables for negation, multiplicity, weighted coordinates, support, the simple
-reflections and the pairing of positive roots with weights.  A span of roots
-is an int bitmask, a tangent class a tuple of positions, and the sign of
-(beta, mu) that of an integer dot product.
+Each system carries a ``RootIndex``: its roots as positions with tables
+for multiplicity, support and the simple reflections, and three
+lane-packed integers over the positive roots.  A span of roots is an int
+bitmask over positions.  The pairings (beta, mu) of every positive root with
+a weight are one integer with one W-bit lane per root, so their signs are a
+few big-integer operations; the multiplicity-weighted size and coordinate
+sum of a set of positive roots are one product of its lane mask with a
+reversed table (Lamport, "Multiple byte processing with full-word
+instructions", CACM 18(8), 1975).
 
 All values are immutable after construction and safe to share between
-threads; the span cache of a ``RootIndex`` and the lazy ``pairing`` only
-ever gain entries, and every thread would compute the same ones.
+threads; the span caches of a ``RootIndex`` and the lazy ``pairing`` only
+ever gain entries, and every thread would compute the same ones.  A
+``RootSystem`` pickles and copies as the arguments that build it.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from functools import cached_property, total_ordering
+from operator import mul, neg
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -65,6 +72,9 @@ _ROOT_COUNT: dict[str, Callable[[int], int]] = {
 
 
 _bind = object.__setattr__
+
+# memoryview formats of the lane widths a RootIndex can take
+_LANE_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class _Frozen:
@@ -150,32 +160,57 @@ class AVector(_Frozen):
 class RootIndex(_Frozen):
     """Roots as positions in sorted order, with one table entry per position.
 
-    A span of roots is an int bitmask over positions, a tangent class a
-    tuple of positions, and a subset of the simple roots an int bitmask over
-    simple-root indices.  ``neg[k]`` is the position of the negated root,
-    ``weighted[k]`` root k's coordinates times its multiplicity (a class's
-    growth functional is the column sum of its rows), ``support[k]`` the
-    bitmask of simple roots with a nonzero coordinate, ``reflections[i][k]``
-    the position of the i-th simple reflection of root ``k``, and
-    ``pairing_rows`` holds, per positive position in order, the integers
-    c_i (a_i, a_i) / s for the root sum(c_i a_i), s the squared length of a
-    short root: a weight mu with coordinates mu_i on the fundamental
-    weights pairs to sum(row[i] * mu[i]) = 2 (beta, mu) / s.  Spans of
-    simple-root subsets are computed once per subset.  Indices compare by
-    identity.
+    A span of roots is an int bitmask over positions, a subset of the simple
+    roots one over indices.  ``mult[k]`` is the multiplicity of root ``k``,
+    ``support[k]`` the bitmask of its nonzero coordinates, and
+    ``reflections[i][k]`` the position of its i-th simple reflection.
+    Indices compare by identity.
+
+    The N positive roots own one W-bit lane each (W = ``lane``), root j the
+    bits from W j up, and a set of them is a lane mask: the top bit of each
+    of its lanes, as ``bias`` is of all of them.  Lane j of ``columns[i]``
+    holds c_i (a_i, a_i) / s for root j = sum(c_i a_i), s the squared length
+    of a short root, so ``bias`` plus sum(mu_i * columns[i]) holds 2^(W-1) +
+    2 (beta_j, mu) / s in lane j: its top bit is clear iff the pairing is
+    negative, and stays set after one is taken off iff it is positive
+    (``signs``).  ``table`` holds field f of root j (its multiplicity for f
+    = 0, else coordinate f - 1 times it) in lane N f + N - 1 - j, one bit
+    up, so lane N (f + 1) of a mask times ``table`` sums field f over the
+    mask (``sums``); the other lanes hold partial sums of fields f and f + 1.
+
+    W is the least of 8, 16, 32, 64 with room for both.  The pairings fit
+    when 2^(W-1) exceeds the sum of every positive root's column entries: mu
+    is w(lambda) with lambda on 0/1 coordinates, so (beta, mu) is +-(gamma,
+    lambda) for a positive root gamma.  No lane of a product carries when
+    every two adjacent field totals sum below 2^W.  That gives 8 bits
+    through E7 and 16 for E8.
     """
 
     roots: tuple[Root, ...]
-    neg: tuple[int, ...]
     mult: tuple[int, ...]
-    weighted: tuple[tuple[int, ...], ...]
     support: tuple[int, ...]
     reflections: tuple[tuple[int, ...], ...]
-    pairing_rows: tuple[tuple[int, ...], ...]
+    lane: int
+    columns: tuple[int, ...]
+    bias: int
+    table: int
 
     @cached_property
     def _spans(self) -> dict[int, int]:
         return {}
+
+    @cached_property
+    def _lanes(self) -> dict[frozenset[int], int]:
+        return {}
+
+    @cached_property
+    def _layout(self) -> tuple[int, int, int, str, tuple[int, ...], int, int]:
+        # N; a one in every lane; the byte length, lane format and
+        # empty-mask sums of a mask-by-table product; field 0 of ``table``
+        # and the bit where a product with it holds its sum
+        n, w, fields = len(self.roots) // 2, self.lane, len(self.columns) + 1
+        nbytes, head = w * n * (fields + 1) // 8, self.table & (1 << w * n + 1) - 1
+        return n, self.bias >> w - 1, nbytes, _LANE_FORMAT[w], (0,) * fields, head, w * n
 
     @property
     def positive_positions(self) -> range:
@@ -191,8 +226,43 @@ class RootIndex(_Frozen):
             self._spans[subset] = mask
         return mask
 
+    def lanes(self, subset: frozenset[int]) -> int:
+        """Lane mask of the positive roots supported on the simple roots in
+        ``subset``, whose indices the caller has checked."""
+        mask = self._lanes.get(subset)
+        if mask is None:
+            n, w, mask = len(self.roots) // 2, self.lane, 0
+            span = self.span(sum(1 << i for i in subset)) >> n
+            for j in range(n):
+                if span >> j & 1:
+                    mask += 1 << w * j + w - 1
+            self._lanes[subset] = mask
+        return mask
+
+    def signs(self, mu: Sequence[int]) -> tuple[int, int]:
+        """Lane masks of the positive roots beta with (beta, mu) < 0 and with
+        (beta, mu) > 0, for mu an image of a 0/1 weight (see the class)."""
+        biased = sum(map(mul, mu, self.columns), self.bias)
+        return self.bias & ~biased, self.bias & biased - self._layout[1]
+
+    def sums(self, mask: int) -> tuple[int, ...]:
+        """Multiplicity-weighted size and coordinate sum of the positive
+        roots in a lane mask, read off its product with ``table``."""
+        n, _, nbytes, fmt, zero, _, _ = self._layout
+        if not mask:
+            return zero
+        product = (mask * self.table).to_bytes(nbytes, sys.byteorder)
+        return tuple(memoryview(product).cast(fmt)[n::n])
+
+    def size(self, mask: int) -> int:
+        """Field 0 of ``sums``, off the product with field 0 of ``table``."""
+        *_, head, shift = self._layout
+        return mask * head >> shift & (1 << self.lane) - 1
+
     def members(self, mask: int) -> frozenset[Root]:
-        return frozenset(r for k, r in enumerate(self.roots) if mask >> k & 1)
+        """The positive roots in a lane mask."""
+        w, first = self.lane, len(self.roots) // 2
+        return frozenset(r for j, r in enumerate(self.roots[first:]) if mask >> w * j + w - 1 & 1)
 
 
 class RootSystem(_Frozen):
@@ -203,7 +273,8 @@ class RootSystem(_Frozen):
     ``a_i``, so the i-th simple reflection subtracts ``cartan[i][j]``
     copies of ``a_i`` from ``a_j``.  ``pairing`` is the symmetrized form
     ``diag(d) @ cartan`` with ``max d = 1``, in ``Fraction``s, built on
-    first use.
+    first use.  Pickles and copies rebuild the system from its type and
+    multiplicities.
     """
 
     family: str
@@ -225,6 +296,10 @@ class RootSystem(_Frozen):
         return tuple(
             tuple(Fraction(n * c, top) for c in row) for n, row in zip(lengths, self.cartan)
         )
+
+    def __reduce__(self) -> tuple:
+        # mult is a mappingproxy, which neither pickles nor copies
+        return build_root_system, (self.family, self.rank, dict(self.mult).__getitem__)
 
     @property
     def lie_type(self) -> str:
@@ -382,14 +457,10 @@ def build_root_system(
                     )
     index = RootIndex(
         roots=ordered,
-        neg=tuple(position[(-r).coords] for r in ordered),
         mult=mults,
-        weighted=tuple(tuple(m * c for c in r.coords) for r, m in zip(ordered, mults)),
         support=tuple(sum(1 << i for i, c in enumerate(r.coords) if c) for r in ordered),
         reflections=reflections,
-        pairing_rows=tuple(
-            tuple(c * n for c, n in zip(r.coords, lengths)) for r in ordered if r.is_positive
-        ),
+        **_lane_tables(ordered[len(ordered) // 2 :], mults[len(ordered) // 2 :], lengths),
     )
 
     return RootSystem(
@@ -402,6 +473,32 @@ def build_root_system(
         mult=MappingProxyType(dict(zip(ordered, mults))),
         index=index,
     )
+
+
+def _lane_tables(
+    positive: Sequence[Root], mults: Sequence[int], lengths: Sequence[int]
+) -> dict[str, int | tuple[int, ...]]:
+    # the lane width, pairing columns, bias and reversed table of RootIndex;
+    # a field of root j: its multiplicity, then its coordinates times it
+    rows, fields = [], []
+    for r, m in zip(positive, mults):
+        rows.append(list(map(mul, r.coords, lengths)))
+        fields.append([m, *map(m.__mul__, r.coords)])
+    totals = list(map(sum, zip(*fields)))
+    bound, adjacent = max(map(sum, rows)), max(map(sum, zip(totals, totals[1:])))
+    w = 8
+    while 1 << w - 1 <= bound or 1 << w <= adjacent:
+        w *= 2
+    if w not in _LANE_FORMAT:
+        raise ValueError(f"multiplicities too large for {max(_LANE_FORMAT)}-bit lanes")
+    n, columns, bias, table = len(positive), [0] * len(lengths), 0, 0
+    for j, (row, field) in enumerate(zip(rows, fields)):
+        bias += 1 << w * j + w - 1
+        for i, x in enumerate(row):
+            columns[i] += x << w * j
+        for f, v in enumerate(field):
+            table += v << w * (n * f + n - 1 - j) + 1
+    return {"lane": w, "columns": tuple(columns), "bias": bias, "table": table}
 
 
 def form_value(
@@ -429,7 +526,10 @@ def span_subset(rs: RootSystem, theta: Iterable[int]) -> frozenset[Root]:
     For a subset of the simple system this is exactly the set of roots
     supported on ``theta``.
     """
-    return rs.index.members(rs.index.span(subset_mask(rs, theta)))
+    theta = frozenset(theta)
+    _check_subset(rs, theta)
+    positive = rs.index.members(rs.index.lanes(theta))
+    return positive | frozenset(map(neg, positive))
 
 
 def subset_mask(rs: RootSystem, theta: Iterable[int]) -> int:

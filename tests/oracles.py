@@ -137,6 +137,53 @@ def brute_sigma(
     return tuple(total)
 
 
+def brute_tangent_roots(
+    rs: RootSystem,
+    theta: frozenset[int],
+    ftype: frozenset[int],
+    w: WeylElement,
+    spans: Spans | None = None,
+) -> tuple[frozenset[Root], frozenset[Root], frozenset[Root]]:
+    """(stable, center, unstable): ``matrix(w)`` applied to each negative
+    root outside the span of theta, its image center in the flow-type span,
+    else unstable if positive and stable if negative."""
+    span_t, span_f = spans or brute_spans(rs, theta, ftype)
+    m = matrix(w)
+    classes = (set(), set(), set())
+    for r in rs.positive_roots:
+        if r.coords not in span_t:
+            img = tuple(-x for x in mat_vec(m, r.coords))
+            k = 1 if img in span_f else 2 if any(x > 0 for x in img) else 0
+            classes[k].add(Root(img))
+    return tuple(map(frozenset, classes))
+
+
+def loop_split(
+    rs: RootSystem, theta: frozenset[int], ftype: frozenset[int], mu: tuple[int, ...]
+) -> tuple[tuple[int, int, int], bool, tuple[int, ...], tuple[int, ...]]:
+    """((s, c, u), center_empty, sigma+, sigma-) at the orbit point mu =
+    w(lambda_theta), one positive root at a time: the sign of the integer
+    pairing sum_i c_i (a_i, a_i) mu_i sorts beta, a zero drops it, and the
+    image is beta if the pairing is negative, else -beta; center in the
+    flow-type span, else unstable if positive and stable if negative.  The
+    lengths come from ``symmetrizer``; theta enters only through mu."""
+    d = symmetrizer(rs.cartan)
+    lengths = [x / min(d) for x in d]
+    span_f = {r.coords for r in brute_span(rs, ftype)}
+    dims, sigma = [0, 0, 0], ([0] * rs.rank, None, [0] * rs.rank)
+    for beta in sorted(rs.positive_roots):
+        pairing = sum(c * n * m for c, n, m in zip(beta.coords, lengths, mu))
+        if not pairing:
+            continue
+        img = beta if pairing < 0 else -beta
+        k = 1 if beta.coords in span_f else 2 if pairing < 0 else 0
+        dims[k] += rs.mult[img]
+        if k != 1:
+            for i, x in enumerate(img.coords):
+                sigma[k][i] += rs.mult[img] * x
+    return tuple(dims), dims[1] == 0, tuple(sigma[2]), tuple(sigma[0])
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(b)
     return tuple(

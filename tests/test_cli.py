@@ -153,6 +153,17 @@ def test_exact_benchmark_ops_match_recorded_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digests[op.id], op.id
 
 
+def test_analyze_e6_text_matches_its_recorded_digest(capsys):
+    # the largest record set of any test: 25,920 non-hyperbolic records,
+    # each with three tangent classes; the digest was recorded with the
+    # per-root tangent split
+    argv = ["analyze", "--type", "E", "--rank", "6", "--flagtype", "0", "--format", "text"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0 and out.count("\n") == 25924
+    digest = "8ee487cd841d2028b9dc1f19b80006bac67560d2e9c19d5374d5618bb3eeacb3"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # cosets
 

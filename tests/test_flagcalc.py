@@ -21,6 +21,7 @@ from flagctrl.weyl import (
     WeylGroup,
     generate,
     longest_coset_rep,
+    parabolic_order,
     subgroup,
 )
 
@@ -110,6 +111,52 @@ def test_tangent_roots_partition(w_b2, b2):
                 union = split.stable | split.center | split.unstable
                 assert len(union) == len(split.stable) + len(split.center) + len(split.unstable)
                 assert len(union) == len(outside)
+
+
+def test_tangent_roots_match_the_matrix_oracle(w_b2, w_a3, w_f4):
+    # the root sets themselves, the sign of each center root included
+    pairs = {w_f4: F4_PAIRS}
+    for group in (w_b2, w_a3, w_f4):
+        subsets = list(oracles.all_subsets(group.system.rank))
+        for theta, ftype in pairs.get(group) or [(t, f) for t in subsets for f in subsets]:
+            spec = FlagSpec(theta=theta, flag_type=ftype)
+            spans = oracles.brute_spans(group.system, theta, ftype)
+            for w in group.elements:
+                expected = oracles.brute_tangent_roots(group.system, theta, ftype, w, spans)
+                assert tuple(tangent_roots(group.system, spec, w)) == expected
+
+
+def _lane_edge_groups():
+    # A1 (one positive root), G2 (length ratio 3), the long-1/short-2
+    # multiplicity systems, and E7 and E8 on one parabolic pair each, E8
+    # with 16-bit lanes
+    for family, rank in (("A", 1), ("G", 2)):
+        yield generate(build_root_system(family, rank)), None
+    for family, rank in (("B", 2), ("G", 2), ("B", 3)):
+        yield long_one_short_two(family, rank), None
+    for rank, subset in ((7, frozenset(range(5))), (8, frozenset(range(1, 8)))):
+        rs = build_root_system("E", rank)
+        yield WeylGroup(rs, parabolic_order(rs, range(rank))), [(subset, subset)]
+
+
+def test_records_match_the_per_root_loop_at_lane_edges():
+    lanes = {}
+    for group, pairs in _lane_edge_groups():
+        rs = group.system
+        lanes[rs.lie_type, max(rs.index.mult)] = rs.index.lane
+        subsets = list(oracles.all_subsets(rs.rank))
+        for theta, ftype in pairs or [(t, f) for t in subsets for f in subsets]:
+            for record in enumerate_chain_control_sets(group, FlagSpec(theta, ftype)):
+                dims, hyperbolic, plus, minus = oracles.loop_split(
+                    rs, theta, ftype, record.coset.point
+                )
+                assert (record.dim_stable, record.dim_center, record.dim_unstable) == dims
+                assert record.hyperbolic == hyperbolic
+                assert (record.sigma_plus, record.sigma_minus) == (
+                    (plus, minus) if hyperbolic else (None, None)
+                )
+    assert lanes == {("A1", 1): 8, ("G2", 1): 8, ("B2", 2): 8, ("G2", 2): 8, ("B3", 2): 8,
+                     ("E7", 1): 8, ("E8", 1): 16}
 
 
 # F4 has 256 (theta, flag type) pairs and 1152 elements, too many to sweep;
@@ -280,14 +327,15 @@ def test_flagspec_validation(a2):
 def test_consistency_checks_raise_when_broken(w_a2, a2, monkeypatch):
     # each cross-check raises, never returns, when its two sides disagree:
     # splits of A2's identity at rho with a field broken, then enumerations
-    # with a wrong longest element and with every coset twice
+    # with a wrong longest element and with every coset twice; a class of a
+    # split is its (dimension, coordinate sum)
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
     split = flagcalc._split(a2, spec, (1, 1))
     with pytest.raises(ConsistencyError, match="criteria disagree"):
         flagcalc._hyperbolic(a2, spec, w_a2.identity, split._replace(point=(0, 1)))
     with pytest.raises(ConsistencyError, match="misses flag_dim"):
-        flagcalc._dims(a2, spec, split._replace(stable=()), 3)
-    alpha1 = (a2.index.roots.index(a2.simple_roots[1]),)
+        flagcalc._dims(a2, spec, split._replace(stable=(0,)), 3)
+    alpha1 = (1, *a2.simple_roots[1].coords)
     with pytest.raises(ConsistencyError, match="fails to annihilate"):
         flagcalc._sigma(a2, spec, split._replace(unstable=alpha1, point=(0, 1)), +1)
     cosets = weyl.double_cosets(w_a2, spec.flag_type, spec.theta)

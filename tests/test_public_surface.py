@@ -86,6 +86,9 @@ def test_removed_names_are_gone():
         assert not hasattr(drift, name), name
     assert not hasattr(flagctrl, "_SLDR_NAMES")  # the lazy names are those of __all__
     assert not hasattr(rootsys.RootSystem, "sorted_roots")
+    index = rootsys.build_root_system("A", 2).index
+    for name in ("pairing_rows", "weighted", "neg"):  # replaced by the lane tables
+        assert not hasattr(index, name), name
     for name in ("zero", "__add__", "scale"):
         assert not hasattr(rootsys.AVector, name), name
     assert not hasattr(weyl.WeylGroup, "simple_reflections")
@@ -130,3 +133,50 @@ def test_value_classes_keep_their_contract(w_b2):
                         (record, "rep"), (rs, "rank"), (w_b2, "order")):
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
+
+
+def test_value_classes_pickle_and_deepcopy(w_b2):
+    import copy
+    import pickle
+
+    from flagctrl.flagcalc import FlagSpec, enumerate_chain_control_sets, tangent_roots
+    from flagctrl.rootsys import AVector, Root, build_root_system
+    from flagctrl.weyl import WeylElement, double_cosets, generate
+
+    def round_trips(value):
+        return pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)
+
+    def system_fields(rs):
+        index = rs.index
+        tables = (index.roots, index.mult, index.support, index.reflections,
+                  index.lane, index.columns, index.bias, index.table)
+        return (rs.family, rs.rank, rs.cartan, rs.simple_roots, rs.roots, rs.positive_roots,
+                dict(rs.mult), tables)
+
+    # values compared by value come back equal
+    rs = w_b2.system
+    spec = FlagSpec(theta={0}, flag_type={1})
+    records = enumerate_chain_control_sets(w_b2, FlagSpec((), (0,)))
+    values = (Root((1, -1)), AVector.from_root(Root((1, 2))), WeylElement((0, 1), rs), spec,
+              double_cosets(w_b2, (0,), ())[1], tangent_roots(rs, spec, w_b2.longest), records)
+    for value in values:
+        for copied in round_trips(value):
+            assert copied == value and type(copied) is type(value)
+    # systems, their indices and groups compare by identity: their fields
+    # come back, with the lane tables, and so do the records they give
+    plain = build_root_system("B", 2)
+    # multiplicity 1 on the long roots, which have an even second coordinate
+    mixed = build_root_system("B", 2, mult=lambda r: 1 if r.coords[1] % 2 == 0 else 2)
+    for system in (plain, mixed, build_root_system("E", 8)):
+        for copied in round_trips(system):
+            assert copied is not system and system_fields(copied) == system_fields(system)
+        for copied in round_trips(system.index):
+            assert system_fields(system)[-1] == (
+                copied.roots, copied.mult, copied.support, copied.reflections,
+                copied.lane, copied.columns, copied.bias, copied.table)
+    group = generate(mixed)
+    for copied in round_trips(group):
+        assert copied.order == group.order
+        assert system_fields(copied.system) == system_fields(mixed)
+        assert enumerate_chain_control_sets(copied, spec) == enumerate_chain_control_sets(
+            group, spec)

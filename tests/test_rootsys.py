@@ -59,6 +59,15 @@ def test_pairing_symmetric_positive_diagonal(family, rank, _):
     assert max(lengths) == 2
 
 
+def pairing_rows(index):
+    """Per positive root, its lanes of the pairing columns."""
+    lane = (1 << index.lane) - 1
+    count = len(index.positive_positions)
+    return tuple(
+        tuple(column >> index.lane * j & lane for column in index.columns) for j in range(count)
+    )
+
+
 def _is_valid(family, rank):
     try:
         cartan_matrix(family, rank)
@@ -78,9 +87,10 @@ def test_lengths_pairing_and_form_match_the_rational_symmetrizer(family, rank):
     d = oracles.symmetrizer(rs.cartan)
     lengths = tuple(x / min(d) for x in d)
     assert set(lengths) <= {1, 2, 3} and min(lengths) == 1
-    # pairing_rows holds c_i (a_i, a_i) / s for each positive root sum(c_i a_i)
+    # lane j of the pairing columns holds c_i (a_i, a_i) / s for positive
+    # root j = sum(c_i a_i)
     positive = rs.index.roots[rs.index.positive_positions.start :]
-    assert rs.index.pairing_rows == tuple(
+    assert pairing_rows(rs.index) == tuple(
         tuple(c * n for c, n in zip(r.coords, lengths)) for r in positive
     )
     assert rs.pairing == tuple(
@@ -131,7 +141,7 @@ def test_pairing_rows_pair_as_the_form(family, rank):
     # length of a short root, in integers
     rs = build_root_system(family, rank)
     short = min(form_value(rs, a.coords, a.coords) for a in rs.simple_roots)
-    rows = rs.index.pairing_rows
+    rows = pairing_rows(rs.index)
     assert len(rows) == len(rs.positive_roots)
     for beta, row in zip(rs.sorted_positive_roots(), rows):
         assert all(isinstance(x, int) for x in row)
@@ -185,3 +195,9 @@ def test_multiplicity_validation(b2):
         build_root_system("B", 2, mult=bad)
     with pytest.raises(ValueError):
         build_root_system("B", 2, mult={r.coords: 0 for r in b2.roots})
+    # the lane tables hold every sum of multiplicities in at most 64 bits
+    wide = build_root_system("A", 1, mult=lambda r: 2**62)
+    assert wide.index.lane == 64
+    assert wide.index.sums(wide.index.bias) == (2**62, 2**62)
+    with pytest.raises(ValueError, match="64-bit lanes"):
+        build_root_system("A", 1, mult=lambda r: 2**63)
