@@ -17,11 +17,12 @@ each coset this module computes, exactly:
 All four come from one tangent split per representative w, read off the
 sign of (beta, mu) for each positive root beta at the orbit point mu =
 w(lambda_theta) (``_split``).  The split runs on the lane-packed tables of
-``rootsys.RootIndex``: one biased sum holds every pairing, two masks their
-signs, and one product per class its dimension and, on a hyperbolic coset,
-its coordinate sum, so no step walks the roots.  Records take mu from the
-orbit walk of ``weyl.double_cosets``; the public functions below walk w's
-word for it.
+``rootsys.RootIndex``: the packed pairing word of mu holds every pairing,
+two masks their signs, and one product per class its dimension and, on a
+hyperbolic coset, its coordinate sum, so no step walks the roots.  Records
+are split as the orbit walk of ``weyl`` hands over each coset with mu and
+its packed word; the public functions below walk w's word for mu and pack
+it.
 
 Everything here is integer and rational arithmetic on top of rootsys and
 weyl; the numerical counterpart lives in sldr.
@@ -34,7 +35,7 @@ from operator import mul, neg
 from typing import Iterable, NamedTuple
 
 from . import weyl
-from .rootsys import Root, RootSystem, subset_mask
+from .rootsys import Root, RootIndex, RootSystem, subset_mask
 from .weyl import DoubleCoset, Weight, WeylElement, WeylGroup
 
 __all__ = [
@@ -95,20 +96,29 @@ class _Split(NamedTuple):
 
 
 def flag_dim(rs: RootSystem, theta: Iterable[int]) -> int:
-    """Dimension of the flag manifold: multiplicities over the complement."""
-    index = rs.index
-    inner = index.span(subset_mask(rs, theta))
-    return sum(index.mult[k] for k in index.positive_positions if not inner >> k & 1)
+    """Dimension of the flag manifold: multiplicities over the complement,
+    whose roots come in pairs +-beta of one multiplicity."""
+    index, outside = rs.index, ~subset_mask(rs, theta)
+    return sum(m for m, supp in zip(index.mult, index.support) if supp & outside) // 2
 
 
-def _point(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> Weight:
-    """mu = w(lambda_theta), walked along the word of ``w``, for a validated ``spec``."""
+def _point(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[Weight, int]:
+    """mu = w(lambda_theta), walked along the word of ``w``, for a validated
+    ``spec``, and its packed pairing word."""
     spec.validate(rs)
-    return w.weight_image(tuple(int(j not in spec.theta) for j in range(rs.rank)))
+    mu = w.weight_image(tuple(int(j not in spec.theta) for j in range(rs.rank)))
+    return mu, sum(map(mul, mu, rs.index.columns), rs.index.bias)
 
 
-def _split(rs: RootSystem, spec: FlagSpec, mu: Weight) -> _Split:
-    """The one tangent split at the orbit point ``mu`` = w(lambda_theta).
+def _signs(index: RootIndex, packed: int) -> tuple[int, int]:
+    # the lane masks of the negative pairings, whose top bit is clear, and of
+    # the positive ones, whose top bit survives taking one off
+    return index.bias & ~packed, index.bias & packed - index._layout[1]
+
+
+def _split(rs: RootSystem, spec: FlagSpec, mu: Weight, packed: int) -> _Split:
+    """The one tangent split at the orbit point ``mu`` = w(lambda_theta),
+    read off its packed pairing word (see ``rootsys.RootIndex``).
 
     w sends the negative roots outside the span of theta onto the roots
     beta with (beta, mu) < 0, and that span onto those with (beta, mu) = 0.
@@ -116,15 +126,13 @@ def _split(rs: RootSystem, spec: FlagSpec, mu: Weight) -> _Split:
     positive, stable if negative: a positive root beta with (beta, mu) < 0
     is an image itself, one with (beta, mu) > 0 through -beta.
     """
-    index = rs.index
-    below, above = index.signs(mu)
-    inner = index.lanes(spec.flag_type)
-    center = (below | above) & inner
+    index, inner = rs.index, rs.index.lanes(spec.flag_type)
+    below, above = _signs(index, packed)
+    stable, center, unstable = above & ~inner, (below | above) & inner, below & ~inner
     if center:
         # no growth functionals off a hyperbolic coset: dimensions only
-        size = index.size
-        return _Split((size(above & ~inner),), (size(center),), (size(below & ~inner),), mu)
-    return _Split(index.sums(above & ~inner), (0,), index.sums(below & ~inner), mu)
+        return _Split((index.size(stable),), (index.size(center),), (index.size(unstable),), mu)
+    return _Split(index.sums(stable), (0,), index.sums(unstable), mu)
 
 
 def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[int, int, int]:
@@ -169,7 +177,7 @@ def tangent_roots(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> TangentSpli
     of the flow type.
     """
     index = rs.index
-    below, above = index.signs(_point(rs, spec, w))
+    below, above = _signs(index, _point(rs, spec, w)[1])
     inner, members = index.lanes(spec.flag_type), index.members
     return TangentSplit(
         stable=frozenset(map(neg, members(above & ~inner))),
@@ -180,7 +188,7 @@ def tangent_roots(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> TangentSpli
 
 def subbundle_dims(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[int, int, int]:
     """Stable, center, unstable dimensions; they always sum to flag_dim."""
-    return _dims(rs, spec, _split(rs, spec, _point(rs, spec, w)), flag_dim(rs, spec.theta))
+    return _dims(rs, spec, _split(rs, spec, *_point(rs, spec, w)), flag_dim(rs, spec.theta))
 
 
 def is_hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> bool:
@@ -190,7 +198,7 @@ def is_hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> bool:
     through the inclusion of the flow-type span in the image of the theta
     span; a disagreement is an internal error and raises, never returns.
     """
-    return _hyperbolic(rs, spec, w, _split(rs, spec, _point(rs, spec, w)))
+    return _hyperbolic(rs, spec, w, _split(rs, spec, *_point(rs, spec, w)))
 
 
 def sigma_functional(
@@ -206,7 +214,7 @@ def sigma_functional(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    split = _split(rs, spec, _point(rs, spec, w))
+    split = _split(rs, spec, *_point(rs, spec, w))
     if not _hyperbolic(rs, spec, w, split):
         raise ValueError(
             "growth functionals are representative-dependent on non-hyperbolic "
@@ -245,9 +253,9 @@ def enumerate_chain_control_sets(
     spec.validate(rs)
     total_dim = flag_dim(rs, spec.theta)
     records = []
-    for coset in weyl.double_cosets(group, spec.flag_type, spec.theta):
+    for coset, packed in weyl._cosets(group, spec.flag_type, spec.theta):
         w = coset.rep
-        split = _split(rs, spec, coset.point)
+        split = _split(rs, spec, coset.point, packed)
         s, c, u = _dims(rs, spec, split, total_dim)
         hyperbolic = _hyperbolic(rs, spec, w, split)
         records.append(
@@ -306,7 +314,7 @@ def representative_invariance_check(
     if not spec.theta.issuperset(weyl._canonical(rs, w2.reduced_word).reduced_word):
         raise ValueError(f"w2={w2.reduced_word} is not in the theta subgroup")
     other = weyl.compose(group, weyl.compose(group, w1, w), w2)
-    split_w, split_o = (_split(rs, spec, _point(rs, spec, v)) for v in (w, other))
+    split_w, split_o = (_split(rs, spec, *_point(rs, spec, v)) for v in (w, other))
     hyp = _hyperbolic(rs, spec, w, split_w)
     if hyp != _hyperbolic(rs, spec, other, split_o):
         return False

@@ -16,17 +16,16 @@ Killing-form scale can multiply through without changing any predicate.
 
 Each system carries a ``RootIndex``: its roots as positions with tables
 for multiplicity, support and the simple reflections, and three
-lane-packed integers over the positive roots.  A span of roots is an int
-bitmask over positions.  The pairings (beta, mu) of every positive root with
-a weight are one integer with one W-bit lane per root, so their signs are a
-few big-integer operations; the multiplicity-weighted size and coordinate
-sum of a set of positive roots are one product of its lane mask with a
-reversed table (Lamport, "Multiple byte processing with full-word
-instructions", CACM 18(8), 1975).
+lane-packed integers over the positive roots.  The pairings (beta, mu) of
+every positive root with a weight are one integer with one W-bit lane per
+root, so their signs are a few big-integer operations; the
+multiplicity-weighted size and coordinate sum of a set of positive roots
+are one product of its lane mask with a reversed table (Lamport,
+"Multiple byte processing with full-word instructions", CACM 18(8), 1975).
 
 All values are immutable after construction and safe to share between
-threads; the span caches of a ``RootIndex`` and the lazy ``pairing`` only
-ever gain entries, and every thread would compute the same ones.  A
+threads; the lane-mask cache of a ``RootIndex`` and the lazy ``pairing``
+only ever gain entries, and every thread would compute the same ones.  A
 ``RootSystem`` pickles and copies as the arguments that build it.
 """
 
@@ -160,23 +159,23 @@ class AVector(_Frozen):
 class RootIndex(_Frozen):
     """Roots as positions in sorted order, with one table entry per position.
 
-    A span of roots is an int bitmask over positions, a subset of the simple
-    roots one over indices.  ``mult[k]`` is the multiplicity of root ``k``,
-    ``support[k]`` the bitmask of its nonzero coordinates, and
-    ``reflections[i][k]`` the position of its i-th simple reflection.
-    Indices compare by identity.
+    A subset of the simple roots is an int bitmask over indices.
+    ``mult[k]`` is the multiplicity of root ``k``, ``support[k]`` the
+    bitmask of its nonzero coordinates, and ``reflections[i][k]`` the
+    position of its i-th simple reflection.  Indices compare by identity.
 
     The N positive roots own one W-bit lane each (W = ``lane``), root j the
     bits from W j up, and a set of them is a lane mask: the top bit of each
     of its lanes, as ``bias`` is of all of them.  Lane j of ``columns[i]``
     holds c_i (a_i, a_i) / s for root j = sum(c_i a_i), s the squared length
-    of a short root, so ``bias`` plus sum(mu_i * columns[i]) holds 2^(W-1) +
-    2 (beta_j, mu) / s in lane j: its top bit is clear iff the pairing is
-    negative, and stays set after one is taken off iff it is positive
-    (``signs``).  ``table`` holds field f of root j (its multiplicity for f
-    = 0, else coordinate f - 1 times it) in lane N f + N - 1 - j, one bit
-    up, so lane N (f + 1) of a mask times ``table`` sums field f over the
-    mask (``sums``); the other lanes hold partial sums of fields f and f + 1.
+    of a short root, so the packed pairing word of mu, ``bias`` plus
+    sum(mu_i * columns[i]), holds 2^(W-1) + 2 (beta_j, mu) / s in lane j:
+    its top bit is clear iff the pairing is negative, and stays set after
+    one is taken off iff it is positive.  ``table`` holds field f of root j
+    (its multiplicity for f = 0, else coordinate f - 1 times it) in lane
+    N f + N - 1 - j, one bit up, so lane N (f + 1) of a mask times
+    ``table`` sums field f over the mask (``sums``); the other lanes hold
+    partial sums of fields f and f + 1.
 
     W is the least of 8, 16, 32, 64 with room for both.  The pairings fit
     when 2^(W-1) exceeds the sum of every positive root's column entries: mu
@@ -196,10 +195,6 @@ class RootIndex(_Frozen):
     table: int
 
     @cached_property
-    def _spans(self) -> dict[int, int]:
-        return {}
-
-    @cached_property
     def _lanes(self) -> dict[frozenset[int], int]:
         return {}
 
@@ -217,33 +212,17 @@ class RootIndex(_Frozen):
         # sorted order puts every negative root before every positive one
         return range(len(self.roots) // 2, len(self.roots))
 
-    def span(self, subset: int) -> int:
-        """Bitmask of the roots supported on the simple roots in ``subset``."""
-        mask = self._spans.get(subset)
-        if mask is None:
-            outside = ~subset
-            mask = sum(1 << k for k, supp in enumerate(self.support) if not supp & outside)
-            self._spans[subset] = mask
-        return mask
-
     def lanes(self, subset: frozenset[int]) -> int:
         """Lane mask of the positive roots supported on the simple roots in
         ``subset``, whose indices the caller has checked."""
         mask = self._lanes.get(subset)
         if mask is None:
-            n, w, mask = len(self.roots) // 2, self.lane, 0
-            span = self.span(sum(1 << i for i in subset)) >> n
-            for j in range(n):
-                if span >> j & 1:
+            n, w, mask, outside = len(self.roots) // 2, self.lane, 0, ~sum(1 << i for i in subset)
+            for j, supp in enumerate(self.support[n:]):
+                if not supp & outside:
                     mask += 1 << w * j + w - 1
             self._lanes[subset] = mask
         return mask
-
-    def signs(self, mu: Sequence[int]) -> tuple[int, int]:
-        """Lane masks of the positive roots beta with (beta, mu) < 0 and with
-        (beta, mu) > 0, for mu an image of a 0/1 weight (see the class)."""
-        biased = sum(map(mul, mu, self.columns), self.bias)
-        return self.bias & ~biased, self.bias & biased - self._layout[1]
 
     def sums(self, mask: int) -> tuple[int, ...]:
         """Multiplicity-weighted size and coordinate sum of the positive
@@ -309,21 +288,13 @@ class RootSystem(_Frozen):
         return self.index.roots[self.index.positive_positions.start :]
 
 
+# the least and greatest rank of each family
+_RANKS = {"A": (1, 8), "B": (2, 8), "C": (2, 8), "D": (3, 8), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+
+
 def _validate_type(family: str, rank: int) -> None:
-    ok = (
-        family in FAMILIES
-        and 1 <= rank <= MAX_RANK
-        and {
-            "A": rank >= 1,
-            "B": rank >= 2,
-            "C": rank >= 2,
-            "D": rank >= 3,
-            "E": rank in (6, 7, 8),
-            "F": rank == 4,
-            "G": rank == 2,
-        }[family]
-    )
-    if not ok:
+    low, high = _RANKS[family] if family in FAMILIES else (1, 0)
+    if not low <= rank <= high:
         raise ValueError(f"invalid Dynkin type ({family!r}, {rank})")
 
 
@@ -331,34 +302,21 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of the given type, rows indexed by reflecting root."""
     _validate_type(family, rank)
     n = rank
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def link(i: int, j: int, down: int = -1, up: int = -1) -> None:
-        m[i][j] = down
-        m[j][i] = up
-
-    if family in ("A", "B", "C"):
-        for i in range(n - 1):
-            link(i, i + 1)
-        if family == "B" and n >= 2:
-            m[n - 1][n - 2] = -2  # last simple root short
-        if family == "C" and n >= 2:
-            m[n - 2][n - 1] = -2  # last simple root long
-    elif family == "D":
-        for i in range(n - 2):
-            link(i, i + 1)
-        link(n - 3, n - 1)
+    edges = [(i, i + 1) for i in range(n - 1)]  # a chain, but in D and E
+    if family == "D":
+        edges[-1] = (n - 3, n - 1)
     elif family == "E":
-        for i, j in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
-            if i < n and j < n:
-                link(i, j)
-    elif family == "F":
-        link(0, 1)
-        link(1, 2, down=-1, up=-2)  # long-short edge
-        link(2, 3)
-    elif family == "G":
-        link(0, 1, down=-1, up=-3)  # first root long, second short
-    return tuple(tuple(row) for row in m)
+        edges[:2] = [(0, 2), (1, 3)]
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = -1
+    # the multiple edge, as (row, column, entry): in B the last simple root is
+    # short, in C long; in F the edge 1-2 and in G the edge 0-1 go long to short
+    multiple = {"B": (n - 1, n - 2, -2), "C": (n - 2, n - 1, -2), "F": (2, 1, -2), "G": (1, 0, -3)}
+    if family in multiple:
+        i, j, entry = multiple[family]
+        m[i][j] = entry
+    return tuple(map(tuple, m))
 
 
 def _root_lengths(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -385,8 +343,7 @@ def _root_lengths(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 def _simple_reflect_coords(
     cartan: tuple[tuple[int, ...], ...], i: int, coords: tuple[int, ...]
 ) -> tuple[int, ...]:
-    c = sum(coords[j] * cartan[i][j] for j in range(len(coords)))
-    return tuple(x - c if j == i else x for j, x in enumerate(coords))
+    return coords[:i] + (coords[i] - sum(map(mul, coords, cartan[i])),) + coords[i + 1 :]
 
 
 def build_root_system(
@@ -403,21 +360,16 @@ def build_root_system(
     """
     cartan = cartan_matrix(family, rank)
     lengths = _root_lengths(cartan)
-    simple = tuple(
-        Root(tuple(1 if j == i else 0 for j in range(rank))) for i in range(rank)
-    )
+    simple = tuple(Root(tuple(int(j == i) for j in range(rank))) for i in range(rank))
 
-    seen: set[tuple[int, ...]] = {r.coords for r in simple}
-    frontier = [r.coords for r in simple]
-    while frontier:
-        nxt = []
-        for coords in frontier:
-            for i in range(rank):
-                image = _simple_reflect_coords(cartan, i, coords)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
+    found = [r.coords for r in simple]
+    seen = set(found)
+    for coords in found:  # read while it grows, so every image gets reflected
+        for i in range(rank):
+            image = _simple_reflect_coords(cartan, i, coords)
+            if image not in seen:
+                seen.add(image)
+                found.append(image)
 
     roots = frozenset(Root(c) for c in seen)
     expected = _ROOT_COUNT[family](rank)

@@ -1008,6 +1008,7 @@ def verify_rates(
 
 CHUNK = 64  # records realized and checked together; a chunk's stacks set verify's peak memory
 _STEP = 0.25  # time of the short-time map whose powers give the exponents and log volumes
+_MAX_COCYCLE_STEPS = 20_000  # Drift.cocycle's steps of at most 0.5 that _rates accepts
 
 
 class Cells(tuple):
@@ -1176,6 +1177,14 @@ def _rates(drift: Drift, cells: Cells, spec, T: float) -> list:
         raise ValueError(
             f"horizon {T:g} times the largest real part {top:g} in modulus exceeds 1490: "
             "the powered short-time maps leave double range; shorten --T"
+        )
+    # Drift.cocycle takes one Iwasawa step per 0.5 of T, and on a one-block flag manifold
+    # nothing above bounds T: this many steps take about 1.5 s on a 2-core VM
+    steps = math.ceil(T / 0.5)
+    if steps > _MAX_COCYCLE_STEPS:
+        raise ValueError(
+            f"horizon {T:g} needs {steps} cocycle steps of at most 0.5, more than "
+            f"{_MAX_COCYCLE_STEPS}; shorten --T"
         )
     roots, predicted, measured, mu = drift._horizon_rates(T)
     n_pow = max(1, int(round(T / _STEP)))

@@ -2,11 +2,16 @@
 
 A weight is held by its coordinates mu_i = <mu, a_i^v> on the fundamental
 weights, so a_i has coordinates ``cartan[k][i]`` and s_i sends mu to
-mu - mu_i a_i.  The orbit of lambda_J, the sum of the fundamental weights
-outside J, is walked breadth first, lowering by s_i where mu_i > 0
-(Stembridge, MSJ Memoirs 11, 2001); its points with mu_i >= 0 on I are the
-double cosets W_I\\W/W_J (Humphreys, Reflection Groups and Coxeter Groups,
-1.12).  Group and parabolic orders come by orbit-stabilizer.
+mu - mu_i a_i.  The double cosets W_I\\W/W_J are the points mu of the
+orbit of lambda_J, the sum of the fundamental weights outside J, with
+mu_i >= 0 on I (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
+The orbit is walked by reverse search (Avis and Fukuda, Discrete Appl.
+Math. 65, 1996) on its graph (Stembridge, MSJ Memoirs 11, 2001): mu is
+reached only from s_i mu, i its least coordinate with mu_i < 0, so each
+point comes once, through its lexicographically least word, and each
+level in word order.  A point is carried as its packed pairing word (see
+``rootsys.RootIndex``), on which s_i is one subtraction.  Group orders are
+products over the positive roots.
 
 Elements carry their lexicographically least reduced word.  Since rho has
 trivial stabilizer, w(rho) names w: equality and hashing go through it, and
@@ -14,14 +19,16 @@ products are words applied to rho and stripped back to their least reduced
 word.  With J empty, lambda_J is rho and its orbit is the group, so a
 ``WeylGroup`` reads its element list, by length then word, off the orbit of
 rho on first use.  Each double coset carries its orbit point mu =
-w(lambda_J), from which ``flagcalc`` reads the action of w on roots; no
-integer matrix or root permutation of an element is built.
+w(lambda_J), and ``flagcalc`` its packed word, from which it reads the
+action of w on roots; no integer matrix or root permutation of an element
+is built.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .rootsys import RootSystem, _bind, _check_subset, _Frozen
 
@@ -97,30 +104,17 @@ def _reflect(cartan: Cartan, mu: Weight, i: int) -> Weight:
     return tuple(m - c * row[i] for m, row in zip(mu, cartan))
 
 
-def _levels(cartan: Cartan, mu: Weight, subset: Sequence[int]) -> Iterator[set[Weight]]:
-    # the W_S-orbit of an S-dominant weight by length of the representative:
-    # lowering by s_i where mu_i > 0 adds one to it, so no level recurs
-    level = {mu}
-    while level:
-        yield level
-        level = {_reflect(cartan, v, i) for v in level for i in subset if v[i] > 0}
-
-
-@lru_cache(maxsize=None)
-def _parabolic_order(cartan: Cartan, subset: frozenset[int]) -> int:
-    # W_S moves the fundamental weight of k = max S with stabilizer W_{S\k}
-    if not subset:
-        return 1
-    k = max(subset)
-    orbit = _levels(cartan, tuple(int(i == k) for i in range(len(cartan))), sorted(subset))
-    return sum(map(len, orbit)) * _parabolic_order(cartan, subset - {k})
-
-
 def parabolic_order(rs: RootSystem, subset: Iterable[int]) -> int:
-    """Order of the parabolic subgroup W_S, by orbit-stabilizer."""
+    """Order of the parabolic subgroup W_S: the product of (ht + 1) / ht
+    over its positive roots (Macdonald, "The Poincare series of a Coxeter
+    group", Math. Ann. 199, 1972)."""
     subset = frozenset(subset)
     _check_subset(rs, subset)
-    return _parabolic_order(rs.cartan, subset)
+    num = den = 1
+    for root in rs.index.members(rs.index.lanes(subset)):
+        height = sum(root.coords)
+        num, den = num * (height + 1), den * height
+    return num // den
 
 
 class WeylGroup(_Frozen):
@@ -145,7 +139,7 @@ class WeylGroup(_Frozen):
 
 
 def generate(rs: RootSystem, order_cap: int | None = None) -> WeylGroup:
-    """The Weyl group of ``rs``, its order found by orbit-stabilizer.
+    """The Weyl group of ``rs`` and its order.
 
     Refuses an order above ``order_cap`` (default 10**5, hard ceiling
     10**6) with ValueError.
@@ -200,6 +194,53 @@ class DoubleCoset(NamedTuple):
     point: Weight
 
 
+def _cosets(
+    group: WeylGroup, left: Iterable[int], right: Iterable[int]
+) -> list[tuple[DoubleCoset, int]]:
+    """``double_cosets``, each with the packed pairing word of its point."""
+    left, right = frozenset(left), frozenset(right)
+    rs = group.system
+    product = parabolic_order(rs, left) * parabolic_order(rs, right)
+    index, w, lanes = rs.index, rs.index.lane, []
+    half, mask, ones = 1 << w - 1, (1 << w) - 1, index.bias >> w - 1
+    # per simple root a_i: the shift of its lane, which holds 2^(W-1) plus mu_i
+    # (a_i, a_i) / s; that ratio; and <beta, a_i^v> in the lane of each beta,
+    # which s_i takes off P as many times as the lane exceeds 2^(W-1)
+    for root, column, values in zip(rs.simple_roots, zip(*rs.cartan), index.columns):
+        shift = w * rs.sorted_positive_roots().index(root)
+        length = values >> shift & mask
+        lanes.append((shift, length, sum(map(mul, column, index.columns)) // length))
+    keep = sum(half << lanes[i][0] for i in left)
+    # lambda_J, whose stabilizer is W_J
+    level = [((), sum((c for j, c in enumerate(index.columns) if j not in right), index.bias))]
+    cosets, sizes = [], {}
+    while level:
+        for word, p in level:
+            if p & keep == keep:  # mu_i >= 0 on I
+                # W_K, K the i in I with mu_i = 0, is the stabilizer of mu in W_I
+                meet = keep & ~(p - ones)
+                if meet not in sizes:
+                    k = (i for i in left if meet >> lanes[i][0] & half)
+                    sizes[meet] = product // parabolic_order(rs, k)
+                point = tuple(((p >> s & mask) - half) // n for s, n, _ in lanes)
+                cosets.append((DoubleCoset(WeylElement(word, rs), sizes[meet], point), p))
+        # the children s_i p, mu_i > 0, with no lane below i negative: by i,
+        # then by parent, so that the next level is in word order too
+        children, low = [], 0
+        for i, (shift, _, down) in enumerate(lanes):
+            for word, p in level:
+                c = (p >> shift & mask) - half
+                if c > 0:
+                    q = p - c * down
+                    if q & low == low:
+                        children.append(((i,) + word, q))
+            low |= half << shift
+        level = children
+    if sum(c.size for c, _ in cosets) != group.order:
+        raise AssertionError("double cosets do not partition the group")
+    return cosets
+
+
 def double_cosets(
     group: WeylGroup, left: Iterable[int], right: Iterable[int]
 ) -> tuple[DoubleCoset, ...]:
@@ -207,30 +248,15 @@ def double_cosets(
 
     One per point mu of the orbit of lambda_J (J = ``right``) with
     mu_i >= 0 for every i in I = ``left``, carried as ``point``; its
-    representative is the coset's unique member of minimal length.  The
-    coset has |W_I|*|W_J|/|W_K| members, W_K = W_I meeting w W_J w^{-1}
-    being the stabilizer of mu in W_I: K is the i in I with mu_i = 0
-    (Kilmoyer).  The returned tuple is sorted by length, then reduced word.
+    representative is the coset's unique member of minimal length, with
+    its lexicographically least reduced word.  The coset has
+    |W_I|*|W_J|/|W_K| members, W_K = W_I meeting w W_J w^{-1} being the
+    stabilizer of mu in W_I: K is the i in I with mu_i = 0 (Kilmoyer).
+    The orbit is walked by reverse search, each point once, level by level
+    in word order, so the tuple comes out sorted by length, then reduced
+    word.
     """
-    left, right = frozenset(left), frozenset(right)
-    rs = group.system
-    product = parabolic_order(rs, left) * parabolic_order(rs, right)
-    cosets, above = [], {}
-    lam = tuple(int(j not in right) for j in range(rs.rank))  # stabilizer W_J
-    for level in _levels(rs.cartan, lam, range(rs.rank)):
-        words = {}
-        for mu in level:
-            # lex-least word: the least i with mu_i < 0, then the word one level up
-            i = next((i for i, c in enumerate(mu) if c < 0), None)
-            words[mu] = () if i is None else (i,) + above[_reflect(rs.cartan, mu, i)]
-            if all(mu[i] >= 0 for i in left):
-                meet = frozenset(i for i in left if mu[i] == 0)
-                rep = WeylElement(words[mu], rs)
-                cosets.append(DoubleCoset(rep, product // _parabolic_order(rs.cartan, meet), mu))
-        above = words
-    if sum(c.size for c in cosets) != group.order:
-        raise AssertionError("double cosets do not partition the group")
-    return tuple(sorted(cosets, key=lambda c: (len(c.rep.reduced_word), c.rep.reduced_word)))
+    return tuple(c for c, _ in _cosets(group, left, right))
 
 
 def longest_coset_rep(
@@ -251,8 +277,7 @@ def longest_coset_rep(
 def coset_table_json(
     group: WeylGroup, left: Iterable[int], right: Iterable[int]
 ) -> dict:
-    left = sorted(frozenset(left))
-    right = sorted(frozenset(right))
+    left, right = sorted(frozenset(left)), sorted(frozenset(right))
     table = double_cosets(group, left, right)
     return {
         "lie_type": group.system.lie_type,

@@ -4,9 +4,12 @@ Nothing here calls the classification code under test: the Weyl group is
 walked breadth first over integer matrices (``walk``), not read off a
 weight orbit, an element's matrix is the product along its word
 (``matrix``), cells are classified from raw integer matrix arithmetic on
-root coordinates only, the cocycle along a controlled flow is refactored
-after every integrator step, and tangent realizations and their volumes
-are built one elementary d x d matrix at a time.  The ``loop_*`` functions
+root coordinates only, the double cosets are also found by the
+breadth-first orbit walk that the reverse search replaced
+(``bfs_double_cosets``, orders by orbit-stabilizer), the cocycle along a
+controlled flow is refactored after every integrator step, and tangent
+realizations and their volumes are built one elementary d x d matrix at a
+time.  The ``loop_*`` functions
 are the one-record-at-a-time realization and checks that the stacked ones
 replaced, transports through ``np.kron`` included: the stacked checks must
 reproduce their every bit.
@@ -19,13 +22,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from operator import mul
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
 
 from flagctrl import linalg, sldr
 from flagctrl.rootsys import Root, RootSystem
-from flagctrl.weyl import WeylElement, WeylGroup
+from flagctrl.weyl import DoubleCoset, WeylElement, WeylGroup
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -349,6 +353,59 @@ def filtered_double_cosets(
         meet = left & {simple[j] for j in right if j in simple}
         out.append((w.reduced_word, product // word_subgroup_order(group, meet)))
     return out
+
+
+def _reflect(cartan: Matrix, mu: tuple[int, ...], i: int) -> tuple[int, ...]:
+    c = mu[i]
+    return tuple(m - c * row[i] for m, row in zip(mu, cartan))
+
+
+def _levels(cartan: Matrix, mu: tuple[int, ...], subset) -> Iterator[set[tuple[int, ...]]]:
+    # the W_S-orbit of an S-dominant weight by length of the representative:
+    # lowering by s_i where mu_i > 0 adds one to it, so no level recurs
+    level = {mu}
+    while level:
+        yield level
+        level = {_reflect(cartan, v, i) for v in level for i in subset if v[i] > 0}
+
+
+@lru_cache(maxsize=None)
+def bfs_parabolic_order(cartan: Matrix, subset: frozenset[int]) -> int:
+    """|W_S| by orbit-stabilizer: W_S moves the fundamental weight of k =
+    max S with stabilizer W_{S minus k}."""
+    if not subset:
+        return 1
+    k = max(subset)
+    orbit = _levels(cartan, tuple(int(i == k) for i in range(len(cartan))), sorted(subset))
+    return sum(map(len, orbit)) * bfs_parabolic_order(cartan, subset - {k})
+
+
+def bfs_double_cosets(
+    group: WeylGroup, left, right
+) -> tuple[DoubleCoset, ...]:
+    """The double cosets as the breadth-first orbit walk found them: each
+    level of the orbit of lambda_J as a set, each point's lex-least word
+    read off the level above through its least negative coordinate, and
+    the whole sorted at the end by length, then word."""
+    left, right = frozenset(left), frozenset(right)
+    rs = group.system
+    product = bfs_parabolic_order(rs.cartan, left) * bfs_parabolic_order(rs.cartan, right)
+    cosets, above = [], {}
+    lam = tuple(int(j not in right) for j in range(rs.rank))  # stabilizer W_J
+    for level in _levels(rs.cartan, lam, range(rs.rank)):
+        words = {}
+        for mu in level:
+            # lex-least word: the least i with mu_i < 0, then the word one level up
+            i = next((i for i, c in enumerate(mu) if c < 0), None)
+            words[mu] = () if i is None else (i,) + above[_reflect(rs.cartan, mu, i)]
+            if all(mu[i] >= 0 for i in left):
+                meet = frozenset(i for i in left if mu[i] == 0)
+                rep = WeylElement(words[mu], rs)
+                cosets.append(DoubleCoset(rep, product // bfs_parabolic_order(rs.cartan, meet), mu))
+        above = words
+    if sum(c.size for c in cosets) != group.order:
+        raise AssertionError("double cosets do not partition the group")
+    return tuple(sorted(cosets, key=lambda c: (len(c.rep.reduced_word), c.rep.reduced_word)))
 
 
 def mult_is_invariant(group: WeylGroup) -> bool:

@@ -97,13 +97,14 @@ def test_analyze_order_cap(capsys):
 
 def test_analyze_splits_each_record_once_at_its_orbit_point(capsys, monkeypatch):
     # one tangent split per record, in record order, at the point the orbit
-    # walk hands over: no record walks its word to find w(lambda_theta)
+    # walk hands over with its packed pairing word: no record walks its word
+    # to find w(lambda_theta)
     splits, walks = [], []
     real_split, real_walk = flagcalc._split, weyl.WeylElement.weight_image
 
-    def split(rs, spec, mu):
-        splits.append(mu)
-        return real_split(rs, spec, mu)
+    def split(rs, spec, mu, packed):
+        splits.append((mu, packed))
+        return real_split(rs, spec, mu, packed)
 
     def walk(w, mu):
         walks.append(w.reduced_word)
@@ -117,7 +118,10 @@ def test_analyze_splits_each_record_once_at_its_orbit_point(capsys, monkeypatch)
     words = [tuple(r["coset_rep_word"]) for r in json.loads(out)["records"]]
     assert len(words) == 192
     rs = build_root_system("D", 4)
-    assert splits == [weyl.WeylElement(word, rs).weight_image((1, 1, 1, 1)) for word in words]
+    points = [weyl.WeylElement(word, rs).weight_image((1, 1, 1, 1)) for word in words]
+    # the packed word of mu: bias plus mu_i times column i
+    packed = [sum(m * c for m, c in zip(mu, rs.index.columns)) + rs.index.bias for mu in points]
+    assert splits == list(zip(points, packed))
 
 
 def test_exact_commands_skip_the_element_walk(tmp_path, capsys, monkeypatch):
@@ -161,6 +165,16 @@ def test_analyze_e6_text_matches_its_recorded_digest(capsys):
     rc, out, _ = run(capsys, argv)
     assert rc == 0 and out.count("\n") == 25924
     digest = "8ee487cd841d2028b9dc1f19b80006bac67560d2e9c19d5374d5618bb3eeacb3"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cosets_e6_json_matches_its_recorded_digest(capsys):
+    # W_I \ W(E6) / W_I for I = {1..5}, the D5 parabolic: a walk of 27
+    # orbit points; the digest was recorded with the breadth-first walk
+    argv = ["cosets", "--type", "E", "--rank", "6", "--left", "1,2,3,4,5", "--right", "1,2,3,4,5"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    digest = "0f267a941420d360820be11ff1da9bf38f9911d920c2f123d19ee6068599bdb4"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -771,3 +785,31 @@ def test_huge_horizon_is_refused_up_front(tmp_path, argv):
         "error: horizon 1e+300 times the largest real part 2 in modulus exceeds 1490: "
         "the powered short-time maps leave double range; shorten --T\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [sys.executable, "-m", "flagctrl.cli", "verify", "--spec", "{spec}", "--theta", "0,1"],
+        [sys.executable, RATE_EXPERIMENT, "--diag", "2,0,-2", "--theta", "0,1"],
+    ],
+)
+def test_long_horizon_on_a_point_manifold_is_refused_by_its_step_count(tmp_path, argv):
+    # theta = {0, 1} makes the flag manifold a point, which the double-range
+    # bound does not cover: the cocycle's 2 * 10^7 steps are refused before
+    # the first is taken, while 10^3 still runs
+    spec = write_system(tmp_path, np.diag([2.0, 0.0, -2.0]))
+    argv = [a.format(spec=spec) for a in argv]
+    def horizon(T, timeout):
+        return subprocess.run(
+            argv + ["--T", T], capture_output=True, text=True, env=child_env(), timeout=timeout
+        )
+
+    proc = horizon("1e7", 10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: horizon 1e+07 needs 20000000 cocycle steps of at most 0.5, more than 20000; "
+        "shorten --T\n"
+    )
+    proc = horizon("1000", 30)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -327,10 +327,11 @@ def test_flagspec_validation(a2):
 def test_consistency_checks_raise_when_broken(w_a2, a2, monkeypatch):
     # each cross-check raises, never returns, when its two sides disagree:
     # splits of A2's identity at rho with a field broken, then enumerations
-    # with a wrong longest element and with every coset twice; a class of a
-    # split is its (dimension, coordinate sum)
+    # with a wrong longest element, with every coset twice and with a wrong
+    # group order; a class of a split is its (dimension, coordinate sum)
     spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
-    split = flagcalc._split(a2, spec, (1, 1))
+    rho = sum(a2.index.columns, a2.index.bias)  # the packed word of (1, 1)
+    split = flagcalc._split(a2, spec, (1, 1), rho)
     with pytest.raises(ConsistencyError, match="criteria disagree"):
         flagcalc._hyperbolic(a2, spec, w_a2.identity, split._replace(point=(0, 1)))
     with pytest.raises(ConsistencyError, match="misses flag_dim"):
@@ -338,14 +339,18 @@ def test_consistency_checks_raise_when_broken(w_a2, a2, monkeypatch):
     alpha1 = (1, *a2.simple_roots[1].coords)
     with pytest.raises(ConsistencyError, match="fails to annihilate"):
         flagcalc._sigma(a2, spec, split._replace(unstable=alpha1, point=(0, 1)), +1)
-    cosets = weyl.double_cosets(w_a2, spec.flag_type, spec.theta)
+    cosets = weyl._cosets(w_a2, spec.flag_type, spec.theta)
     monkeypatch.setattr(weyl, "longest_coset_rep", lambda *args: w_a2.identity)
     with pytest.raises(ConsistencyError, match="longest element"):
         enumerate_chain_control_sets(w_a2, spec)
     monkeypatch.undo()
-    monkeypatch.setattr(weyl, "double_cosets", lambda *args: cosets * 2)
+    monkeypatch.setattr(weyl, "_cosets", lambda *args: cosets * 2)
     with pytest.raises(ConsistencyError, match="unique attractor"):
         enumerate_chain_control_sets(w_a2, spec)
+    monkeypatch.undo()
+    # a group of the wrong order: the coset sizes no longer sum to it
+    with pytest.raises(AssertionError, match="do not partition the group"):
+        enumerate_chain_control_sets(weyl.WeylGroup(a2, w_a2.order + 1), spec)
 
 
 def test_records_sorted_and_unique_extremes(w_a3):

@@ -89,6 +89,9 @@ def test_removed_names_are_gone():
     index = rootsys.build_root_system("A", 2).index
     for name in ("pairing_rows", "weighted", "neg"):  # replaced by the lane tables
         assert not hasattr(index, name), name
+    for name in ("signs", "span", "_spans"):  # records read the walk's packed word
+        assert not hasattr(index, name), name
+    assert not hasattr(weyl, "_levels")  # the orbit walk is one reverse search
     for name in ("zero", "__add__", "scale"):
         assert not hasattr(rootsys.AVector, name), name
     assert not hasattr(weyl.WeylGroup, "simple_reflections")

@@ -350,3 +350,60 @@ def test_exceptional_parabolic_cosets_partition(rank, count):
     cosets = double_cosets(group, theta, theta)
     assert len(cosets) == count
     assert sum(c.size for c in cosets) == group.order
+
+
+def walk_table(cosets):
+    return [(c.rep.reduced_word, c.size, c.point) for c in cosets]
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+     ("D", 4), ("G", 2)],
+)
+def test_reverse_search_matches_the_breadth_first_walk_every_pair(family, rank):
+    # (word, size, point) of each coset, in order, against the walk that
+    # reached each orbit point from every lower neighbour and sorted at the end
+    rs = build_root_system(family, rank)
+    group = generate(rs)
+    subsets = list(oracles.all_subsets(rank))
+    for left in subsets:
+        for right in subsets:
+            expected = walk_table(oracles.bfs_double_cosets(group, left, right))
+            assert walk_table(double_cosets(group, left, right)) == expected, (left, right)
+        assert parabolic_order(rs, left) == oracles.bfs_parabolic_order(rs.cartan, left)
+
+
+def test_reverse_search_matches_the_breadth_first_walk_samples():
+    from test_flagcalc import F4_PAIRS
+
+    cases = [(generate(build_root_system("F", 4)), pair) for theta, ftype in F4_PAIRS
+             for pair in ((ftype, theta), (theta, ftype))]
+    d5, rng = generate(build_root_system("D", 5)), random.Random(5)
+    for _ in range(300):  # the rank-5 sample pairs
+        pair = tuple(frozenset(i for i in range(5) if rng.random() < 0.5) for _ in "IJ")
+        cases.append((d5, pair))
+    cases.append((generate(build_root_system("E", 6)), (frozenset({0}), frozenset())))
+    for rank, subset in ((7, range(5)), (8, range(1, 8))):
+        rs = build_root_system("E", rank)
+        group = WeylGroup(rs, parabolic_order(rs, range(rank)))
+        cases.append((group, (frozenset(subset), frozenset(subset))))
+        assert group.order == oracles.bfs_parabolic_order(rs.cartan, frozenset(range(rank)))
+    for group, (left, right) in cases:
+        expected = walk_table(oracles.bfs_double_cosets(group, left, right))
+        assert walk_table(double_cosets(group, left, right)) == expected, (left, right)
+
+
+@pytest.mark.parametrize("family,rank", WALKED + (("E", 6),))
+def test_reverse_search_visits_each_orbit_point_once(family, rank):
+    # with I empty every orbit point of lambda_J is a coset: |W|/|W_J| of
+    # them, no point and no word twice, which a wrong parent rule would break
+    # with a duplicate or a gap
+    rs = build_root_system(family, rank)
+    group = generate(rs)
+    for right in ((), (0,), tuple(range(1, rank))):
+        cosets = double_cosets(group, (), right)
+        size = oracles.bfs_parabolic_order(rs.cartan, frozenset(range(rank)))
+        size //= oracles.bfs_parabolic_order(rs.cartan, frozenset(right))
+        assert len(cosets) == size
+        assert len({c.point for c in cosets}) == len({c.rep.reduced_word for c in cosets}) == size
