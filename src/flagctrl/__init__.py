@@ -1,39 +1,30 @@
 """Chain control sets of right-invariant systems on generalized flag
 manifolds: exact Weyl-coset classification plus SL(d, R) numerics."""
 
-from .flagcalc import (
-    ChainControlSetRecord,
-    ConsistencyError,
-    FlagSpec,
-    classification_report,
-    enumerate_chain_control_sets,
-    flag_dim,
-    is_hyperbolic,
-    sigma_functional,
-    subbundle_dims,
-    tangent_roots,
-)
-from .rootsys import (
-    AVector,
-    Root,
-    RootSystem,
-    build_root_system,
-    cartan_matrix,
-    form_value,
-    span_subset,
-)
-from .weyl import WeylElement, WeylGroup, double_cosets, generate, subgroup
-
 __version__ = "0.1.0"
 
-# The numeric side pulls in numpy, and never scipy; the names of ``__all__`` that
-# the imports above leave unbound come from ``sldr``, which loads on first use of
-# one, so the exact side (``analyze``, ``cosets``) never imports it.
+# Every name loads with its module on first use, so that ``import flagctrl`` loads
+# no submodule: the exact side (``analyze``, ``cosets``) never imports numpy, and
+# ``simulate`` never compiles the exact modules.  Names of no module below are sldr's.
+_HOMES = {
+    name: module
+    for module, names in (
+        ("flagcalc", "ChainControlSetRecord ConsistencyError FlagSpec classification_report"
+         " enumerate_chain_control_sets flag_dim is_hyperbolic sigma_functional"
+         " subbundle_dims tangent_roots"),
+        ("rootsys", "AVector Root RootSystem build_root_system cartan_matrix form_value"
+         " span_subset"),
+        ("weyl", "WeylElement WeylGroup double_cosets generate subgroup"),
+    )
+    for name in names.split()
+}
+
+
 def __getattr__(name: str):
     if name in __all__:
-        from . import sldr
+        from importlib import import_module
 
-        return getattr(sldr, name)
+        return getattr(import_module(f".{_HOMES.get(name, 'sldr')}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -12,29 +12,32 @@ Exit codes: 0 success, 1 failed verification or internal inconsistency,
 progress logging on stderr.  analyze, cosets and simulate write
 deterministic bytes to stdout for fixed arguments.
 
-Each run is a fresh process, so this module imports only what every
-command runs: ``json`` loads where JSON is written, ``logging`` only when
-FLAGCTRL_LOG is set, and numpy with ``sldr`` only in verify and simulate.
+Each run is a fresh process, so this module imports only what its command
+runs: the exact modules (``rootsys``, ``weyl``, ``flagcalc``) in analyze,
+cosets and verify, compiled before argparse loads; numpy with ``sldr``
+only in verify and simulate, so that simulate compiles no exact module;
+``json`` where JSON is written, and ``logging`` only when FLAGCTRL_LOG is
+set.
 """
 
 from __future__ import annotations
 
+import sys
+
+if sys.argv[1:2] != ["simulate"]:
+    # unless this process runs simulate, which never calls them, the exact modules
+    # (flagcalc, with rootsys and weyl) compile first, while little else is live:
+    # compiled after argparse loads, they raise a small exact run's peak memory
+    from . import flagcalc  # noqa: F401
+
 import argparse
 import math
 import os
-import sys
 from typing import Callable, Sequence
 
-from .flagcalc import (
-    ConsistencyError,
-    FlagSpec,
-    classification_report,
-    enumerate_chain_control_sets,
-)
-from .rootsys import FAMILIES, build_root_system
-from .weyl import coset_table_json, generate
-
 __all__ = ["main", "entrypoint"]
+
+_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")  # rootsys.FAMILIES, which simulate never loads
 
 
 def _debug(msg: str, *args: object) -> None:
@@ -98,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_type_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--type", required=True, choices=sorted(FAMILIES), help="Dynkin family")
+        p.add_argument("--type", required=True, choices=_FAMILIES, help="Dynkin family")
         p.add_argument("--rank", required=True, type=int, help="rank of the family")
         p.add_argument(
             "--order-cap",
@@ -143,6 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .flagcalc import FlagSpec, classification_report, enumerate_chain_control_sets
+    from .rootsys import build_root_system
+    from .weyl import generate
+
     rs = build_root_system(args.type, args.rank)
     group = generate(rs, order_cap=args.order_cap)
     _debug("Weyl group of %s has order %d", rs.lie_type, group.order)
@@ -183,6 +190,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_cosets(args: argparse.Namespace) -> int:
+    from .rootsys import build_root_system
+    from .weyl import coset_table_json, generate
+
     rs = build_root_system(args.type, args.rank)
     group = generate(rs, order_cap=args.order_cap)
     doc = coset_table_json(group, args.left, args.right)
@@ -202,6 +212,10 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the exact modules, then sldr, before numpy: each compiles from source before
+    # numpy loads, so none raises the peak memory
+    from .flagcalc import FlagSpec, enumerate_chain_control_sets
+    from .weyl import generate
     from .sldr import Drift, check_records, load_system, type_a_system, value
 
     sysspec = load_system(args.spec)
@@ -312,12 +326,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        from .flagcalc import ConsistencyError  # loaded by every command that raises one
+
+        if not isinstance(exc, ConsistencyError):
+            raise
+        print(f"inconsistency: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

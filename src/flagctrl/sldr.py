@@ -26,17 +26,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import linalg
-from .flagcalc import ChainControlSetRecord, FlagSpec
-from .rootsys import RootSystem, build_root_system, form_value, span_subset
-from .weyl import WeylElement
+
+if TYPE_CHECKING:  # the exact modules load where they run: simulate never compiles them
+    from fractions import Fraction
+
+    from .flagcalc import ChainControlSetRecord, FlagSpec
+    from .rootsys import RootSystem
+    from .weyl import WeylElement
 
 __all__ = [
     "IwasawaTriple",
@@ -86,12 +89,15 @@ __all__ = [
 DEFAULT_COND_MAX = 1e12
 _STRIDE_LOG_COND_MAX = math.log(1e4)  # cocycle_sample's refactor bound
 _QR_BATCH = 256  # cocycle_sample's output rows per stacked QR
+_STEP_BLOCK = 256  # _propagate's control values per stack of RK4 transitions
 _RENORM_CADENCE = 10  # integrate's RK4 steps per determinant renormalization
 
 
 @lru_cache(maxsize=None)
 def type_a_system(d: int) -> RootSystem:
     """The abstract system matching SL(d, R); rank d-1."""
+    from .rootsys import build_root_system
+
     if d < 2:
         raise ValueError("SL(d) realization needs d >= 2")
     return build_root_system("A", d - 1)
@@ -394,9 +400,11 @@ class ControlSystemSpec:
         return len(self.controls)
 
     def generator(self, u: np.ndarray) -> np.ndarray:
-        out = self.drift.copy()
-        for uj, m in zip(u, self.controls):
-            out += uj * m
+        """drift + sum_j u_j B_j, for a control value or for each row of a stack of them."""
+        u = np.asarray(u)
+        out = np.broadcast_to(self.drift, u.shape[:-1] + self.drift.shape).copy()
+        for uj, m in zip(np.moveaxis(u, -1, 0), self.controls):
+            out += uj[..., None, None] * m
         return out
 
 
@@ -505,10 +513,9 @@ class Trajectory:
 
 def _rk4_step_matrix(x: np.ndarray, h: float) -> np.ndarray:
     # classical fourth order step for a constant generator is the degree-4
-    # Taylor polynomial of exp(h x)
-    d = x.shape[0]
+    # Taylor polynomial of exp(h x), of a matrix or of each matrix in a stack
     a = h * x
-    eye = np.eye(d)
+    eye = np.eye(x.shape[-1])
     m = eye + a / 4.0
     m = eye + (a / 3.0) @ m
     m = eye + (a / 2.0) @ m
@@ -517,16 +524,19 @@ def _rk4_step_matrix(x: np.ndarray, h: float) -> np.ndarray:
 
 def _propagate(
     spec: ControlSystemSpec, signal: ControlSignal, T: float
-) -> tuple[float, int, Iterator[tuple[np.ndarray | None, int]]]:
-    """Signed step, step count and the RK4 transitions over [0, T], as runs
-    ``(step, count)`` of identical steps that end at control-period edges.
+) -> tuple[float, int, Iterator[tuple[np.ndarray, list]]]:
+    """Signed step, step count and the RK4 transitions over [0, T], in blocks
+    ``(steps, runs)``: the stacked transitions of up to ``_STEP_BLOCK`` control
+    values, and the runs ``(index into steps, count)`` of identical steps that
+    hold them, each ending at a control-period edge.  Runs of one value share
+    its index, and an identity transition's index is None.
 
     ``T`` may be negative; the control is evaluated at segment midpoints, so
     the sample period must be an integer multiple of dt, the signal origin
     must sit on the step grid, and a signal of more than one value must
     cover [min(T, 0), max(T, 0)].  These are checked before any step runs.
-    A transition is built and range-checked when the control value changes;
-    runs of one value share it, and an identity is yielded as None.
+    A control value out of range raises once the walk has taken every run
+    before it.
     """
     dt = spec.integrator.dt
     if signal.n_channels != spec.n_controls:
@@ -548,22 +558,34 @@ def _propagate(
         )
     h = dt if T >= 0 else -dt
 
-    def runs() -> Iterator[tuple[np.ndarray | None, int]]:
-        eye = np.eye(spec.dim)
-        key, step, i = None, None, 0
+    def blocks() -> Iterator[tuple[np.ndarray, list]]:
+        key, i = None, 0
         while i < n:
-            k = math.floor(((i + 0.5) * h - signal.t0) / signal.period) + (h > 0)
-            j = min(n, math.ceil((signal.t0 + k * signal.period) / h - 0.5))
-            u = signal.value_at((i + 0.5) * h)
-            if u.tobytes() != key:
-                if not spec.control_range.contains(u):
-                    raise ValueError(f"control value {u.tolist()} lies outside the range")
-                key, step = u.tobytes(), _rk4_step_matrix(spec.generator(u), h)
-                step = None if np.array_equal(step, eye) else step
-            yield step, j - i
-            i = j
+            # the block's distinct control values and its runs, up to the first value
+            # out of range
+            values, runs, bad = [], [], None
+            while i < n:
+                k = math.floor(((i + 0.5) * h - signal.t0) / signal.period) + (h > 0)
+                j = min(n, math.ceil((signal.t0 + k * signal.period) / h - 0.5))
+                u = signal.value_at((i + 0.5) * h)
+                if u.tobytes() != key:
+                    if len(values) == _STEP_BLOCK:
+                        break
+                    if not spec.control_range.contains(u):
+                        bad = ValueError(f"control value {u.tolist()} lies outside the range")
+                        break
+                    key = u.tobytes()
+                    values.append(u)
+                runs.append((len(values) - 1, j - i))
+                i = j
+            if values:
+                steps = _rk4_step_matrix(spec.generator(np.array(values)), h)
+                identity = (steps == np.eye(spec.dim)).all(axis=(1, 2)).tolist()
+                yield steps, [(None if identity[v] else v, count) for v, count in runs]
+            if bad is not None:
+                raise bad
 
-    return h, n, runs()
+    return h, n, blocks()
 
 
 def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Trajectory:
@@ -572,11 +594,16 @@ def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Traje
 
     ``T`` may be negative; see ``_propagate`` for the grid conditions.
     """
-    h, n, runs = _propagate(spec, signal, T)
+    h, n, blocks = _propagate(spec, signal, T)
     d = spec.dim
     psi = np.eye(d)
     out = [psi]
-    for i, step in enumerate(chain.from_iterable(repeat(*run) for run in runs)):
+    steps = chain.from_iterable(
+        repeat(None if v is None else stack[v], count)
+        for stack, runs in blocks
+        for v, count in runs
+    )
+    for i, step in enumerate(steps):
         if step is not None:
             psi = step @ psi
             if (i + 1) % _RENORM_CADENCE == 0 or i == n - 1:
@@ -681,6 +708,10 @@ def ktheta_invariance_residual(
     dual vectors of the theta roots; ``k_block`` must be block diagonal for
     the theta block structure, orthogonal, of determinant +1.
     """
+    from fractions import Fraction
+
+    from .rootsys import form_value
+
     if not flag.is_maximal:
         raise ValueError("the invariance statement lives on maximal flags")
     d = flag.dim_ambient
@@ -717,7 +748,7 @@ def ktheta_invariance_residual(
 class RealizedFunctional:
     """Linear functional on diagonal vectors, with exact coefficients."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Fraction | int, ...]
 
     def __call__(self, h: Sequence[float]) -> float:
         return float(sum(float(c) * float(v) for c, v in zip(self.coeffs, h)))
@@ -734,8 +765,7 @@ def realize_functional(coords: Sequence[Fraction | int], d: int) -> RealizedFunc
             f"only the rank d-1 type A dictionary is realized; got {len(coords)} "
             f"coordinates for d={d}"
         )
-    b = [Fraction(c) for c in coords]
-    padded = [Fraction(0)] + b + [Fraction(0)]
+    padded = [0, *coords, 0]  # plain differences: ints stay ints, Fractions stay Fractions
     coeffs = tuple(padded[i + 1] - padded[i] for i in range(d))
     return RealizedFunctional(coeffs=coeffs)
 
@@ -927,6 +957,8 @@ class Drift:
         over [0, T], and the smallest slope from time 1 on."""
 
         def compute() -> tuple:
+            from .rootsys import span_subset
+
             rs = type_a_system(self.dim)
             central = span_subset(rs, self.split.theta)
             roots = [r.coords for r in rs.sorted_positive_roots() if r not in central]
@@ -967,6 +999,8 @@ def determinant_formula_residuals(
     of the Jacobian against exp(sigma), as (unstable defect, stable defect);
     on a chunk of records, None for one that is not hyperbolic.
     """
+    from .flagcalc import ChainControlSetRecord
+
     if isinstance(record, ChainControlSetRecord) and not record.hyperbolic:
         raise ValueError("the determinant identity requires a hyperbolic record")
     return batch(_determinants, drift, spec.theta, record, spec, t)
@@ -1269,8 +1303,10 @@ def cocycle_sample(
 
     The frame is refactored (discrete QR method) only when a bound on the
     condition number of the transitions' product since the last refactor
-    would pass 1e4.  Each output row is that product times the frame; rows
-    are factored ``_QR_BATCH`` at a time in one stacked QR, and by uniqueness
+    would pass 1e4.  Each output row is that product times the frame: the
+    product is one matmul onto the last row's, and the rows are multiplied
+    by their frames and factored ``_QR_BATCH`` at a time, in one stacked
+    matmul per refactor segment and one stacked QR; by uniqueness
     of the positive QR a row's value is the refactors' summed log-diagonal
     plus its own.  A row with no transition since the last refactor is that
     sum exactly, so identity transitions contribute zero.  Grid conditions
@@ -1280,44 +1316,74 @@ def cocycle_sample(
         raise ValueError("the cocycle is sampled at maximal flags")
     if sample_every < 1:
         raise ValueError("sample stride must be at least 1")
-    h, n, runs = _propagate(spec, signal, T)
-    d = spec.dim
+    h, n, blocks = _propagate(spec, signal, T)
+    d, stride = spec.dim, sample_every
     frame, offset = flag.rep, np.zeros(d)
-    times = [0.0]
-    values = np.zeros((1 + -(-n // sample_every), d))
-    batch, rows = np.empty((_QR_BATCH, d, d)), []
-    held, prod, bound, i = False, None, 0.0, 0
-    for step, count in runs:
-        if step is not held:
-            # cond(I + E) <= (1 + e) / (1 - e) for e = |E|_F < 1, without an SVD
-            e = 0.0 if step is None else float(np.linalg.norm(step - np.eye(d)))
-            held, powers, growth = step, {}, math.log1p(2 * e / (1 - e)) if e < 1 else math.inf
-        while count:
-            if prod is not None and bound + growth > _STRIDE_LOG_COND_MAX:
-                frame, r = _qr_pos(prod @ frame)
-                offset = offset + np.log(np.diag(r))
-                prod, bound = None, 0.0
-            m = min(count, sample_every - i % sample_every)
-            if growth:
-                m = min(m, max(1, int((_STRIDE_LOG_COND_MAX - bound) / growth)))
-            if step is not None:
-                if m not in powers:
-                    powers[m] = np.linalg.matrix_power(step, m)
-                prod = powers[m] if prod is None else powers[m] @ prod
-                bound += m * growth
-            i += m
-            count -= m
-            if i % sample_every == 0 or i == n:
-                values[len(times)] = offset
-                if prod is not None:
-                    np.matmul(prod, frame, out=batch[len(rows)])
-                    rows.append(len(times))
-                if rows and (len(rows) == _QR_BATCH or i == n):
-                    r = np.linalg.qr(batch[: len(rows)], mode="r")
-                    values[rows] += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
-                    rows.clear()
-                times.append(i * h)
-    return CocycleSample(times=np.asarray(times), a_values=values)
+    n_rows = 1 + -(-n // stride)
+    times = np.minimum(np.arange(n_rows) * stride, n) * h
+    times[0] = 0.0  # not -0.0 on a backward horizon
+    values = np.zeros((n_rows, d))
+    # rows: the batch's rows that have a product, each held in the slot of prods at
+    # its position; the first formed of them are multiplied by their frame into
+    # images, and the rest share the current frame.  first is the first row since
+    # the last refactor, whose offset is added to the rows once it changes
+    prods, images = np.empty((2, _QR_BATCH, d, d))
+    slots, rows, formed, first = list(prods), [], 0, 0
+    prod, bound, i, row = None, 0.0, 0, 1
+    for steps, runs in blocks:
+        # cond(I + E) <= (1 + e) / (1 - e) for e = |E|_F < 1, without an SVD; e is one dot
+        # product per matrix, as np.linalg.norm takes it
+        flat = (steps - np.eye(d)).reshape(len(steps), 1, d * d)
+        norms = np.sqrt(flat @ np.swapaxes(flat, 1, 2)).ravel().tolist()
+        growths = [math.log1p(2 * e / (1 - e)) if e < 1 else math.inf for e in norms]
+        # the stride's power, stacked, of each transition that a full stride may take
+        full = [v for v, g in enumerate(growths) if stride * g <= _STRIDE_LOG_COND_MAX]
+        strided = dict(zip(full, np.linalg.matrix_power(steps[full], stride))) if full else {}
+        held = -1
+        for v, count in runs:
+            if v != held:
+                held, powers = v, {}
+                step, growth = (None, 0.0) if v is None else (steps[v], growths[v])
+                if v in strided:
+                    powers[stride] = strided[v]
+            while count:
+                if prod is not None and bound + growth > _STRIDE_LOG_COND_MAX:
+                    np.matmul(prods[formed : len(rows)], frame, out=images[formed : len(rows)])
+                    formed = len(rows)
+                    frame, r = _qr_pos(prod @ frame)
+                    values[first:row] += offset
+                    offset, first = offset + np.log(np.diag(r)), row
+                    prod, bound = None, 0.0
+                m = min(count, stride - i % stride)
+                if growth:
+                    m = min(m, max(1, int((_STRIDE_LOG_COND_MAX - bound) / growth)))
+                if step is not None:
+                    if m not in powers:
+                        powers[m] = np.linalg.matrix_power(step, m)
+                    slot = slots[len(rows)]
+                    if prod is None:
+                        slot[...] = powers[m]
+                    else:
+                        np.matmul(powers[m], prod, out=slot)
+                    prod = slot
+                    bound += m * growth
+                i += m
+                count -= m
+                if i % stride == 0 or i == n:
+                    if prod is not None:
+                        slot = slots[len(rows)]
+                        if prod is not slot:  # no transition since the last row
+                            slot[...] = prod
+                        prod = slot
+                        rows.append(row)
+                    if rows and (len(rows) == _QR_BATCH or i == n):
+                        np.matmul(prods[formed : len(rows)], frame, out=images[formed : len(rows)])
+                        r = np.linalg.qr(images[: len(rows)], mode="r")
+                        values[rows] += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+                        rows, formed = [], 0
+                    row += 1
+    values[first:] += offset
+    return CocycleSample(times=times, a_values=values)
 
 
 def cocycle_to_csv(sample: CocycleSample) -> str:

@@ -7,7 +7,10 @@ weight orbit, an element's matrix is the product along its word
 root coordinates only, the double cosets are also found by the
 breadth-first orbit walk that the reverse search replaced
 (``bfs_double_cosets``, orders by orbit-stabilizer), the cocycle along a
-controlled flow is refactored after every integrator step, and tangent
+controlled flow is refactored after every integrator step, the RK4
+transitions are built one control value at a time as the stacked build
+replaced (``propagate_per_value``, ``integrate_per_value`` and
+``cocycle_sample_per_row``, which must agree with it bit for bit), and tangent
 realizations and their volumes are built one elementary d x d matrix at a
 time.  The ``loop_*`` functions
 are the one-record-at-a-time realization and checks that the stacked ones
@@ -455,6 +458,113 @@ def stepwise_cocycle(
             times.append((i + 1) * h)
             values.append(acc)
     return np.asarray(times), np.vstack(values)
+
+
+def _rk4_step(x: np.ndarray, h: float) -> np.ndarray:
+    # one matrix's RK4 transition for a constant generator: the degree-4 Taylor
+    # polynomial of exp(h x), nested as the library nests it
+    eye = np.eye(x.shape[0])
+    a = h * x
+    m = eye + a / 4.0
+    m = eye + (a / 3.0) @ m
+    m = eye + (a / 2.0) @ m
+    return eye + a @ m
+
+
+def propagate_per_value(spec, signal, T: float):
+    """Signed step, step count and the runs ``(step, count)`` of identical RK4
+    steps over [0, T] as ``sldr._propagate`` walked them before its transitions
+    were stacked: one generator and one transition per change of control value,
+    range-checked there, and None for an identity.  Grid checks left out."""
+    dt = spec.integrator.dt
+    n = int(round(abs(T) / dt))
+    h = dt if T >= 0 else -dt
+
+    def runs():
+        eye = np.eye(spec.dim)
+        key, step, i = None, None, 0
+        while i < n:
+            k = math.floor(((i + 0.5) * h - signal.t0) / signal.period) + (h > 0)
+            j = min(n, math.ceil((signal.t0 + k * signal.period) / h - 0.5))
+            u = signal.value_at((i + 0.5) * h)
+            if u.tobytes() != key:
+                if not spec.control_range.contains(u):
+                    raise ValueError(f"control value {u.tolist()} lies outside the range")
+                x = spec.drift.copy()
+                for uj, m in zip(u, spec.controls):
+                    x += uj * m
+                key, step = u.tobytes(), _rk4_step(x, h)
+                step = None if np.array_equal(step, eye) else step
+            yield step, j - i
+            i = j
+
+    return h, n, runs()
+
+
+def integrate_per_value(spec, signal, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times and matrices of ``sldr.integrate``, from ``propagate_per_value``."""
+    h, n, runs = propagate_per_value(spec, signal, T)
+    d = spec.dim
+    psi = np.eye(d)
+    out = [psi]
+    for i, step in enumerate(s for step, count in runs for s in [step] * count):
+        if step is not None:
+            psi = step @ psi
+            if (i + 1) % sldr._RENORM_CADENCE == 0 or i == n - 1:
+                det = float(np.linalg.det(psi))
+                if det <= 0.0 or abs(det - 1.0) > 1e-6:
+                    raise ValueError(
+                        f"determinant drift {det - 1.0:.3e} at step {i + 1}; reduce dt"
+                    )
+                psi = psi * det ** (-1.0 / d)
+        out.append(psi)
+    return h * np.arange(n + 1), np.stack(out)
+
+
+def cocycle_sample_per_row(
+    spec, signal, T: float, frame: np.ndarray, sample_every: int = 10
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times and cocycle values of ``sldr.cocycle_sample`` as it took them before
+    the per-row loop: from ``propagate_per_value``, each chunk's power times the
+    running product, each row's product times the frame on its own, and the
+    refactor offset written row by row."""
+    h, n, runs = propagate_per_value(spec, signal, T)
+    d = spec.dim
+    offset = np.zeros(d)
+    times = [0.0]
+    values = np.zeros((1 + -(-n // sample_every), d))
+    batch, rows = np.empty((sldr._QR_BATCH, d, d)), []
+    held, prod, bound, i = False, None, 0.0, 0
+    for step, count in runs:
+        if step is not held:
+            e = 0.0 if step is None else float(np.linalg.norm(step - np.eye(d)))
+            held, powers, growth = step, {}, math.log1p(2 * e / (1 - e)) if e < 1 else math.inf
+        while count:
+            if prod is not None and bound + growth > sldr._STRIDE_LOG_COND_MAX:
+                frame, r = sldr._qr_pos(prod @ frame)
+                offset = offset + np.log(np.diag(r))
+                prod, bound = None, 0.0
+            m = min(count, sample_every - i % sample_every)
+            if growth:
+                m = min(m, max(1, int((sldr._STRIDE_LOG_COND_MAX - bound) / growth)))
+            if step is not None:
+                if m not in powers:
+                    powers[m] = np.linalg.matrix_power(step, m)
+                prod = powers[m] if prod is None else powers[m] @ prod
+                bound += m * growth
+            i += m
+            count -= m
+            if i % sample_every == 0 or i == n:
+                values[len(times)] = offset
+                if prod is not None:
+                    np.matmul(prod, frame, out=batch[len(rows)])
+                    rows.append(len(times))
+                if rows and (len(rows) == sldr._QR_BATCH or i == n):
+                    r = np.linalg.qr(batch[: len(rows)], mode="r")
+                    values[rows] += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+                    rows.clear()
+                times.append(i * h)
+    return np.asarray(times), values
 
 
 def lower_mask(blocks: tuple[int, ...]) -> np.ndarray:

@@ -624,6 +624,34 @@ def test_exact_commands_load_only_what_they_run():
     assert sum(line.startswith("{") for line in lines) == 2
 
 
+def test_numeric_commands_load_only_what_they_run(tmp_path):
+    # simulate compiles no exact module, and neither numeric command loads fractions
+    # or decimal: each runs as a process of its own, which lists its imports on stderr
+    control = np.diag([1.0, 1.0, -2.0])
+    simulated = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]), [control], Box(((-1.0, 1.0),)))
+    verified = write_system(tmp_path, np.diag([2.0, 0.0, -2.0]), name="verify.json")
+    exact = {"flagctrl.rootsys", "flagctrl.weyl", "flagctrl.flagcalc"}
+    loaded = {}
+    for argv in (["simulate", "--spec", simulated, "--T", "0.5"],
+                 ["verify", "--spec", verified, "--T", "2"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "flagctrl.cli", *argv],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        timed = [x for x in proc.stderr.splitlines() if x.startswith("import time:")]
+        loaded[argv[0]] = {x.rsplit("|", 1)[1].strip() for x in timed}
+        assert {"flagctrl.sldr", "numpy"} <= loaded[argv[0]]  # cli runs as __main__
+    assert not loaded["simulate"] & (exact | {"fractions", "decimal"})
+    assert exact <= loaded["verify"] and not loaded["verify"] & {"fractions", "decimal"}
+
+
+def test_cli_families_are_the_root_systems():
+    from flagctrl import cli, rootsys
+
+    assert cli._FAMILIES == rootsys.FAMILIES
+
+
 def test_simulate_does_not_import_scipy(tmp_path):
     control = np.diag([1.0, 1.0, -2.0])
     path = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]), [control], Box(((-1.0, 1.0),)))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -882,12 +883,118 @@ def test_cocycle_sample_qr_calls(monkeypatch):
     spec = seeded_system(5, 105, np.linspace(4.0, -4.0, 5))
     sig = random_signal(np.random.default_rng(5), spec.control_range, 10.0, 0.1)
     total = 0.0
-    for step, count in sldr._propagate(spec, sig, 10.0)[2]:
-        e = np.linalg.norm(step - np.eye(5))
-        total += count * math.log1p(2 * e / (1 - e))
+    for steps, runs in sldr._propagate(spec, sig, 10.0)[2]:
+        for v, count in runs:
+            e = np.linalg.norm(steps[v] - np.eye(5))
+            total += count * math.log1p(2 * e / (1 - e))
     refactors.clear()
     cocycle_sample(spec, sig, 10.0, standard_flag(5))
     assert 1 <= len(refactors) <= math.ceil(total / math.log(1e4))
+
+
+def _benchmark_system(name: str):
+    # a simulate benchmark system with its control signal, drawn as make_inputs(101) and
+    # simulate --T 50 draw them
+    import importlib.util
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "flagbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    systems, seeds = workloads.make_inputs(101)
+    system = system_from_json(systems[name])
+    rng = np.random.default_rng(seeds[name])
+    return system, random_signal(rng, system.control_range, 50.0, 0.1), 50.0
+
+
+def _seeded(d, T, period, spectrum=None):
+    spec = seeded_system(d, 100 + d, spectrum)
+    return spec, random_signal(np.random.default_rng(d), spec.control_range, T, period), T
+
+
+def _zero_system():
+    spec = control_system(np.zeros((3, 3)), [np.zeros((3, 3))], Box(((-1.0, 1.0),)))
+    return spec, random_signal(np.random.default_rng(3), spec.control_range, 2.0, 0.1), 2.0
+
+
+# name: (system, signal and horizon, output strides); the benchmark signals and
+# many_blocks hold more than one block of _STEP_BLOCK control values, off_period has
+# a horizon of 486.67 control periods
+PROPAGATION_CASES = {
+    "bench-d5": (lambda: _benchmark_system("simulate-d5"), (10,)),
+    "bench-d6": (lambda: _benchmark_system("simulate-d6"), (10,)),
+    "backward": (lambda: _seeded(4, -5.0, 0.1), (3, 10)),
+    "strides": (lambda: _seeded(5, 12.0, 0.1), (1, 3, 7)),
+    "off_period": (lambda: _seeded(6, 7.3, 0.015), (7,)),
+    "short": (lambda: _seeded(3, 0.05, 0.1), (3, 10)),
+    "zero_system": (_zero_system, (1, 7)),
+    "refactors": (lambda: _seeded(5, 10.0, 0.1, np.linspace(4.0, -4.0, 5)), (3, 10)),
+    "constant": (lambda: (seeded_system(3, 103), constant_signal([0.3, -0.2]), 4.0), (7, 10)),
+    "many_blocks": (lambda: _seeded(3, 1.5, 0.002), (7,)),
+}
+
+
+def _integrated(run, *args):
+    # times and matrices of a flow, or the message of the ValueError that stops it
+    try:
+        out = run(*args)
+    except ValueError as exc:
+        return str(exc)
+    return (out.times, out.matrices) if isinstance(out, sldr.Trajectory) else out
+
+
+def _same_flow(spec, sig, T):
+    stacked, per_value = _integrated(integrate, spec, sig, T), _integrated(
+        oracles.integrate_per_value, spec, sig, T)
+    if isinstance(per_value, str):  # the error and its step, as the per-value walk met it
+        return stacked == per_value
+    return all(np.array_equal(a, b) for a, b in zip(stacked, per_value))
+
+
+@pytest.mark.parametrize("case", sorted(PROPAGATION_CASES))
+def test_stacked_propagation_matches_the_per_value_walk(case):
+    make, strides = PROPAGATION_CASES[case]
+    spec, sig, T = make()
+    assert _same_flow(spec, sig, T)
+    if case == "refactors":  # 13 refactors; the determinant drifts past integrate's bound
+        assert _integrated(integrate, spec, sig, T).startswith("determinant drift")
+    for every in strides:
+        sample = cocycle_sample(spec, sig, T, standard_flag(spec.dim), sample_every=every)
+        times, values = oracles.cocycle_sample_per_row(spec, sig, T, np.eye(spec.dim), every)
+        assert np.array_equal(sample.times, times) and np.array_equal(sample.a_values, values)
+        # the bytes too: array_equal does not tell 0.0 from -0.0
+        assert cocycle_to_csv(sample) == cocycle_to_csv(sldr.CocycleSample(times, values))
+    if case == "zero_system":
+        assert not sample.a_values.any()
+    if case in ("bench-d5", "many_blocks"):
+        assert len(sig.values) > sldr._STEP_BLOCK
+
+
+@pytest.mark.parametrize("bad", [0, 255, 256, 300])
+def test_out_of_range_control_raises_where_the_walk_reaches_it(bad):
+    spec = seeded_system(3, 103)
+    values = random_signal(np.random.default_rng(3), spec.control_range, 60.0, 0.1).values.copy()
+    values[bad] = [1.5, 0.0]
+    sig = ControlSignal(values, period=0.1)
+    message = "control value [1.5, 0.0] lies outside the range"
+    walked, expected = [], []
+    with pytest.raises(ValueError) as stacked:
+        for _, runs in sldr._propagate(spec, sig, 60.0)[2]:
+            walked += [count for _, count in runs]
+    with pytest.raises(ValueError) as per_value:
+        for _, count in oracles.propagate_per_value(spec, sig, 60.0)[2]:
+            expected.append(count)
+    assert str(stacked.value) == str(per_value.value) == message
+    assert walked == expected and sum(walked) == 100 * bad
+    # integrate meets a determinant drift at step 17710 first, where the walk before
+    # met it, unless the bad value comes earlier
+    assert _same_flow(spec, sig, 60.0)
+    drift = "determinant drift 1.424e-06 at step 17710; reduce dt"
+    assert _integrated(integrate, spec, sig, 60.0) == (message if bad < 177 else drift)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cocycle_sample(spec, sig, 60.0, standard_flag(3))
 
 
 def test_cocycle_to_csv_bytes():
