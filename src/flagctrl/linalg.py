@@ -6,15 +6,24 @@ matrices, where numpy's bidiagonalizing SVD loses the small ones.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["expm", "singular_values"]
 
 _MAX_SWEEPS = 60
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 # a column whose norm falls below this is noise left by a rank deficiency and
 # stops rotating, which keeps every rotating pair's d_q / d_p in double range
-_SMALL = np.finfo(float).tiny / np.finfo(float).eps
+_SMALL = _TINY / _EPS
+
+
+@lru_cache(maxsize=None)
+def _rounds(k: int) -> list:
+    # the round-robin schedule of k columns, k even: k - 1 rounds of k / 2 disjoint pairs (p, q)
+    orders = [np.r_[0, np.roll(np.arange(1, k), r)] for r in range(k - 1)]
+    return [(order[: k // 2], order[::-1][: k // 2]) for order in orders]
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -41,17 +50,16 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     d = np.abs(y).max(axis=-2, keepdims=True)
     d = np.where(d > 0, d, 1.0)
     y /= d
-    orders = [np.r_[0, np.roll(np.arange(1, k), r)] for r in range(k - 1)]  # round robin
+    rounds, tol = _rounds(k), n * _EPS
     for _ in range(_MAX_SWEEPS):
         rotated = False
-        for order in orders:
-            p, q = order[: k // 2], order[::-1][: k // 2]
+        for p, q in rounds:
             yp, yq = y[..., p], y[..., q]
             lp = np.sqrt((yp * yp).sum(-2, keepdims=True))
             lq = np.sqrt((yq * yq).sum(-2, keepdims=True))
-            cos = (yp * yq).sum(-2, keepdims=True) / np.maximum(lp * lq, np.finfo(float).tiny)
+            cos = (yp * yq).sum(-2, keepdims=True) / np.maximum(lp * lq, _TINY)
             dp, dq = d[..., p] * lp, d[..., q] * lq  # the column norms
-            rot = np.abs(cos) > n * np.finfo(float).eps
+            rot = np.abs(cos) > tol
             rot &= np.minimum(dp, dq) > _SMALL
             if not rot.any():
                 continue

@@ -25,9 +25,10 @@ Weyl elements act as coordinate permutations built from their reduced words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -90,6 +91,7 @@ DEFAULT_COND_MAX = 1e12
 _STRIDE_LOG_COND_MAX = math.log(1e4)  # cocycle_sample's refactor bound
 _QR_BATCH = 256  # cocycle_sample's output rows per stacked QR
 _STEP_BLOCK = 256  # _propagate's control values per stack of RK4 transitions
+_CSV_BLOCK = 256  # cocycle_to_csv's rows per % format
 _RENORM_CADENCE = 10  # integrate's RK4 steps per determinant renormalization
 
 
@@ -103,17 +105,20 @@ def type_a_system(d: int) -> RootSystem:
     return build_root_system("A", d - 1)
 
 
+class _Identity:
+    # the value classes that hold arrays are tuples that compare and hash as objects do
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
 # ---------------------------------------------------------------------------
 # Iwasawa factorization
 
 
-@dataclass(frozen=True, eq=False)
-class IwasawaTriple:
+class IwasawaTriple(_Identity, namedtuple("IwasawaTriple", "k a_vec n")):
     """Factors g = k exp(diag(a_vec)) n with k special orthogonal, n unitriangular."""
 
-    k: np.ndarray
-    a_vec: np.ndarray
-    n: np.ndarray
+    __slots__ = ()
 
 
 def _qr_pos(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,12 +204,10 @@ def _lower_index(blocks: tuple[int, ...]) -> np.ndarray:
     return np.flatnonzero(bid[:, None] > bid[None, :])
 
 
-@dataclass(frozen=True, eq=False)
-class FlagPoint:
+class FlagPoint(_Identity, namedtuple("FlagPoint", "rep blocks")):
     """A flag as a special orthogonal frame plus nested block sizes."""
 
-    rep: np.ndarray
-    blocks: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def dim_ambient(self) -> int:
@@ -279,19 +282,18 @@ def a_cocycle(psi: np.ndarray, flag: FlagPoint) -> np.ndarray:
 # Control systems and signals
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(namedtuple("Box", "bounds")):
     """Per-channel interval bounds; the empty box is the zero-channel range."""
 
-    bounds: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        norm = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+    def __new__(cls, bounds: Iterable[tuple[float, float]]) -> Box:
+        norm = tuple((float(lo), float(hi)) for lo, hi in bounds)
         if not all(math.isfinite(x) for bound in norm for x in bound):
             raise ValueError("box bounds must be finite")
         if any(lo > hi for lo, hi in norm):
             raise ValueError("box bounds must satisfy lo <= hi")
-        object.__setattr__(self, "bounds", norm)
+        return super().__new__(cls, norm)
 
     @property
     def dim(self) -> int:
@@ -311,21 +313,20 @@ class Box:
         return rng.uniform(lows, highs, size=(n, self.dim))
 
 
-@dataclass(frozen=True, eq=False)
-class Polytope:
+class Polytope(_Identity, namedtuple("Polytope", "normals offsets")):
     """Half-space description {u : normals @ u <= offsets}."""
 
-    normals: np.ndarray
-    offsets: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.normals.ndim != 2 or self.offsets.shape != self.normals.shape[:1]:
+    def __new__(cls, normals: np.ndarray, offsets: np.ndarray) -> Polytope:
+        if normals.ndim != 2 or offsets.shape != normals.shape[:1]:
             raise ValueError(
                 f"polytope needs an (m, k) normal array and m offsets, got shapes "
-                f"{self.normals.shape} and {self.offsets.shape}"
+                f"{normals.shape} and {offsets.shape}"
             )
-        if not (np.isfinite(self.normals).all() and np.isfinite(self.offsets).all()):
+        if not (np.isfinite(normals).all() and np.isfinite(offsets).all()):
             raise ValueError("polytope normals and offsets must be finite")
+        return super().__new__(cls, normals, offsets)
 
     @property
     def dim(self) -> int:
@@ -338,19 +339,17 @@ class Polytope:
         return bool(np.all(self.offsets > 0.0))
 
 
-@dataclass(frozen=True, eq=False)
-class ControlSignal:
+class ControlSignal(_Identity, namedtuple("ControlSignal", "values period t0")):
     """Sampled piecewise-constant control, held constant on each period."""
 
-    values: np.ndarray
-    period: float
-    t0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.period <= 0:
+    def __new__(cls, values: np.ndarray, period: float, t0: float = 0.0) -> ControlSignal:
+        if period <= 0:
             raise ValueError("sample period must be positive")
-        if self.values.ndim != 2:
+        if values.ndim != 2:
             raise ValueError("signal values must be a (samples, channels) array")
+        return super().__new__(cls, values, period, t0)
 
     @property
     def n_channels(self) -> int:
@@ -373,23 +372,21 @@ def random_signal(rng: np.random.Generator, box: Box, T: float, period: float) -
     return ControlSignal(values=box.sample(rng, n), period=period, t0=min(T, 0.0))
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    dt: float = 1e-3
+class IntegratorConfig(namedtuple("IntegratorConfig", "dt")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+    def __new__(cls, dt: float = 1e-3) -> IntegratorConfig:
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        return super().__new__(cls, dt)
 
 
-@dataclass(frozen=True, eq=False)
-class ControlSystemSpec:
+class ControlSystemSpec(
+    _Identity, namedtuple("ControlSystemSpec", "drift controls control_range integrator")
+):
     """Right-invariant bilinear system: drift plus control-weighted terms."""
 
-    drift: np.ndarray
-    controls: tuple[np.ndarray, ...]
-    control_range: Box | Polytope
-    integrator: IntegratorConfig
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -496,12 +493,10 @@ def load_system(path: str) -> ControlSystemSpec:
 # Integration
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Identity, namedtuple("Trajectory", "times matrices")):
     """Flow solution sampled on the integrator grid."""
 
-    times: np.ndarray
-    matrices: np.ndarray
+    __slots__ = ()
 
     def value(self, t: float) -> np.ndarray:
         step = self.times[1] - self.times[0] if len(self.times) > 1 else 1.0
@@ -744,14 +739,19 @@ def ktheta_invariance_residual(
 # Functional realization
 
 
-@dataclass(frozen=True)
-class RealizedFunctional:
-    """Linear functional on diagonal vectors, with exact coefficients."""
+class RealizedFunctional(namedtuple("RealizedFunctional", "coeffs floats")):
+    """Linear functional on diagonal vectors, with exact coefficients and those as floats."""
 
-    coeffs: tuple[Fraction | int, ...]
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Sequence[Fraction | int]) -> RealizedFunctional:
+        return super().__new__(cls, coeffs, tuple(map(float, coeffs)))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.coeffs,)
 
     def __call__(self, h: Sequence[float]) -> float:
-        return float(sum(float(c) * float(v) for c, v in zip(self.coeffs, h)))
+        return float(sum(map(mul, self.floats, map(float, h))))
 
 
 def realize_functional(coords: Sequence[Fraction | int], d: int) -> RealizedFunctional:
@@ -774,19 +774,14 @@ def realize_functional(coords: Sequence[Fraction | int], d: int) -> RealizedFunc
 # Split part and fixed flags of autonomous generators
 
 
-@dataclass(frozen=True, eq=False)
-class SplitPart:
+class SplitPart(_Identity, namedtuple("SplitPart", "h theta basis group_ids complex_pairs")):
     """Ordered real spectrum data of a real-diagonalizable traceless matrix.
 
     ``complex_pairs`` lists adjacent column index pairs of ``basis`` that
     carry the real and imaginary parts of one complex eigenvector.
     """
 
-    h: np.ndarray
-    theta: frozenset[int]
-    basis: np.ndarray
-    group_ids: tuple[int, ...]
-    complex_pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def split_part(x: np.ndarray, *, gap_tol: float = 1e-6) -> SplitPart:
@@ -894,7 +889,6 @@ def fixed_flags(drift: Drift, theta: Iterable[int], w: WeylElement) -> FlagPoint
 # Verification against the exact classification
 
 
-@dataclass(frozen=True, eq=False)
 class Drift:
     """An autonomous generator with the data its per-record checks share.
 
@@ -902,25 +896,33 @@ class Drift:
     the attractor flag of its ordered eigenbasis.  exp(t x) is computed once
     per distinct t, the cocycle curve once per step size (``cocycle``) and the
     slopes once per horizon; the cells of Weyl elements are not kept here.
+    The fields are bound once; a copy or an unpickled drift is split anew.
     """
 
-    x: np.ndarray
-    gap_tol: float = 1e-6
-    split: SplitPart = field(init=False)
-    frame: FlagPoint = field(init=False)
-    _memo: dict = field(init=False, default_factory=dict, repr=False)
+    __slots__ = ("x", "gap_tol", "split", "frame", "_memo")
 
-    def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=float)
+    def __init__(self, x: np.ndarray, gap_tol: float = 1e-6) -> None:
+        x = np.array(x, dtype=float)
         x.flags.writeable = False
-        sp = split_part(x, gap_tol=self.gap_tol)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "split", sp)
+        sp = split_part(x, gap_tol=gap_tol)
         # a QR factor, special orthogonal as built; flag_point's rep.T @ rep check
         # would be verify's only BLAS syrk call, whose first use alone lifts its peak RSS
         frame = _qr_special(sp.basis)[0]
         frame.flags.writeable = False
-        object.__setattr__(self, "frame", FlagPoint(rep=frame, blocks=(1,) * len(sp.h)))
+        fields = x, gap_tol, sp, FlagPoint(rep=frame, blocks=(1,) * len(sp.h)), {}
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return Drift, (self.x, self.gap_tol)
+
+    def __repr__(self) -> str:
+        return f"Drift(x={self.x!r}, gap_tol={self.gap_tol!r})"
 
     @property
     def dim(self) -> int:
@@ -1006,20 +1008,13 @@ def determinant_formula_residuals(
     return batch(_determinants, drift, spec.theta, record, spec, t)
 
 
-@dataclass(frozen=True, eq=False)
-class RateReport:
+class RateReport(_Identity, namedtuple("RateReport", (
+    "positive_roots cocycle_predicted cocycle_measured mu_estimate stable_predicted "
+    "stable_measured unstable_predicted unstable_measured center_range max_exponent_rel_error"
+))):
     """Measured growth data against the exact predictions."""
 
-    positive_roots: tuple[tuple[int, ...], ...]
-    cocycle_predicted: tuple[float, ...]
-    cocycle_measured: tuple[float, ...]
-    mu_estimate: float
-    stable_predicted: tuple[float, ...]
-    stable_measured: tuple[float, ...]
-    unstable_predicted: tuple[float, ...]
-    unstable_measured: tuple[float, ...]
-    center_range: tuple[float, float] | None
-    max_exponent_rel_error: float
+    __slots__ = ()
 
 
 def verify_rates(
@@ -1050,7 +1045,8 @@ class Cells(tuple):
     no flag (or None), its frame, its sorted stable, center and unstable exponents, and a hyperbolic
     record's realized sigma+ and sigma- (else None).  ``bundles[c]`` and ``maps[c]`` list, per size
     k of subbundle c, its cells with their k x nnz coordinates and with the k x k tangent map of
-    exp(_STEP x) on it, the one flow derivative that the determinant and the rate checks read."""
+    exp(_STEP x) on it, the one flow derivative that the determinant and the rate checks read.
+    ``logvols[i]`` holds log|det| of cell i's maps on its unstable and its stable subbundle."""
 
 
 def value(entry):
@@ -1124,9 +1120,14 @@ def realize(drift: Drift, theta: Iterable[int], items: list) -> Cells:
     tangent = _tangent_maps(*(back @ drift.expm(s) @ q for s in (_STEP, -_STEP)), rows, cols)
     maps = [[(pos, c @ tangent[pos] @ np.swapaxes(c, 1, 2)) for pos, c in groups]
             for groups in bundles]
+    logvols = np.zeros((len(items), 2))
+    for side, c in enumerate((2, 0)):
+        for pos, m in maps[c]:
+            logvols[pos, side] = np.linalg.slogdet(m)[1]
     cells = Cells(items)
     vars(cells).update(blocks=blocks, errors=errors, frames=q, exponents=exponents,
-                       functionals=functionals, bundles=bundles, maps=maps)
+                       functionals=functionals, bundles=bundles, maps=maps,
+                       logvols=logvols.tolist())
     return cells
 
 
@@ -1169,13 +1170,9 @@ def _determinants(drift: Drift, cells: Cells, spec, t: float) -> list:
         raise ValueError(f"determinant time {t!r} is not finite")
     _check_flow_type(drift, spec)
     avec = drift.cocycle(t)[-1][1]
-    logvol = np.zeros((len(cells), 2))
-    for side, c in enumerate((2, 0)):
-        for pos, m in cells.maps[c]:
-            logvol[pos, side] = np.linalg.slogdet(m)[1]
     return [
         fs and tuple(abs(math.expm1(t / _STEP * lhs - f(avec))) for f, lhs in zip(fs, logs))
-        for fs, logs in zip(cells.functionals, logvol.tolist())
+        for fs, logs in zip(cells.functionals, cells.logvols)
     ]
 
 
@@ -1279,12 +1276,10 @@ def check_records(drift: Drift, spec, records: list, T: float, det_times: list) 
 # Cocycle sampling along simulated flows
 
 
-@dataclass(frozen=True, eq=False)
-class CocycleSample:
+class CocycleSample(_Identity, namedtuple("CocycleSample", "times a_values")):
     """Cocycle accumulated along a simulated trajectory at one flag."""
 
-    times: np.ndarray
-    a_values: np.ndarray
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -1304,7 +1299,7 @@ def cocycle_sample(
     The frame is refactored (discrete QR method) only when a bound on the
     condition number of the transitions' product since the last refactor
     would pass 1e4.  Each output row is that product times the frame: the
-    product is one matmul onto the last row's, and the rows are multiplied
+    product is one ``dot`` onto the last row's, and the rows are multiplied
     by their frames and factored ``_QR_BATCH`` at a time, in one stacked
     matmul per refactor segment and one stacked QR; by uniqueness
     of the positive QR a row's value is the refactors' summed log-diagonal
@@ -1364,7 +1359,7 @@ def cocycle_sample(
                     if prod is None:
                         slot[...] = powers[m]
                     else:
-                        np.matmul(powers[m], prod, out=slot)
+                        powers[m].dot(prod, out=slot)  # np.matmul's BLAS gemm, dispatched faster
                     prod = slot
                     bound += m * growth
                 i += m
@@ -1376,6 +1371,20 @@ def cocycle_sample(
                             slot[...] = prod
                         prod = slot
                         rows.append(row)
+                    if m == stride and growth:
+                        # the run's further whole strides, one dot per row, while the batch
+                        # has room and the guard neither refactors nor splits a stride
+                        power, gain, k = powers[m], m * growth, len(rows)
+                        for _ in range(min(count // m, _QR_BATCH - k)):
+                            if bound + growth > _STRIDE_LOG_COND_MAX or (
+                                    _STRIDE_LOG_COND_MAX - bound) / growth < m:
+                                break
+                            prod = power.dot(prod, out=slots[len(rows)])
+                            bound += gain
+                            row += 1
+                            rows.append(row)
+                        i += (len(rows) - k) * m
+                        count -= (len(rows) - k) * m
                     if rows and (len(rows) == _QR_BATCH or i == n):
                         np.matmul(prods[formed : len(rows)], frame, out=images[formed : len(rows)])
                         r = np.linalg.qr(images[: len(rows)], mode="r")
@@ -1387,11 +1396,14 @@ def cocycle_sample(
 
 
 def cocycle_to_csv(sample: CocycleSample) -> str:
+    # one % per block of rows: a whole-table tolist() would lift the peak RSS
     d = sample.dim
     row_format = "%.10g" + ",%.12g" * d
     lines = ["t," + ",".join(f"a{i + 1}" for i in range(d))]
-    for t, row in zip(sample.times, sample.a_values):
-        lines.append(row_format % (t, *row.tolist()))
+    for start in range(0, len(sample.times), _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        block = np.column_stack((sample.times[rows], sample.a_values[rows]))
+        lines.append("\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,8 @@ breadth-first orbit walk that the reverse search replaced
 controlled flow is refactored after every integrator step, the RK4
 transitions are built one control value at a time as the stacked build
 replaced (``propagate_per_value``, ``integrate_per_value`` and
-``cocycle_sample_per_row``, which must agree with it bit for bit), and tangent
+``cocycle_sample_per_row``, which must agree with it bit for bit), the CSV
+is written a row at a time (``csv_per_row``), and tangent
 realizations and their volumes are built one elementary d x d matrix at a
 time.  The ``loop_*`` functions
 are the one-record-at-a-time realization and checks that the stacked ones
@@ -565,6 +566,15 @@ def cocycle_sample_per_row(
                     rows.clear()
                 times.append(i * h)
     return np.asarray(times), values
+
+
+def csv_per_row(sample) -> str:
+    """``sldr.cocycle_to_csv`` as it was written before its blocks: one row at a
+    time, each value formatted on its own."""
+    lines = ["t," + ",".join(f"a{i + 1}" for i in range(sample.a_values.shape[1]))]
+    for t, row in zip(sample.times, sample.a_values):
+        lines.append(f"{t:.10g}," + ",".join(f"{v:.12g}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def lower_mask(blocks: tuple[int, ...]) -> np.ndarray:

@@ -625,8 +625,8 @@ def test_exact_commands_load_only_what_they_run():
 
 
 def test_numeric_commands_load_only_what_they_run(tmp_path):
-    # simulate compiles no exact module, and neither numeric command loads fractions
-    # or decimal: each runs as a process of its own, which lists its imports on stderr
+    # simulate compiles no exact module, and neither numeric command loads dataclasses,
+    # fractions or decimal: each runs as a process of its own, which lists its imports on stderr
     control = np.diag([1.0, 1.0, -2.0])
     simulated = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]), [control], Box(((-1.0, 1.0),)))
     verified = write_system(tmp_path, np.diag([2.0, 0.0, -2.0]), name="verify.json")
@@ -642,8 +642,9 @@ def test_numeric_commands_load_only_what_they_run(tmp_path):
         timed = [x for x in proc.stderr.splitlines() if x.startswith("import time:")]
         loaded[argv[0]] = {x.rsplit("|", 1)[1].strip() for x in timed}
         assert {"flagctrl.sldr", "numpy"} <= loaded[argv[0]]  # cli runs as __main__
-    assert not loaded["simulate"] & (exact | {"fractions", "decimal"})
-    assert exact <= loaded["verify"] and not loaded["verify"] & {"fractions", "decimal"}
+    banned = {"dataclasses", "fractions", "decimal"}
+    assert not loaded["simulate"] & (exact | banned)
+    assert exact <= loaded["verify"] and not loaded["verify"] & banned
 
 
 def test_cli_families_are_the_root_systems():

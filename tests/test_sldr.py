@@ -646,7 +646,7 @@ def test_batched_checks_equal_one_record_batches(d, monkeypatch):
                         oracles.loop_determinant_residuals(drift, cells.blocks, rec, t) for t in times
                     )
                     seen.add("hyperbolic")
-                assert vars(rates) == vars(verify_rates(drift, spec, rec, 3.0))
+                assert rates._asdict() == verify_rates(drift, spec, rec, 3.0)._asdict()
                 measured = (rates.stable_measured, rates.unstable_measured, rates.center_range)
                 assert measured == oracles.loop_rate_exponents(drift, cells.blocks, rec, 3.0)
                 if rates.center_range is not None:
@@ -997,6 +997,53 @@ def test_out_of_range_control_raises_where_the_walk_reaches_it(bad):
         cocycle_sample(spec, sig, 60.0, standard_flag(3))
 
 
+def _identity_runs():
+    # a zero drift and every other control value 0: runs of identity transitions
+    # between runs of whole strides under one transition
+    rng = np.random.default_rng(11)
+    spec = control_system(np.zeros((3, 3)), [random_traceless(rng, 3)], Box(((-1.0, 1.0),)))
+    values = rng.uniform(-1.0, 1.0, (30, 1))
+    values[::2] = 0.0
+    return spec, ControlSignal(values, period=0.1), 3.0
+
+
+# name: (system, signal and horizon, output stride), for the whole-stride rows of
+# cocycle_sample against the per-row walk
+WHOLE_STRIDE_CASES = {
+    # a control period of 0.015 is no multiple of stride * dt = 0.01: runs start and end
+    # inside strides
+    "period_off_stride": (lambda: _seeded(4, 3.0, 0.015), 10),
+    # one transition held for the whole horizon, whose growth bound passes log 1e4 many
+    # times: the guard refactors inside the run
+    "refactor_in_run": (lambda: (seeded_system(4, 104, np.linspace(4.0, -4.0, 4)),
+                                 constant_signal([0.5, -0.5]), 6.0), 10),
+    "negative_T": (lambda: _seeded(5, -4.0, 0.1), 10),
+    "identity_runs": (_identity_runs, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_STRIDE_CASES))
+def test_whole_stride_rows_match_the_per_row_walk(case, monkeypatch):
+    make, every = WHOLE_STRIDE_CASES[case]
+    spec, sig, T = make()
+    refactors, qr_pos = [], sldr._qr_pos
+    monkeypatch.setattr(sldr, "_qr_pos", lambda g: refactors.append(g) or qr_pos(g))
+    sample = cocycle_sample(spec, sig, T, standard_flag(spec.dim), sample_every=every)
+    monkeypatch.undo()
+    times, values = oracles.cocycle_sample_per_row(spec, sig, T, np.eye(spec.dim), every)
+    assert np.array_equal(sample.times, times) and np.array_equal(sample.a_values, values)
+    assert cocycle_to_csv(sample) == cocycle_to_csv(sldr.CocycleSample(times, values))
+    runs = [v for _, block in sldr._propagate(spec, sig, T)[2] for v, _ in block]
+    if case == "period_off_stride":
+        assert not math.isclose(sig.period / (every * spec.integrator.dt) % 1, 0.0)
+    if case == "refactor_in_run":
+        assert set(runs) == {0} and len(refactors) >= 3
+    if case == "negative_T":
+        assert T < 0 and sample.times[-1] == T
+    if case == "identity_runs":
+        assert None in runs and len(set(runs)) > 2
+
+
 def test_cocycle_to_csv_bytes():
     sample = sldr.CocycleSample(
         times=np.array([0.0, -0.001, -2.5, -1234.5678901234]),
@@ -1009,11 +1056,19 @@ def test_cocycle_to_csv_bytes():
             ]
         ),
     )
-    old = ["t,a1,a2,a3"]
-    for t, row in zip(sample.times, sample.a_values):
-        old.append(f"{t:.10g}," + ",".join(f"{v:.12g}" for v in row))
-    assert cocycle_to_csv(sample) == "\n".join(old) + "\n"
+    assert cocycle_to_csv(sample) == oracles.csv_per_row(sample)
     assert cocycle_to_csv(sample).splitlines()[1] == "0,-0,1e-300,1e+15"
+
+
+@pytest.mark.parametrize("rows", [1, 256, 257, 513])
+def test_cocycle_to_csv_blocks_match_the_per_row_format(rows):
+    # row counts at and past the 256-row blocks of one % format each
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
+    values[::7, 1] = -0.0
+    sample = sldr.CocycleSample(times=-0.001 * np.arange(rows), a_values=values)
+    csv = cocycle_to_csv(sample)
+    assert csv == oracles.csv_per_row(sample) and csv.count("\n") == rows + 1
 
 
 def test_flag_type_diagnostic():
