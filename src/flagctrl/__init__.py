@@ -5,13 +5,16 @@ __version__ = "0.1.0"
 
 # Every name loads with its module on first use, so that ``import flagctrl`` loads
 # no submodule: the exact side (``analyze``, ``cosets``) never imports numpy, and
-# ``simulate`` never compiles the exact modules.  Names of no module below are sldr's.
+# ``simulate`` compiles neither the exact modules nor ``sldr``.  Names of no module
+# below are sldr's.
 _HOMES = {
     name: module
     for module, names in (
         ("flagcalc", "ChainControlSetRecord ConsistencyError FlagSpec classification_report"
          " enumerate_chain_control_sets flag_dim is_hyperbolic sigma_functional"
          " subbundle_dims tangent_roots"),
+        ("flows", "Box ControlSignal ControlSystemSpec FlagPoint IntegratorConfig Polytope"
+         " Trajectory cocycle_sample constant_signal control_system integrate standard_flag"),
         ("rootsys", "AVector Root RootSystem build_root_system cartan_matrix form_value"
          " span_subset"),
         ("weyl", "WeylElement WeylGroup double_cosets generate subgroup"),

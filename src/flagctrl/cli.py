@@ -13,21 +13,24 @@ progress logging on stderr.  analyze, cosets and simulate write
 deterministic bytes to stdout for fixed arguments.
 
 Each run is a fresh process, so this module imports only what its command
-runs: the exact modules (``rootsys``, ``weyl``, ``flagcalc``) in analyze,
-cosets and verify, compiled before argparse loads; numpy with ``sldr``
-only in verify and simulate, so that simulate compiles no exact module;
-``json`` where JSON is written, and ``logging`` only when FLAGCTRL_LOG is
-set.
+runs: the exact modules, compiled before argparse loads (``rootsys`` and
+``weyl`` in cosets, with ``flagcalc`` in analyze and verify); numpy with
+``flows`` only in verify and simulate, verify's through ``sldr`` (with
+``linalg``), so that simulate compiles neither ``sldr`` nor an exact
+module; ``json`` where JSON is written, and ``logging`` only when
+FLAGCTRL_LOG is set.
 """
 
 from __future__ import annotations
 
 import sys
 
-if sys.argv[1:2] != ["simulate"]:
-    # unless this process runs simulate, which never calls them, the exact modules
-    # (flagcalc, with rootsys and weyl) compile first, while little else is live:
-    # compiled after argparse loads, they raise a small exact run's peak memory
+# the exact modules that this process's command runs compile first, while little else
+# is live: compiled after argparse loads, they raise a small exact run's peak memory.
+# simulate runs none of them, and cosets no flagcalc
+if sys.argv[1:2] == ["cosets"]:
+    from . import weyl  # noqa: F401
+elif sys.argv[1:2] != ["simulate"]:
     from . import flagcalc  # noqa: F401
 
 import argparse
@@ -212,8 +215,8 @@ def cmd_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the exact modules, then sldr, before numpy: each compiles from source before
-    # numpy loads, so none raises the peak memory
+    # the exact modules, then sldr and flows, before numpy: each compiles from source
+    # before numpy loads, so none raises the peak memory
     from .flagcalc import FlagSpec, enumerate_chain_control_sets
     from .weyl import generate
     from .sldr import Drift, check_records, load_system, type_a_system, value
@@ -269,9 +272,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # sldr before numpy: compiled from source before numpy loads, it does not
+    # flows before numpy: compiled from source before numpy loads, it does not
     # raise the peak memory
-    from .sldr import (
+    from .flows import (
         Polytope,
         cocycle_sample,
         cocycle_to_csv,

@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 import scipy.linalg
 
-from flagctrl import linalg, sldr
+from flagctrl import flows, linalg, sldr
 from flagctrl.rootsys import Root, RootSystem
 from flagctrl.weyl import DoubleCoset, WeylElement, WeylGroup
 
@@ -435,7 +435,7 @@ def inversion_set(group: WeylGroup, w: WeylElement) -> frozenset[Root]:
 def stepwise_cocycle(
     spec, signal, T: float, frame: np.ndarray, sample_every: int = 10
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Times and cocycle values as ``sldr.cocycle_sample`` returns them, with
+    """Times and cocycle values as ``flows.cocycle_sample`` returns them, with
     one RK4 step and one sign-fixed QR per dt step.
 
     Reads only the system's matrices and the signal's values; the step grid,
@@ -474,7 +474,7 @@ def _rk4_step(x: np.ndarray, h: float) -> np.ndarray:
 
 def propagate_per_value(spec, signal, T: float):
     """Signed step, step count and the runs ``(step, count)`` of identical RK4
-    steps over [0, T] as ``sldr._propagate`` walked them before its transitions
+    steps over [0, T] as ``flows._propagate`` walked them before its transitions
     were stacked: one generator and one transition per change of control value,
     range-checked there, and None for an identity.  Grid checks left out."""
     dt = spec.integrator.dt
@@ -503,21 +503,23 @@ def propagate_per_value(spec, signal, T: float):
 
 
 def integrate_per_value(spec, signal, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Times and matrices of ``sldr.integrate``, from ``propagate_per_value``."""
+    """Times and matrices of ``flows.integrate``, from ``propagate_per_value``: the
+    determinant checked and divided out is that of the steps since the last
+    renormalization, not the LU determinant of psi."""
     h, n, runs = propagate_per_value(spec, signal, T)
     d = spec.dim
-    psi = np.eye(d)
+    psi = window = np.eye(d)
     out = [psi]
     for i, step in enumerate(s for step, count in runs for s in [step] * count):
         if step is not None:
-            psi = step @ psi
-            if (i + 1) % sldr._RENORM_CADENCE == 0 or i == n - 1:
-                det = float(np.linalg.det(psi))
+            psi, window = step @ psi, step @ window
+            if (i + 1) % flows._RENORM_CADENCE == 0 or i == n - 1:
+                det = float(np.linalg.det(window))
                 if det <= 0.0 or abs(det - 1.0) > 1e-6:
                     raise ValueError(
                         f"determinant drift {det - 1.0:.3e} at step {i + 1}; reduce dt"
                     )
-                psi = psi * det ** (-1.0 / d)
+                psi, window = psi * det ** (-1.0 / d), np.eye(d)
         out.append(psi)
     return h * np.arange(n + 1), np.stack(out)
 
@@ -525,7 +527,7 @@ def integrate_per_value(spec, signal, T: float) -> tuple[np.ndarray, np.ndarray]
 def cocycle_sample_per_row(
     spec, signal, T: float, frame: np.ndarray, sample_every: int = 10
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Times and cocycle values of ``sldr.cocycle_sample`` as it took them before
+    """Times and cocycle values of ``flows.cocycle_sample`` as it took them before
     the per-row loop: from ``propagate_per_value``, each chunk's power times the
     running product, each row's product times the frame on its own, and the
     refactor offset written row by row."""
@@ -534,20 +536,20 @@ def cocycle_sample_per_row(
     offset = np.zeros(d)
     times = [0.0]
     values = np.zeros((1 + -(-n // sample_every), d))
-    batch, rows = np.empty((sldr._QR_BATCH, d, d)), []
+    batch, rows = np.empty((flows._QR_BATCH, d, d)), []
     held, prod, bound, i = False, None, 0.0, 0
     for step, count in runs:
         if step is not held:
             e = 0.0 if step is None else float(np.linalg.norm(step - np.eye(d)))
             held, powers, growth = step, {}, math.log1p(2 * e / (1 - e)) if e < 1 else math.inf
         while count:
-            if prod is not None and bound + growth > sldr._STRIDE_LOG_COND_MAX:
-                frame, r = sldr._qr_pos(prod @ frame)
+            if prod is not None and bound + growth > flows._STRIDE_LOG_COND_MAX:
+                frame, r = flows._qr_pos(prod @ frame)
                 offset = offset + np.log(np.diag(r))
                 prod, bound = None, 0.0
             m = min(count, sample_every - i % sample_every)
             if growth:
-                m = min(m, max(1, int((sldr._STRIDE_LOG_COND_MAX - bound) / growth)))
+                m = min(m, max(1, int((flows._STRIDE_LOG_COND_MAX - bound) / growth)))
             if step is not None:
                 if m not in powers:
                     powers[m] = np.linalg.matrix_power(step, m)
@@ -560,7 +562,7 @@ def cocycle_sample_per_row(
                 if prod is not None:
                     np.matmul(prod, frame, out=batch[len(rows)])
                     rows.append(len(times))
-                if rows and (len(rows) == sldr._QR_BATCH or i == n):
+                if rows and (len(rows) == flows._QR_BATCH or i == n):
                     r = np.linalg.qr(batch[: len(rows)], mode="r")
                     values[rows] += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
                     rows.clear()
@@ -569,7 +571,7 @@ def cocycle_sample_per_row(
 
 
 def csv_per_row(sample) -> str:
-    """``sldr.cocycle_to_csv`` as it was written before its blocks: one row at a
+    """``flows.cocycle_to_csv`` as it was written before its blocks: one row at a
     time, each value formatted on its own."""
     lines = ["t," + ",".join(f"a{i + 1}" for i in range(sample.a_values.shape[1]))]
     for t, row in zip(sample.times, sample.a_values):

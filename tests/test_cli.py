@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from flagctrl import flagcalc, linalg, sldr, weyl
+from flagctrl import flagcalc, flows, linalg, sldr, weyl
 from flagctrl.cli import main
 from flagctrl.rootsys import build_root_system
 from flagctrl.sldr import (
@@ -493,7 +493,7 @@ def test_simulate_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise MemoryError("Unable to allocate 149. GiB for an array")
 
-    monkeypatch.setattr(sldr, "random_signal", refuse)
+    monkeypatch.setattr(flows, "random_signal", refuse)
     path = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]))
     rc, out, err = run(capsys, ["simulate", "--spec", path, "--T", "1e9"])
     assert rc == 2
@@ -622,16 +622,49 @@ def test_exact_commands_load_only_what_they_run():
     lines = proc.stdout.splitlines()  # two text outputs, then two json documents
     assert sum(line.startswith("lie_type") for line in lines) == 2
     assert sum(line.startswith("{") for line in lines) == 2
+    # a process whose command is cosets compiles no flagcalc: cli reads the command
+    # from sys.argv as it loads
+    code = (
+        "import sys\n"
+        "import flagctrl.cli as c\n"
+        "assert c.main(sys.argv[1:]) == 0\n"
+        "assert 'flagctrl.weyl' in sys.modules\n"
+        "assert 'flagctrl.flagcalc' not in sys.modules\n"
+    )
+    argv = ["cosets", "--type", "B", "--rank", "3", "--left", "0", "--right", "1,2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("{")
+
+
+def _importers(stderr: str) -> dict:
+    # each module of an -X importtime listing with the module whose import loaded it
+    # (None at the top): a module's line follows those of the modules it loads, each
+    # indented two spaces more
+    out, pending = {}, []
+    for line in stderr.splitlines():
+        if line.startswith("import time:") and not line.endswith("imported package"):
+            field = line.rsplit("|", 1)[1]
+            name, depth = field.strip(), len(field) - len(field.lstrip())
+            while pending and pending[-1][1] > depth:
+                out[pending.pop()[0]] = name
+            pending.append((name, depth))
+    out.update((name, None) for name, _ in pending)
+    return out
 
 
 def test_numeric_commands_load_only_what_they_run(tmp_path):
-    # simulate compiles no exact module, and neither numeric command loads dataclasses,
-    # fractions or decimal: each runs as a process of its own, which lists its imports on stderr
+    # simulate compiles only flows, with no exact module, sldr or linalg; neither numeric
+    # command loads dataclasses, fractions or decimal; and numpy loads from flows, which
+    # verify loads from sldr, so that each module compiles before numpy loads.  Each command
+    # runs as a process of its own, which lists its imports on stderr
     control = np.diag([1.0, 1.0, -2.0])
     simulated = write_system(tmp_path, np.diag([1.0, 0.0, -1.0]), [control], Box(((-1.0, 1.0),)))
     verified = write_system(tmp_path, np.diag([2.0, 0.0, -2.0]), name="verify.json")
     exact = {"flagctrl.rootsys", "flagctrl.weyl", "flagctrl.flagcalc"}
-    loaded = {}
+    importers = {}
     for argv in (["simulate", "--spec", simulated, "--T", "0.5"],
                  ["verify", "--spec", verified, "--T", "2"]):
         proc = subprocess.run(
@@ -639,12 +672,13 @@ def test_numeric_commands_load_only_what_they_run(tmp_path):
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        timed = [x for x in proc.stderr.splitlines() if x.startswith("import time:")]
-        loaded[argv[0]] = {x.rsplit("|", 1)[1].strip() for x in timed}
-        assert {"flagctrl.sldr", "numpy"} <= loaded[argv[0]]  # cli runs as __main__
+        importers[argv[0]] = _importers(proc.stderr)
+        assert importers[argv[0]]["numpy"] == "flagctrl.flows"  # cli runs as __main__
+    loaded = {command: set(found) for command, found in importers.items()}
     banned = {"dataclasses", "fractions", "decimal"}
-    assert not loaded["simulate"] & (exact | banned)
-    assert exact <= loaded["verify"] and not loaded["verify"] & banned
+    assert not loaded["simulate"] & (exact | banned | {"flagctrl.sldr", "flagctrl.linalg"})
+    assert exact | {"flagctrl.linalg"} <= loaded["verify"] and not loaded["verify"] & banned
+    assert importers["verify"]["flagctrl.flows"] == "flagctrl.sldr"
 
 
 def test_cli_families_are_the_root_systems():

@@ -43,13 +43,29 @@ def test_package_names_resolve():
         "print(*sorted(m for m in sys.modules if m.startswith('flagctrl.')))\n"
         "flagctrl.generate\n"
         "print(*sorted(m for m in sys.modules if m.startswith('flagctrl.')))\n"
+        "flagctrl.cocycle_sample\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('flagctrl.')))\n"
     )
     src = os.path.dirname(os.path.dirname(flagctrl.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["", "flagctrl.rootsys flagctrl.weyl"]
+    assert proc.stdout.split("\n")[:3] == [
+        "", "flagctrl.rootsys flagctrl.weyl", "flagctrl.flows flagctrl.rootsys flagctrl.weyl"]
+
+
+def test_flow_names_are_one_object_on_each_module():
+    # the flow layer lives in flows; sldr and the package hand out the same objects, and the
+    # package resolves each of them from flows, so that no such name loads sldr
+    from flagctrl import flows
+
+    for name in flows.__all__:
+        assert getattr(sldr, name) is getattr(flows, name), name
+        assert name in sldr.__all__, name
+        if name in flagctrl.__all__:
+            assert flagctrl._HOMES[name] == "flows", name
+            assert getattr(flagctrl, name) is getattr(flows, name), name
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(flagctrl.__path__)))
