@@ -14,7 +14,8 @@ _HOMES = {
          " enumerate_chain_control_sets flag_dim is_hyperbolic sigma_functional"
          " subbundle_dims tangent_roots"),
         ("flows", "Box ControlSignal ControlSystemSpec FlagPoint IntegratorConfig Polytope"
-         " Trajectory cocycle_sample constant_signal control_system integrate standard_flag"),
+         " Trajectory cocycle_sample cocycle_to_csv constant_signal control_system"
+         " flag_type_diagnostic integrate load_system random_signal standard_flag"),
         ("rootsys", "AVector Root RootSystem build_root_system cartan_matrix form_value"
          " span_subset"),
         ("weyl", "WeylElement WeylGroup double_cosets generate subgroup"),
@@ -25,9 +26,9 @@ _HOMES = {
 
 def __getattr__(name: str):
     if name in __all__:
-        from importlib import import_module
-
-        return getattr(import_module(f".{_HOMES.get(name, 'sldr')}", __name__), name)
+        home = _HOMES.get(name, "sldr")
+        # the import statement's path, which -X importtime lists under its importer
+        return getattr(__import__(f"{__name__}.{home}", fromlist=[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -53,6 +54,7 @@ __all__ = [
     "cartan_matrix",
     "classification_report",
     "cocycle_sample",
+    "cocycle_to_csv",
     "constant_signal",
     "control_system",
     "double_cosets",
@@ -60,11 +62,14 @@ __all__ = [
     "fixed_flags",
     "flag_act",
     "flag_dim",
+    "flag_type_diagnostic",
     "form_value",
     "generate",
     "integrate",
     "is_hyperbolic",
     "iwasawa",
+    "load_system",
+    "random_signal",
     "realize_functional",
     "sigma_functional",
     "span_subset",

@@ -13,24 +13,21 @@ progress logging on stderr.  analyze, cosets and simulate write
 deterministic bytes to stdout for fixed arguments.
 
 Each run is a fresh process, so this module imports only what its command
-runs: the exact modules, compiled before argparse loads (``rootsys`` and
-``weyl`` in cosets, with ``flagcalc`` in analyze and verify); numpy with
-``flows`` only in verify and simulate, verify's through ``sldr`` (with
-``linalg``), so that simulate compiles neither ``sldr`` nor an exact
-module; ``json`` where JSON is written, and ``logging`` only when
-FLAGCTRL_LOG is set.
+runs: the exact modules (``rootsys``, ``weyl``, ``flagcalc``) in analyze,
+cosets and verify, compiled before argparse loads; numpy with ``flows``
+only in verify and simulate, verify's through ``sldr`` (with ``linalg``),
+so that simulate compiles neither ``sldr`` nor an exact module; ``json``
+where JSON is written, and ``logging`` only when FLAGCTRL_LOG is set.
 """
 
 from __future__ import annotations
 
 import sys
 
-# the exact modules that this process's command runs compile first, while little else
-# is live: compiled after argparse loads, they raise a small exact run's peak memory.
-# simulate runs none of them, and cosets no flagcalc
-if sys.argv[1:2] == ["cosets"]:
-    from . import weyl  # noqa: F401
-elif sys.argv[1:2] != ["simulate"]:
+if sys.argv[1:2] != ["simulate"]:
+    # unless this process runs simulate, which never calls them, the exact modules
+    # (flagcalc, with rootsys and weyl) compile first, while little else is live:
+    # compiled after argparse loads, they raise a small exact run's peak memory
     from . import flagcalc  # noqa: F401
 
 import argparse
@@ -272,9 +269,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # flows before numpy: compiled from source before numpy loads, it does not
-    # raise the peak memory
-    from .flows import (
+    # the package's public names, each resolved from flows alone: flows compiles
+    # from source before numpy loads, so it does not raise the peak memory
+    from . import (
         Polytope,
         cocycle_sample,
         cocycle_to_csv,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "CocycleSample",
     "blocks_from_theta",
     "standard_flag",
-    "flag_point",
     "constant_signal",
     "random_signal",
     "control_system",
@@ -90,16 +89,6 @@ def blocks_from_theta(theta: Iterable[int], d: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _block_index(blocks: tuple[int, ...]) -> np.ndarray:
-    return np.repeat(np.arange(len(blocks)), blocks)
-
-
-def _lower_index(blocks: tuple[int, ...]) -> np.ndarray:
-    # row-major flat indices of the tangent coordinates' positions
-    bid = _block_index(blocks)
-    return np.flatnonzero(bid[:, None] > bid[None, :])
-
-
 class FlagPoint(_Identity, namedtuple("FlagPoint", "rep blocks")):
     """A flag as a special orthogonal frame plus nested block sizes."""
 
@@ -112,22 +101,6 @@ class FlagPoint(_Identity, namedtuple("FlagPoint", "rep blocks")):
     @property
     def is_maximal(self) -> bool:
         return all(b == 1 for b in self.blocks)
-
-
-def flag_point(rep: np.ndarray, blocks: Sequence[int]) -> FlagPoint:
-    rep = np.array(rep, dtype=float)
-    d = rep.shape[0]
-    blocks = tuple(int(b) for b in blocks)
-    if rep.ndim != 2 or rep.shape != (d, d):
-        raise ValueError("flag frame must be square")
-    if sum(blocks) != d or any(b < 1 for b in blocks):
-        raise ValueError(f"block sizes {blocks} do not partition dimension {d}")
-    if np.abs(rep.T @ rep - np.eye(d)).max() > 1e-9:
-        raise ValueError("flag frame is not orthogonal")
-    if abs(np.linalg.det(rep) - 1.0) > 1e-6:
-        raise ValueError("flag frame must have determinant +1")
-    rep.flags.writeable = False
-    return FlagPoint(rep=rep, blocks=blocks)
 
 
 def standard_flag(d: int, theta: Iterable[int] = ()) -> FlagPoint:
@@ -446,32 +419,33 @@ def integrate(spec: ControlSystemSpec, signal: ControlSignal, T: float) -> Traje
     """Fixed-step RK4 flow of the right-invariant system, with determinant
     renormalization every ``_RENORM_CADENCE`` steps.
 
-    The determinant checked and divided out is that of the window, the
-    product of the steps since the last renormalization, which in exact
-    arithmetic is det(psi): an LU determinant of psi itself errs by about
-    cond(psi) eps, which a long horizon makes large.
+    The determinant checked and divided out is the product of the steps'
+    determinants since the last renormalization, taken once per stack of
+    transitions, which in exact arithmetic is det(psi): an LU determinant of
+    psi itself errs by about cond(psi) eps, which a long horizon makes large.
 
     ``T`` may be negative; see ``_propagate`` for the grid conditions.
     """
     h, n, blocks = _propagate(spec, signal, T)
     d = spec.dim
-    psi = window = np.eye(d)
+    psi, det = np.eye(d), 1.0
     out = [psi]
-    steps = chain.from_iterable(
-        repeat(None if v is None else stack[v], count)
-        for stack, runs in blocks
-        for v, count in runs
-    )
-    for i, step in enumerate(steps):
+
+    def steps() -> Iterator[tuple[np.ndarray, float] | None]:
+        for stack, runs in blocks:
+            dets = np.linalg.det(stack).tolist()
+            for v, count in runs:
+                yield from repeat(None if v is None else (stack[v], dets[v]), count)
+
+    for i, step in enumerate(steps()):
         if step is not None:
-            psi, window = step @ psi, step @ window
+            psi, det = step[0] @ psi, det * step[1]
             if (i + 1) % _RENORM_CADENCE == 0 or i == n - 1:
-                det = float(np.linalg.det(window))
                 if det <= 0.0 or abs(det - 1.0) > 1e-6:
                     raise ValueError(
                         f"determinant drift {det - 1.0:.3e} at step {i + 1}; reduce dt"
                     )
-                psi, window = psi * det ** (-1.0 / d), np.eye(d)
+                psi, det = psi * det ** (-1.0 / d), 1.0
         out.append(psi)
     return Trajectory(times=h * np.arange(n + 1), matrices=np.stack(out))
 

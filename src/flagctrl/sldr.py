@@ -45,15 +45,12 @@ from .flows import (
     Polytope,
     Trajectory,
     _Identity,
-    _block_index,
-    _lower_index,
     _qr_pos,
     blocks_from_theta,
     cocycle_sample,
     cocycle_to_csv,
     constant_signal,
     control_system,
-    flag_point,
     flag_type_diagnostic,
     integrate,
     load_system,
@@ -182,6 +179,32 @@ def iwasawa(g: np.ndarray, *, cond_max: float | None = DEFAULT_COND_MAX) -> Iwas
 
 # ---------------------------------------------------------------------------
 # Flag points
+
+
+def _block_index(blocks: tuple[int, ...]) -> np.ndarray:
+    return np.repeat(np.arange(len(blocks)), blocks)
+
+
+def _lower_index(blocks: tuple[int, ...]) -> np.ndarray:
+    # row-major flat indices of the tangent coordinates' positions
+    bid = _block_index(blocks)
+    return np.flatnonzero(bid[:, None] > bid[None, :])
+
+
+def flag_point(rep: np.ndarray, blocks: Sequence[int]) -> FlagPoint:
+    rep = np.array(rep, dtype=float)
+    d = rep.shape[0]
+    blocks = tuple(int(b) for b in blocks)
+    if rep.ndim != 2 or rep.shape != (d, d):
+        raise ValueError("flag frame must be square")
+    if sum(blocks) != d or any(b < 1 for b in blocks):
+        raise ValueError(f"block sizes {blocks} do not partition dimension {d}")
+    if np.abs(rep.T @ rep - np.eye(d)).max() > 1e-9:
+        raise ValueError("flag frame is not orthogonal")
+    if abs(np.linalg.det(rep) - 1.0) > 1e-6:
+        raise ValueError("flag frame must have determinant +1")
+    rep.flags.writeable = False
+    return FlagPoint(rep=rep, blocks=blocks)
 
 
 def flag_act(psi: np.ndarray, x: FlagPoint) -> FlagPoint:

@@ -504,23 +504,27 @@ def propagate_per_value(spec, signal, T: float):
 
 def integrate_per_value(spec, signal, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Times and matrices of ``flows.integrate``, from ``propagate_per_value``: the
-    determinant checked and divided out is that of the steps since the last
-    renormalization, not the LU determinant of psi."""
+    determinant checked and divided out is the product of the determinants of the
+    steps since the last renormalization, each taken on its own, not the LU
+    determinant of psi."""
     h, n, runs = propagate_per_value(spec, signal, T)
     d = spec.dim
-    psi = window = np.eye(d)
+    psi, det = np.eye(d), 1.0
     out = [psi]
-    for i, step in enumerate(s for step, count in runs for s in [step] * count):
-        if step is not None:
-            psi, window = step @ psi, step @ window
-            if (i + 1) % flows._RENORM_CADENCE == 0 or i == n - 1:
-                det = float(np.linalg.det(window))
-                if det <= 0.0 or abs(det - 1.0) > 1e-6:
-                    raise ValueError(
-                        f"determinant drift {det - 1.0:.3e} at step {i + 1}; reduce dt"
-                    )
-                psi, window = psi * det ** (-1.0 / d), np.eye(d)
-        out.append(psi)
+    i = 0
+    for step, count in runs:
+        step_det = None if step is None else float(np.linalg.det(step))
+        for _ in range(count):
+            if step is not None:
+                psi, det = step @ psi, det * step_det
+                if (i + 1) % flows._RENORM_CADENCE == 0 or i == n - 1:
+                    if det <= 0.0 or abs(det - 1.0) > 1e-6:
+                        raise ValueError(
+                            f"determinant drift {det - 1.0:.3e} at step {i + 1}; reduce dt"
+                        )
+                    psi, det = psi * det ** (-1.0 / d), 1.0
+            out.append(psi)
+            i += 1
     return h * np.arange(n + 1), np.stack(out)
 
 
