@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 # Every name loads with its module on first use, so that ``import flagctrl`` loads
 # no submodule: the exact side (``analyze``, ``cosets``) never imports numpy, and
-# ``simulate`` compiles neither the exact modules nor ``sldr``.  Names of no module
-# below are sldr's.
+# ``simulate`` compiles neither the exact modules nor ``sldr``.
 _HOMES = {
     name: module
     for module, names in (
@@ -18,6 +17,8 @@ _HOMES = {
          " flag_type_diagnostic integrate load_system random_signal standard_flag"),
         ("rootsys", "AVector Root RootSystem build_root_system cartan_matrix form_value"
          " span_subset"),
+        ("sldr", "IwasawaTriple a_cocycle fixed_flags flag_act iwasawa realize_functional"
+         " split_part type_a_system verify_rates"),
         ("weyl", "WeylElement WeylGroup double_cosets generate subgroup"),
     )
     for name in names.split()
@@ -25,60 +26,10 @@ _HOMES = {
 
 
 def __getattr__(name: str):
-    if name in __all__:
-        home = _HOMES.get(name, "sldr")
+    if name in _HOMES:
         # the import statement's path, which -X importtime lists under its importer
-        return getattr(__import__(f"{__name__}.{home}", fromlist=[name]), name)
+        return getattr(__import__(f"{__name__}.{_HOMES[name]}", fromlist=[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AVector",
-    "Box",
-    "ChainControlSetRecord",
-    "ConsistencyError",
-    "ControlSignal",
-    "ControlSystemSpec",
-    "FlagPoint",
-    "FlagSpec",
-    "IntegratorConfig",
-    "IwasawaTriple",
-    "Polytope",
-    "Root",
-    "RootSystem",
-    "Trajectory",
-    "WeylElement",
-    "WeylGroup",
-    "a_cocycle",
-    "build_root_system",
-    "cartan_matrix",
-    "classification_report",
-    "cocycle_sample",
-    "cocycle_to_csv",
-    "constant_signal",
-    "control_system",
-    "double_cosets",
-    "enumerate_chain_control_sets",
-    "fixed_flags",
-    "flag_act",
-    "flag_dim",
-    "flag_type_diagnostic",
-    "form_value",
-    "generate",
-    "integrate",
-    "is_hyperbolic",
-    "iwasawa",
-    "load_system",
-    "random_signal",
-    "realize_functional",
-    "sigma_functional",
-    "span_subset",
-    "split_part",
-    "standard_flag",
-    "subbundle_dims",
-    "subgroup",
-    "tangent_roots",
-    "type_a_system",
-    "verify_rates",
-    "__version__",
-]
+__all__ = [*sorted(_HOMES), "__version__"]

@@ -96,10 +96,10 @@ class _Split(NamedTuple):
 
 
 def flag_dim(rs: RootSystem, theta: Iterable[int]) -> int:
-    """Dimension of the flag manifold: multiplicities over the complement,
-    whose roots come in pairs +-beta of one multiplicity."""
+    """Dimension of the flag manifold: multiplicities of the positive roots
+    outside the span of theta."""
     index, outside = rs.index, ~subset_mask(rs, theta)
-    return sum(m for m, supp in zip(index.mult, index.support) if supp & outside) // 2
+    return sum(m for m, supp in zip(index.mult, index.support) if supp & outside)
 
 
 def _point(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[Weight, int]:
@@ -135,7 +135,7 @@ def _split(rs: RootSystem, spec: FlagSpec, mu: Weight, packed: int) -> _Split:
     return _Split(index.sums(stable), (0,), index.sums(unstable), mu)
 
 
-def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[int, int, int]:
+def _dims(spec: FlagSpec, split: _Split, total: int) -> tuple[int, int, int]:
     s, c, u = split.stable[0], split.center[0], split.unstable[0]
     if s + c + u != total:
         raise ConsistencyError(
@@ -144,7 +144,7 @@ def _dims(rs: RootSystem, spec: FlagSpec, split: _Split, total: int) -> tuple[in
     return s, c, u
 
 
-def _hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement, split: _Split) -> bool:
+def _hyperbolic(spec: FlagSpec, w: WeylElement, split: _Split) -> bool:
     # the flow-type span lies in w(span theta) iff mu_i = 0 on the flow type
     by_center = not split.center[0]
     by_inclusion = not any(split.point[i] for i in spec.flag_type)
@@ -188,7 +188,7 @@ def tangent_roots(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> TangentSpli
 
 def subbundle_dims(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[int, int, int]:
     """Stable, center, unstable dimensions; they always sum to flag_dim."""
-    return _dims(rs, spec, _split(rs, spec, *_point(rs, spec, w)), flag_dim(rs, spec.theta))
+    return _dims(spec, _split(rs, spec, *_point(rs, spec, w)), flag_dim(rs, spec.theta))
 
 
 def is_hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> bool:
@@ -198,7 +198,7 @@ def is_hyperbolic(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> bool:
     through the inclusion of the flow-type span in the image of the theta
     span; a disagreement is an internal error and raises, never returns.
     """
-    return _hyperbolic(rs, spec, w, _split(rs, spec, *_point(rs, spec, w)))
+    return _hyperbolic(spec, w, _split(rs, spec, *_point(rs, spec, w)))
 
 
 def sigma_functional(
@@ -215,7 +215,7 @@ def sigma_functional(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     split = _split(rs, spec, *_point(rs, spec, w))
-    if not _hyperbolic(rs, spec, w, split):
+    if not _hyperbolic(spec, w, split):
         raise ValueError(
             "growth functionals are representative-dependent on non-hyperbolic "
             f"cosets; refused for w={w.reduced_word}, theta={sorted(spec.theta)}, "
@@ -256,8 +256,8 @@ def enumerate_chain_control_sets(
     for coset, packed in weyl._cosets(group, spec.flag_type, spec.theta):
         w = coset.rep
         split = _split(rs, spec, coset.point, packed)
-        s, c, u = _dims(rs, spec, split, total_dim)
-        hyperbolic = _hyperbolic(rs, spec, w, split)
+        s, c, u = _dims(spec, split, total_dim)
+        hyperbolic = _hyperbolic(spec, w, split)
         records.append(
             ChainControlSetRecord(
                 coset=coset,
@@ -315,8 +315,8 @@ def representative_invariance_check(
         raise ValueError(f"w2={w2.reduced_word} is not in the theta subgroup")
     other = weyl.compose(group, weyl.compose(group, w1, w), w2)
     split_w, split_o = (_split(rs, spec, *_point(rs, spec, v)) for v in (w, other))
-    hyp = _hyperbolic(rs, spec, w, split_w)
-    if hyp != _hyperbolic(rs, spec, other, split_o):
+    hyp = _hyperbolic(spec, w, split_w)
+    if hyp != _hyperbolic(spec, other, split_o):
         return False
     return not hyp or all(
         _sigma(rs, spec, split_w, sign) == _sigma(rs, spec, split_o, sign) for sign in (1, -1)

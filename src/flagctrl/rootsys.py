@@ -14,14 +14,14 @@ downstream (zero tests, sign tests, subset inclusions) is invariant under a
 global rescaling of the form, so callers needing a trace-form or
 Killing-form scale can multiply through without changing any predicate.
 
-Each system carries a ``RootIndex``: its roots as positions with tables
-for multiplicity, support and the simple reflections, and three
-lane-packed integers over the positive roots.  The pairings (beta, mu) of
-every positive root with a weight are one integer with one W-bit lane per
-root, so their signs are a few big-integer operations; the
-multiplicity-weighted size and coordinate sum of a set of positive roots
-are one product of its lane mask with a reversed table (Lamport,
-"Multiple byte processing with full-word instructions", CACM 18(8), 1975).
+Each system carries a ``RootIndex``: its positive roots as positions with
+tables for multiplicity and support, and three lane-packed integers over
+them.  The pairings (beta, mu) of every positive root with a weight are
+one integer with one W-bit lane per root, so their signs are a few
+big-integer operations; the multiplicity-weighted size and coordinate sum
+of a set of positive roots are one product of its lane mask with a
+reversed table (Lamport, "Multiple byte processing with full-word
+instructions", CACM 18(8), 1975).
 
 All values are immutable after construction and safe to share between
 threads; the lane-mask cache of a ``RootIndex`` and the lazy ``pairing``
@@ -157,12 +157,11 @@ class AVector(_Frozen):
 
 
 class RootIndex(_Frozen):
-    """Roots as positions in sorted order, with one table entry per position.
+    """Positive roots as positions in sorted order, one table entry each.
 
     A subset of the simple roots is an int bitmask over indices.
-    ``mult[k]`` is the multiplicity of root ``k``, ``support[k]`` the
-    bitmask of its nonzero coordinates, and ``reflections[i][k]`` the
-    position of its i-th simple reflection.  Indices compare by identity.
+    ``mult[k]`` is the multiplicity of root ``k`` and ``support[k]`` the
+    bitmask of its nonzero coordinates.  Indices compare by identity.
 
     The N positive roots own one W-bit lane each (W = ``lane``), root j the
     bits from W j up, and a set of them is a lane mask: the top bit of each
@@ -188,7 +187,6 @@ class RootIndex(_Frozen):
     roots: tuple[Root, ...]
     mult: tuple[int, ...]
     support: tuple[int, ...]
-    reflections: tuple[tuple[int, ...], ...]
     lane: int
     columns: tuple[int, ...]
     bias: int
@@ -203,22 +201,17 @@ class RootIndex(_Frozen):
         # N; a one in every lane; the byte length, lane format and
         # empty-mask sums of a mask-by-table product; field 0 of ``table``
         # and the bit where a product with it holds its sum
-        n, w, fields = len(self.roots) // 2, self.lane, len(self.columns) + 1
+        n, w, fields = len(self.roots), self.lane, len(self.columns) + 1
         nbytes, head = w * n * (fields + 1) // 8, self.table & (1 << w * n + 1) - 1
         return n, self.bias >> w - 1, nbytes, _LANE_FORMAT[w], (0,) * fields, head, w * n
-
-    @property
-    def positive_positions(self) -> range:
-        # sorted order puts every negative root before every positive one
-        return range(len(self.roots) // 2, len(self.roots))
 
     def lanes(self, subset: frozenset[int]) -> int:
         """Lane mask of the positive roots supported on the simple roots in
         ``subset``, whose indices the caller has checked."""
         mask = self._lanes.get(subset)
         if mask is None:
-            n, w, mask, outside = len(self.roots) // 2, self.lane, 0, ~sum(1 << i for i in subset)
-            for j, supp in enumerate(self.support[n:]):
+            w, mask, outside = self.lane, 0, ~sum(1 << i for i in subset)
+            for j, supp in enumerate(self.support):
                 if not supp & outside:
                     mask += 1 << w * j + w - 1
             self._lanes[subset] = mask
@@ -240,8 +233,8 @@ class RootIndex(_Frozen):
 
     def members(self, mask: int) -> frozenset[Root]:
         """The positive roots in a lane mask."""
-        w, first = self.lane, len(self.roots) // 2
-        return frozenset(r for j, r in enumerate(self.roots[first:]) if mask >> w * j + w - 1 & 1)
+        w = self.lane
+        return frozenset(r for j, r in enumerate(self.roots) if mask >> w * j + w - 1 & 1)
 
 
 class RootSystem(_Frozen):
@@ -285,7 +278,7 @@ class RootSystem(_Frozen):
         return f"{self.family}{self.rank}"
 
     def sorted_positive_roots(self) -> tuple[Root, ...]:
-        return self.index.roots[self.index.positive_positions.start :]
+        return self.index.roots
 
 
 # the least and greatest rank of each family
@@ -385,11 +378,6 @@ def build_root_system(
         raise AssertionError("positive roots do not cover half the system")
 
     ordered = tuple(sorted(roots))
-    position = {r.coords: k for k, r in enumerate(ordered)}
-    reflections = tuple(
-        tuple(position[_simple_reflect_coords(cartan, i, r.coords)] for r in ordered)
-        for i in range(rank)
-    )
     if mult is None:
         mults = (1,) * len(ordered)
     else:
@@ -399,20 +387,22 @@ def build_root_system(
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"multiplicity of {r.coords} must be a positive integer")
         # invariance under the generators is invariance under the whole group
-        for perm in reflections:
-            for k, image in enumerate(perm):
-                if mults[k] != mults[image]:
+        by_coords = {r.coords: m for r, m in zip(ordered, mults)}
+        for i in range(rank):
+            for r, m in zip(ordered, mults):
+                image = _simple_reflect_coords(cartan, i, r.coords)
+                if m != by_coords[image]:
                     raise ValueError(
                         "multiplicity map is not reflection-invariant: "
-                        f"mult{ordered[k].coords} = {mults[k]} but "
-                        f"mult{ordered[image].coords} = {mults[image]}"
+                        f"mult{r.coords} = {m} but mult{image} = {by_coords[image]}"
                     )
+    # sorted order puts every negative root before every positive one
+    positive_roots, positive_mults = ordered[len(positive) :], mults[len(positive) :]
     index = RootIndex(
-        roots=ordered,
-        mult=mults,
-        support=tuple(sum(1 << i for i, c in enumerate(r.coords) if c) for r in ordered),
-        reflections=reflections,
-        **_lane_tables(ordered[len(ordered) // 2 :], mults[len(ordered) // 2 :], lengths),
+        roots=positive_roots,
+        mult=positive_mults,
+        support=tuple(sum(1 << i for i, c in enumerate(r.coords) if c) for r in positive_roots),
+        **_lane_tables(positive_roots, positive_mults, lengths),
     )
 
     return RootSystem(

@@ -34,70 +34,32 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-# the flow layer, compiled before numpy loads, as this module is
-from .flows import (
-    Box,
-    CocycleSample,
-    ControlSignal,
-    ControlSystemSpec,
-    FlagPoint,
-    IntegratorConfig,
-    Polytope,
-    Trajectory,
-    _Identity,
-    _qr_pos,
-    blocks_from_theta,
-    cocycle_sample,
-    cocycle_to_csv,
-    constant_signal,
-    control_system,
-    flag_type_diagnostic,
-    integrate,
-    load_system,
-    random_signal,
-    standard_flag,
-    system_from_json,
-    system_to_json,
-)
+from .flagcalc import ChainControlSetRecord, FlagSpec
+from .rootsys import RootSystem, build_root_system, form_value, span_subset
+from .weyl import WeylElement
+
+# every public flow name is also one of this module's
+from .flows import *
+from .flows import __all__ as _FLOW_NAMES, _Identity, _qr_pos
 
 import numpy as np
 
 from . import linalg
 
-if TYPE_CHECKING:  # the exact modules load where they run: simulate never compiles them
+if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .flagcalc import ChainControlSetRecord, FlagSpec
-    from .rootsys import RootSystem
-    from .weyl import WeylElement
-
 __all__ = [
+    *_FLOW_NAMES,
     "IwasawaTriple",
-    "FlagPoint",
-    "Box",
-    "Polytope",
-    "ControlSignal",
-    "IntegratorConfig",
-    "ControlSystemSpec",
-    "Trajectory",
     "SplitPart",
     "Drift",
     "RateReport",
-    "CocycleSample",
     "iwasawa",
-    "blocks_from_theta",
-    "standard_flag",
     "flag_point",
     "flag_act",
     "flag_distance",
     "a_cocycle",
-    "constant_signal",
-    "random_signal",
-    "control_system",
-    "system_to_json",
-    "system_from_json",
-    "load_system",
-    "integrate",
     "cocycle_additivity_residual",
     "time_reversal_residual",
     "ktheta_invariance_residual",
@@ -107,9 +69,6 @@ __all__ = [
     "fixed_flags",
     "determinant_formula_residuals",
     "verify_rates",
-    "cocycle_sample",
-    "cocycle_to_csv",
-    "flag_type_diagnostic",
     "type_a_system",
     "random_traceless",
     "random_special_orthogonal",
@@ -122,8 +81,6 @@ DEFAULT_COND_MAX = 1e12
 @lru_cache(maxsize=None)
 def type_a_system(d: int) -> RootSystem:
     """The abstract system matching SL(d, R); rank d-1."""
-    from .rootsys import build_root_system
-
     if d < 2:
         raise ValueError("SL(d) realization needs d >= 2")
     return build_root_system("A", d - 1)
@@ -336,8 +293,6 @@ def ktheta_invariance_residual(
     the theta block structure, orthogonal, of determinant +1.
     """
     from fractions import Fraction
-
-    from .rootsys import form_value
 
     if not flag.is_maximal:
         raise ValueError("the invariance statement lives on maximal flags")
@@ -591,8 +546,6 @@ class Drift:
         over [0, T], and the smallest slope from time 1 on."""
 
         def compute() -> tuple:
-            from .rootsys import span_subset
-
             rs = type_a_system(self.dim)
             central = span_subset(rs, self.split.theta)
             roots = [r.coords for r in rs.sorted_positive_roots() if r not in central]
@@ -633,8 +586,6 @@ def determinant_formula_residuals(
     of the Jacobian against exp(sigma), as (unstable defect, stable defect);
     on a chunk of records, None for one that is not hyperbolic.
     """
-    from .flagcalc import ChainControlSetRecord
-
     if isinstance(record, ChainControlSetRecord) and not record.hyperbolic:
         raise ValueError("the determinant identity requires a hyperbolic record")
     return batch(_determinants, drift, spec.theta, record, spec, t)

@@ -333,9 +333,9 @@ def test_consistency_checks_raise_when_broken(w_a2, a2, monkeypatch):
     rho = sum(a2.index.columns, a2.index.bias)  # the packed word of (1, 1)
     split = flagcalc._split(a2, spec, (1, 1), rho)
     with pytest.raises(ConsistencyError, match="criteria disagree"):
-        flagcalc._hyperbolic(a2, spec, w_a2.identity, split._replace(point=(0, 1)))
+        flagcalc._hyperbolic(spec, w_a2.identity, split._replace(point=(0, 1)))
     with pytest.raises(ConsistencyError, match="misses flag_dim"):
-        flagcalc._dims(a2, spec, split._replace(stable=(0,)), 3)
+        flagcalc._dims(spec, split._replace(stable=(0,)), 3)
     alpha1 = (1, *a2.simple_roots[1].coords)
     with pytest.raises(ConsistencyError, match="fails to annihilate"):
         flagcalc._sigma(a2, spec, split._replace(unstable=alpha1, point=(0, 1)), +1)

@@ -2,6 +2,7 @@
 the lazy numeric re-exports."""
 
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -68,6 +69,25 @@ def test_flow_names_are_one_object_on_each_module():
             assert getattr(flagctrl, name) is getattr(flows, name), name
 
 
+def test_package_names_are_read_off_their_homes():
+    # _HOMES is the package's one name table: __all__ is its sorted keys, and each name is
+    # public on its home module
+    assert flagctrl.__all__ == [*sorted(flagctrl._HOMES), "__version__"]
+    for name, home in flagctrl._HOMES.items():
+        assert name in importlib.import_module(f"flagctrl.{home}").__all__, (home, name)
+
+
+def test_traced_stages_resolve_on_their_modules():
+    # the benchmark tracer skips a stage that its module lacks, and that stage's
+    # metrics then read 0
+    path = os.path.join(os.path.dirname(README), "flagbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name in tracer.STAGES:
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+
+
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(flagctrl.__path__)))
 def test_module_all_entries_exist(module):
     mod = importlib.import_module(f"flagctrl.{module}")
@@ -112,6 +132,8 @@ def test_removed_names_are_gone():
     for name in ("pairing_rows", "weighted", "neg"):  # replaced by the lane tables
         assert not hasattr(index, name), name
     for name in ("signs", "span", "_spans"):  # records read the walk's packed word
+        assert not hasattr(index, name), name
+    for name in ("reflections", "positive_positions"):  # the index holds positive roots only
         assert not hasattr(index, name), name
     assert not hasattr(weyl, "_levels")  # the orbit walk is one reverse search
     for name in ("zero", "__add__", "scale"):
@@ -173,8 +195,8 @@ def test_value_classes_pickle_and_deepcopy(w_b2):
 
     def system_fields(rs):
         index = rs.index
-        tables = (index.roots, index.mult, index.support, index.reflections,
-                  index.lane, index.columns, index.bias, index.table)
+        tables = (index.roots, index.mult, index.support, index.lane, index.columns,
+                  index.bias, index.table)
         return (rs.family, rs.rank, rs.cartan, rs.simple_roots, rs.roots, rs.positive_roots,
                 dict(rs.mult), tables)
 
@@ -197,8 +219,8 @@ def test_value_classes_pickle_and_deepcopy(w_b2):
             assert copied is not system and system_fields(copied) == system_fields(system)
         for copied in round_trips(system.index):
             assert system_fields(system)[-1] == (
-                copied.roots, copied.mult, copied.support, copied.reflections,
-                copied.lane, copied.columns, copied.bias, copied.table)
+                copied.roots, copied.mult, copied.support, copied.lane, copied.columns,
+                copied.bias, copied.table)
     group = generate(mixed)
     for copied in round_trips(group):
         assert copied.order == group.order

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import oracles
+from flagctrl import rootsys
 from flagctrl.rootsys import (
     FAMILIES,
     MAX_RANK,
@@ -62,9 +64,9 @@ def test_pairing_symmetric_positive_diagonal(family, rank, _):
 def pairing_rows(index):
     """Per positive root, its lanes of the pairing columns."""
     lane = (1 << index.lane) - 1
-    count = len(index.positive_positions)
     return tuple(
-        tuple(column >> index.lane * j & lane for column in index.columns) for j in range(count)
+        tuple(column >> index.lane * j & lane for column in index.columns)
+        for j in range(len(index.roots))
     )
 
 
@@ -89,7 +91,7 @@ def test_lengths_pairing_and_form_match_the_rational_symmetrizer(family, rank):
     assert set(lengths) <= {1, 2, 3} and min(lengths) == 1
     # lane j of the pairing columns holds c_i (a_i, a_i) / s for positive
     # root j = sum(c_i a_i)
-    positive = rs.index.roots[rs.index.positive_positions.start :]
+    positive = rs.index.roots
     assert pairing_rows(rs.index) == tuple(
         tuple(c * n for c, n in zip(r.coords, lengths)) for r in positive
     )
@@ -122,16 +124,17 @@ def test_sign_coherence(b2, g2):
 
 
 def test_reflect_closure_and_involution(g2):
-    # the simple reflections of RootIndex: involutions of the root positions,
-    # each the reflection beta - 2 (beta, a) / (a, a) a through its simple root
-    index = g2.index
-    for a, perm in zip(g2.simple_roots, index.reflections):
-        assert all(perm[perm[k]] == k for k in range(len(perm)))
-        assert perm[index.roots.index(a)] == index.roots.index(-a)
-        for k, beta in enumerate(index.roots):
+    # the simple reflections on coordinates: involutions of the roots that send
+    # a to -a, each the reflection beta - 2 (beta, a) / (a, a) a through its simple root
+    coords = {r.coords for r in g2.roots}
+    for i, a in enumerate(g2.simple_roots):
+        reflect = partial(rootsys._simple_reflect_coords, g2.cartan, i)
+        assert reflect(a.coords) == (-a).coords
+        for beta in g2.roots:
+            image = reflect(beta.coords)
+            assert image in coords and reflect(image) == beta.coords
             c = 2 * form_value(g2, beta.coords, a.coords) / form_value(g2, a.coords, a.coords)
-            image = tuple(b - c * x for b, x in zip(beta.coords, a.coords))
-            assert index.roots[perm[k]].coords == image
+            assert image == tuple(b - c * x for b, x in zip(beta.coords, a.coords))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)])
@@ -191,7 +194,8 @@ def test_multiplicity_validation(b2):
     assert all(rs.mult[r] == 2 for r in rs.roots)
     bad = dict(flat)
     bad[(1, 0)] = 5  # breaks reflection invariance
-    with pytest.raises(ValueError):
+    message = r"not reflection-invariant: mult\(-1, 0\) = 2 but mult\(1, 0\) = 5$"
+    with pytest.raises(ValueError, match=message):
         build_root_system("B", 2, mult=bad)
     with pytest.raises(ValueError):
         build_root_system("B", 2, mult={r.coords: 0 for r in b2.roots})
