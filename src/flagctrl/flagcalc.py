@@ -35,7 +35,7 @@ from operator import mul, neg
 from typing import Iterable, NamedTuple
 
 from . import weyl
-from .rootsys import Root, RootIndex, RootSystem, subset_mask
+from .rootsys import Root, RootIndex, RootSystem, _check_subset
 from .weyl import DoubleCoset, Weight, WeylElement, WeylGroup
 
 __all__ = [
@@ -68,12 +68,8 @@ class FlagSpec(namedtuple("FlagSpec", "theta flag_type")):
         return super().__new__(cls, frozenset(theta), frozenset(flag_type))
 
     def validate(self, rs: RootSystem) -> None:
-        for name, subset in (("theta", self.theta), ("flag_type", self.flag_type)):
-            bad = [i for i in subset if not (0 <= i < rs.rank)]
-            if bad:
-                raise ValueError(
-                    f"{name} indices {sorted(bad)} out of range for rank {rs.rank}"
-                )
+        _check_subset(rs, self.theta, "theta")
+        _check_subset(rs, self.flag_type, "flag_type")
 
 
 class TangentSplit(NamedTuple):
@@ -98,8 +94,9 @@ class _Split(NamedTuple):
 def flag_dim(rs: RootSystem, theta: Iterable[int]) -> int:
     """Dimension of the flag manifold: multiplicities of the positive roots
     outside the span of theta."""
-    index, outside = rs.index, ~subset_mask(rs, theta)
-    return sum(m for m, supp in zip(index.mult, index.support) if supp & outside)
+    theta, index = frozenset(theta), rs.index
+    _check_subset(rs, theta)
+    return index.size(index.bias & ~index.lanes(theta))
 
 
 def _point(rs: RootSystem, spec: FlagSpec, w: WeylElement) -> tuple[Weight, int]:

@@ -46,6 +46,9 @@ _QR_BATCH = 256  # cocycle_sample's output rows per stacked QR
 _STEP_BLOCK = 256  # _propagate's control values per stack of RK4 transitions
 _CSV_BLOCK = 256  # cocycle_to_csv's rows per % format
 _RENORM_CADENCE = 10  # integrate's RK4 steps per determinant renormalization
+# RK4 steps, or control values, that one run may take: about 1.4 s of propagation at
+# 0.7 us a step, 40 times the 50,000 steps of a simulate run at T = 50
+_MAX_STEPS = 2_000_000
 
 
 class _Identity:
@@ -125,6 +128,8 @@ class Box(namedtuple("Box", "bounds")):
             raise ValueError("box bounds must be finite")
         if any(lo > hi for lo, hi in norm):
             raise ValueError("box bounds must satisfy lo <= hi")
+        if not all(math.isfinite(hi - lo) for lo, hi in norm):
+            raise ValueError("box widths hi - lo must be finite")
         return super().__new__(cls, norm)
 
     @property
@@ -200,6 +205,7 @@ def constant_signal(u: Sequence[float], period: float = 1.0) -> ControlSignal:
 def random_signal(rng: np.random.Generator, box: Box, T: float, period: float) -> ControlSignal:
     """Uniform draws from ``box``, one per period, starting at min(T, 0): a
     backward horizon's signal covers [T, 0] as a forward one covers [0, T]."""
+    _check_count(abs(T) / period, "control values")
     n = max(1, int(math.ceil(abs(T) / period - 1e-9)))
     return ControlSignal(values=box.sample(rng, n), period=period, t0=min(T, 0.0))
 
@@ -248,14 +254,20 @@ def control_system(
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
         raise ValueError("drift must be a square matrix")
     d = drift.shape[0]
+    if d < 2:
+        raise ValueError("SL(d) realization needs d >= 2")
     mats = [drift] + [np.array(m, dtype=float) for m in controls]
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("all system matrices must share the drift's shape")
         if not np.isfinite(m).all():
             raise ValueError("system matrices must have finite entries")
-        if abs(np.trace(m)) > 1e-12 * max(1.0, float(np.linalg.norm(m))):
-            raise ValueError(f"system matrix has nonzero trace {np.trace(m)!r}")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(m))
+        if not math.isfinite(norm):
+            raise ValueError("system matrix norm exceeds double range")
+        if abs(np.trace(m)) > 1e-12 * max(1.0, norm):
+            raise ValueError(f"system matrix has nonzero trace {float(np.trace(m))}")
     if control_range.dim != len(controls):
         raise ValueError(
             f"control range dimension {control_range.dim} does not match "
@@ -338,6 +350,12 @@ class Trajectory(_Identity, namedtuple("Trajectory", "times matrices")):
         return self.matrices[idx]
 
 
+def _check_count(count: float, what: str) -> None:
+    # refuses a horizon's |T| / dt steps or |T| / period control values before they are made
+    if count > _MAX_STEPS:
+        raise ValueError(f"horizon needs {count:.4g} {what}, more than {_MAX_STEPS}")
+
+
 def _rk4_step_matrix(x: np.ndarray, h: float) -> np.ndarray:
     # classical fourth order step for a constant generator is the degree-4
     # Taylor polynomial of exp(h x), of a matrix or of each matrix in a stack
@@ -361,15 +379,17 @@ def _propagate(
     ``T`` may be negative; the control is evaluated at segment midpoints, so
     the sample period must be an integer multiple of dt, the signal origin
     must sit on the step grid, and a signal of more than one value must
-    cover [min(T, 0), max(T, 0)].  These are checked before any step runs.
-    A control value out of range raises once the walk has taken every run
-    before it.
+    cover [min(T, 0), max(T, 0)].  These are checked, with the step count
+    against ``_MAX_STEPS``, before any step runs.  A control value out of
+    range raises once the walk has taken every run before it, and a block
+    of transitions that leaves double range before its runs.
     """
     dt = spec.integrator.dt
     if signal.n_channels != spec.n_controls:
         raise ValueError("signal channel count does not match the system")
+    _check_count(abs(T) / dt, "RK4 steps")
     ratio = signal.period / dt
-    if abs(ratio - round(ratio)) > 1e-6:
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6:
         raise ValueError("control sample period must be an integer multiple of dt")
     n = int(round(abs(T) / dt))
     if abs(abs(T) - n * dt) > 1e-9 * max(1.0, abs(T)):
@@ -406,7 +426,10 @@ def _propagate(
                 runs.append((len(values) - 1, j - i))
                 i = j
             if values:
-                steps = _rk4_step_matrix(spec.generator(np.array(values)), h)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    steps = _rk4_step_matrix(spec.generator(np.array(values)), h)
+                if not np.isfinite(steps).all():
+                    raise ValueError(f"an RK4 transition over dt={dt:g} leaves double range")
                 identity = (steps == np.eye(spec.dim)).all(axis=(1, 2)).tolist()
                 yield steps, [(None if identity[v] else v, count) for v, count in runs]
             if bad is not None:
@@ -493,7 +516,7 @@ def cocycle_sample(
     d, stride = spec.dim, sample_every
     frame, offset = flag.rep, np.zeros(d)
     n_rows = 1 + -(-n // stride)
-    times = np.minimum(np.arange(n_rows) * stride, n) * h
+    times = np.minimum(np.arange(n_rows) * min(stride, n), n) * h
     times[0] = 0.0  # not -0.0 on a backward horizon
     values = np.zeros((n_rows, d))
     # rows: the batch's rows that have a product, each held in the slot of prods at

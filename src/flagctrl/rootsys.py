@@ -15,12 +15,12 @@ global rescaling of the form, so callers needing a trace-form or
 Killing-form scale can multiply through without changing any predicate.
 
 Each system carries a ``RootIndex``: its positive roots as positions with
-tables for multiplicity and support, and three lane-packed integers over
-them.  The pairings (beta, mu) of every positive root with a weight are
-one integer with one W-bit lane per root, so their signs are a few
-big-integer operations; the multiplicity-weighted size and coordinate sum
-of a set of positive roots are one product of its lane mask with a
-reversed table (Lamport, "Multiple byte processing with full-word
+their multiplicities, and three lane-packed integers over them.  A set of
+positive roots is a lane mask.  The pairings (beta, mu) of every positive
+root with a weight are one integer with one W-bit lane per root, so their
+signs are a few big-integer operations; the multiplicity-weighted size and
+coordinate sum of a set of positive roots are one product of its lane mask
+with a reversed table (Lamport, "Multiple byte processing with full-word
 instructions", CACM 18(8), 1975).
 
 All values are immutable after construction and safe to share between
@@ -34,6 +34,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from functools import cached_property, total_ordering
+from itertools import compress, count
 from operator import mul, neg
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -51,7 +52,6 @@ __all__ = [
     "cartan_matrix",
     "build_root_system",
     "span_subset",
-    "subset_mask",
     "form_value",
 ]
 
@@ -123,10 +123,6 @@ class Root(namedtuple("Root", "coords")):
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.coords) if c != 0)
-
 
 @total_ordering
 class AVector(_Frozen):
@@ -159,9 +155,8 @@ class AVector(_Frozen):
 class RootIndex(_Frozen):
     """Positive roots as positions in sorted order, one table entry each.
 
-    A subset of the simple roots is an int bitmask over indices.
-    ``mult[k]`` is the multiplicity of root ``k`` and ``support[k]`` the
-    bitmask of its nonzero coordinates.  Indices compare by identity.
+    ``mult[k]`` is the multiplicity of root ``k``.  Indices compare by
+    identity.
 
     The N positive roots own one W-bit lane each (W = ``lane``), root j the
     bits from W j up, and a set of them is a lane mask: the top bit of each
@@ -186,7 +181,6 @@ class RootIndex(_Frozen):
 
     roots: tuple[Root, ...]
     mult: tuple[int, ...]
-    support: tuple[int, ...]
     lane: int
     columns: tuple[int, ...]
     bias: int
@@ -210,9 +204,9 @@ class RootIndex(_Frozen):
         ``subset``, whose indices the caller has checked."""
         mask = self._lanes.get(subset)
         if mask is None:
-            w, mask, outside = self.lane, 0, ~sum(1 << i for i in subset)
-            for j, supp in enumerate(self.support):
-                if not supp & outside:
+            w, mask = self.lane, 0
+            for j, r in enumerate(self.roots):
+                if subset.issuperset(compress(count(), r.coords)):  # its support
                     mask += 1 << w * j + w - 1
             self._lanes[subset] = mask
         return mask
@@ -276,9 +270,6 @@ class RootSystem(_Frozen):
     @property
     def lie_type(self) -> str:
         return f"{self.family}{self.rank}"
-
-    def sorted_positive_roots(self) -> tuple[Root, ...]:
-        return self.index.roots
 
 
 # the least and greatest rank of each family
@@ -401,7 +392,6 @@ def build_root_system(
     index = RootIndex(
         roots=positive_roots,
         mult=positive_mults,
-        support=tuple(sum(1 << i for i, c in enumerate(r.coords) if c) for r in positive_roots),
         **_lane_tables(positive_roots, positive_mults, lengths),
     )
 
@@ -474,14 +464,7 @@ def span_subset(rs: RootSystem, theta: Iterable[int]) -> frozenset[Root]:
     return positive | frozenset(map(neg, positive))
 
 
-def subset_mask(rs: RootSystem, theta: Iterable[int]) -> int:
-    """Bitmask of a subset of the simple roots, checked against the rank."""
-    theta = frozenset(theta)
-    _check_subset(rs, theta)
-    return sum(1 << i for i in theta)
-
-
-def _check_subset(rs: RootSystem, theta: frozenset[int]) -> None:
+def _check_subset(rs: RootSystem, theta: frozenset[int], name: str = "simple-root") -> None:
     bad = [i for i in theta if not (0 <= i < rs.rank)]
     if bad:
-        raise ValueError(f"simple-root indices {sorted(bad)} out of range for rank {rs.rank}")
+        raise ValueError(f"{name} indices {sorted(bad)} out of range for rank {rs.rank}")

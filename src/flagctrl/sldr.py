@@ -106,6 +106,13 @@ def _qr_special(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+def _det(g: np.ndarray) -> np.ndarray:
+    # det of a matrix or of each in a stack; an LU whose pivots leave double range gives
+    # inf, which the unimodularity checks refuse, rather than a warning
+    with np.errstate(over="ignore"):
+        return np.linalg.det(g)
+
+
 def iwasawa(g: np.ndarray, *, cond_max: float | None = DEFAULT_COND_MAX) -> IwasawaTriple:
     """Iwasawa factorization of a unimodular matrix via sign-fixed QR.
 
@@ -116,7 +123,7 @@ def iwasawa(g: np.ndarray, *, cond_max: float | None = DEFAULT_COND_MAX) -> Iwas
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("iwasawa needs a square matrix")
-    det = float(np.linalg.det(g))
+    det = float(_det(g))
     if abs(det - 1.0) > 1e-8:
         raise ValueError(f"matrix is not unimodular: det = {det!r}")
     if cond_max is not None:
@@ -388,7 +395,7 @@ def split_part(x: np.ndarray, *, gap_tol: float = 1e-6) -> SplitPart:
         raise ValueError("expected a square matrix")
     scale = max(1.0, float(np.linalg.norm(x)))
     if abs(np.trace(x)) > 1e-10 * scale * d:
-        raise ValueError(f"matrix is not traceless: trace = {np.trace(x)!r}")
+        raise ValueError(f"matrix is not traceless: trace = {float(np.trace(x))}")
     evals, evecs = np.linalg.eig(x)
     imag_tol = 1e-10 * scale
     order = sorted(
@@ -524,8 +531,17 @@ class Drift:
         return self._memo[key]
 
     def expm(self, t: float) -> np.ndarray:
-        """exp(t x) as a read-only array, computed once per distinct ``t``."""
-        return self._once(("expm", t), lambda: linalg.expm(t * self.x))
+        """exp(t x) as a read-only array, computed once per distinct ``t``; an
+        exp that leaves double range raises."""
+
+        def compute() -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = linalg.expm(t * self.x)
+            if not np.isfinite(m).all():
+                raise ValueError(f"exp({t:g} x) of the drift leaves double range")
+            return m
+
+        return self._once(("expm", t), compute)
 
     def cocycle(self, t: float) -> list:
         """(time, attractor-frame cocycle) at n + 1 equally spaced times from 0 to ``t``,
@@ -548,7 +564,7 @@ class Drift:
         def compute() -> tuple:
             rs = type_a_system(self.dim)
             central = span_subset(rs, self.split.theta)
-            roots = [r.coords for r in rs.sorted_positive_roots() if r not in central]
+            roots = [r.coords for r in rs.index.roots if r not in central]
             if not roots:
                 raise ValueError(
                     f"flow type {sorted(self.split.theta)} covers every simple root: no "
@@ -700,7 +716,10 @@ def realize(drift: Drift, theta: Iterable[int], items: list) -> Cells:
     ]
     bundles = _subbundles(r, rows, cols, masks)
     back = np.swapaxes(q, 1, 2)  # _subbundles' nnz x nnz stack is gone: one is live at a time
-    tangent = _tangent_maps(*(back @ drift.expm(s) @ q for s in (_STEP, -_STEP)), rows, cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tangent = _tangent_maps(*(back @ drift.expm(s) @ q for s in (_STEP, -_STEP)), rows, cols)
+    if not np.isfinite(tangent).all():
+        raise ValueError(f"the tangent maps of exp({_STEP:g} x) leave double range")
     maps = [[(pos, c @ tangent[pos] @ np.swapaxes(c, 1, 2)) for pos, c in groups]
             for groups in bundles]
     logvols = np.zeros((len(items), 2))
@@ -741,7 +760,7 @@ def flag_drifts(drift: Drift, cells: Cells) -> list:
     distances = _flag_distances(_qr_pos(g)[0], cells.frames, cells.blocks)
     return [
         ValueError(f"matrix is not unimodular: det = {det!r}") if abs(det - 1.0) > 1e-8 else dist
-        for det, dist in zip(np.linalg.det(g).tolist(), distances)
+        for det, dist in zip(_det(g).tolist(), distances)
     ]
 
 
@@ -794,8 +813,9 @@ def _rates(drift: Drift, cells: Cells, spec, T: float) -> list:
         )
     # Drift.cocycle takes one Iwasawa step per 0.5 of T, and on a one-block flag manifold
     # nothing above bounds T: this many steps take about 1.5 s on a 2-core VM
-    steps = math.ceil(T / 0.5)
+    steps = T / 0.5  # inf past half the double range
     if steps > _MAX_COCYCLE_STEPS:
+        steps = math.ceil(steps) if math.isfinite(steps) else steps
         raise ValueError(
             f"horizon {T:g} needs {steps} cocycle steps of at most 0.5, more than "
             f"{_MAX_COCYCLE_STEPS}; shorten --T"

@@ -207,7 +207,7 @@ def _cosets(
     # (a_i, a_i) / s; that ratio; and <beta, a_i^v> in the lane of each beta,
     # which s_i takes off P as many times as the lane exceeds 2^(W-1)
     for root, column, values in zip(rs.simple_roots, zip(*rs.cartan), index.columns):
-        shift = w * rs.sorted_positive_roots().index(root)
+        shift = w * index.roots.index(root)
         length = values >> shift & mask
         lanes.append((shift, length, sum(map(mul, column, index.columns)) // length))
     keep = sum(half << lanes[i][0] for i in left)

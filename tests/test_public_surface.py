@@ -108,6 +108,7 @@ def test_removed_names_are_gone():
         rootsys: (
             "reflect", "pairing_value", "evaluate", "characteristic_subset", "chamber_vector",
             "a_theta_basis", "root_system_json", "root_system_to_text", "json", "positions",
+            "subset_mask",
         ),
         weyl: (
             "act", "act_avector", "length", "inverse", "simple_reflection_matrix",
@@ -127,13 +128,15 @@ def test_removed_names_are_gone():
     for name in ("_cell", "_cell_memo", "_cells", "_cells_memo"):
         assert not hasattr(drift, name), name
     assert not hasattr(flagctrl, "_SLDR_NAMES")  # the lazy names are those of __all__
-    assert not hasattr(rootsys.RootSystem, "sorted_roots")
+    for name in ("sorted_roots", "sorted_positive_roots"):  # the index holds them
+        assert not hasattr(rootsys.RootSystem, name), name
+    assert not hasattr(rootsys.Root, "support")  # a subset of roots is a lane mask
     index = rootsys.build_root_system("A", 2).index
     for name in ("pairing_rows", "weighted", "neg"):  # replaced by the lane tables
         assert not hasattr(index, name), name
     for name in ("signs", "span", "_spans"):  # records read the walk's packed word
         assert not hasattr(index, name), name
-    for name in ("reflections", "positive_positions"):  # the index holds positive roots only
+    for name in ("reflections", "positive_positions", "support"):  # positive roots, lane masks
         assert not hasattr(index, name), name
     assert not hasattr(weyl, "_levels")  # the orbit walk is one reverse search
     for name in ("zero", "__add__", "scale"):
@@ -195,7 +198,7 @@ def test_value_classes_pickle_and_deepcopy(w_b2):
 
     def system_fields(rs):
         index = rs.index
-        tables = (index.roots, index.mult, index.support, index.lane, index.columns,
+        tables = (index.roots, index.mult, index.lane, index.columns,
                   index.bias, index.table)
         return (rs.family, rs.rank, rs.cartan, rs.simple_roots, rs.roots, rs.positive_roots,
                 dict(rs.mult), tables)
@@ -219,7 +222,7 @@ def test_value_classes_pickle_and_deepcopy(w_b2):
             assert copied is not system and system_fields(copied) == system_fields(system)
         for copied in round_trips(system.index):
             assert system_fields(system)[-1] == (
-                copied.roots, copied.mult, copied.support, copied.lane, copied.columns,
+                copied.roots, copied.mult, copied.lane, copied.columns,
                 copied.bias, copied.table)
     group = generate(mixed)
     for copied in round_trips(group):

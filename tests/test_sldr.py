@@ -464,7 +464,7 @@ def test_split_part_complex_pair():
 
 
 def test_split_part_rejections():
-    with pytest.raises(ValueError, match="traceless"):
+    with pytest.raises(ValueError, match=r"^matrix is not traceless: trace = 2\.0$"):
         split_part(np.eye(2))
     with pytest.raises(ValueError, match="ambiguous"):
         split_part(np.diag([1e-8, 0.0, -1e-8]))
