@@ -17,7 +17,8 @@ runs: the exact modules (``rootsys``, ``weyl``, ``flagcalc``) in analyze,
 cosets and verify, compiled before argparse loads; numpy with ``flows``
 only in verify and simulate, verify's through ``sldr`` (with ``linalg``),
 so that simulate compiles neither ``sldr`` nor an exact module; ``json``
-where JSON is written, and ``logging`` only when FLAGCTRL_LOG is set.
+where a JSON document is dumped whole (analyze formats each record as the
+walk yields it), and ``logging`` only when FLAGCTRL_LOG is set.
 """
 
 from __future__ import annotations
@@ -145,8 +146,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one record of classification_report as json.dumps(sort_keys=True, separators=(",", ":"))
+# writes it: lists of ints, JSON booleans and null
+_JSON_RECORD = (
+    '{"attractor":%s,"c":%d,"coset_rep_word":[%s],"hyperbolic":%s,"repeller":%s,'
+    '"s":%d,"sigma_minus":%s,"sigma_plus":%s,"u":%d}'
+)
+_JSON_BOOL = ("false", "true")
+
+
+def _json_ints(values: Sequence[int] | None) -> str:
+    return "null" if values is None else "[" + ",".join(map(str, values)) + "]"
+
+
+def _json_record(rec) -> str:
+    return _JSON_RECORD % (
+        _JSON_BOOL[rec.is_attractor], rec.dim_center, ",".join(map(str, rec.rep.reduced_word)),
+        _JSON_BOOL[rec.hyperbolic], _JSON_BOOL[rec.is_repeller], rec.dim_stable,
+        _json_ints(rec.sigma_minus), _json_ints(rec.sigma_plus), rec.dim_unstable,
+    )
+
+
+def _text_record(rec) -> str:
+    word = "(" + ",".join(map(str, rec.rep.reduced_word)) + ")"
+    tags = []
+    if rec.is_attractor:
+        tags.append("attractor")
+    if rec.is_repeller:
+        tags.append("repeller")
+    tag = (" [" + ",".join(tags) + "]") if tags else ""
+    if rec.hyperbolic:
+        plus = ",".join(str(v) for v in rec.sigma_plus)
+        minus = ",".join(str(v) for v in rec.sigma_minus)
+        sig = f"  sigma+ ({plus})  sigma- ({minus})"
+        kind = "hyperbolic"
+    else:
+        sig = ""
+        kind = "non-hyperbolic"
+    return (
+        f"rep {word}  s/c/u {rec.dim_stable}/{rec.dim_center}/{rec.dim_unstable}"
+        f"  {kind}{sig}{tag}"
+    )
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .flagcalc import FlagSpec, classification_report, enumerate_chain_control_sets
+    from .flagcalc import FlagSpec, _records
     from .rootsys import build_root_system
     from .weyl import generate
 
@@ -155,37 +199,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _debug("Weyl group of %s has order %d", rs.lie_type, group.order)
     spec = FlagSpec(theta=args.theta, flag_type=args.flagtype)
     spec.validate(rs)
+    # each record becomes its line, or its JSON fragment, as the walk yields it; stdout
+    # is written once the last record and the checks after it have passed
+    fmt = _json_record if args.format == "json" else _text_record
+    out = [fmt(rec) for rec in _records(group, spec)]
     if args.format == "json":
-        _emit_json(classification_report(group, spec))
+        # lie_type is a family letter and a rank, which JSON quotes as they are
+        sys.stdout.write('{"flag_type":%s,"lie_type":"%s","records":[%s],"theta":%s}\n' % (
+            _json_ints(sorted(spec.flag_type)), rs.lie_type, ",".join(out),
+            _json_ints(sorted(spec.theta))))
         return 0
-    records = enumerate_chain_control_sets(group, spec)
-    out = [
+    head = [
         f"lie_type {rs.lie_type}",
         f"theta {_fmt_set(spec.theta)}",
         f"flag_type {_fmt_set(spec.flag_type)}",
-        f"records {len(records)}",
+        f"records {len(out)}",
     ]
-    for rec in records:
-        word = "(" + ",".join(str(i) for i in rec.rep.reduced_word) + ")"
-        tags = []
-        if rec.is_attractor:
-            tags.append("attractor")
-        if rec.is_repeller:
-            tags.append("repeller")
-        tag = (" [" + ",".join(tags) + "]") if tags else ""
-        if rec.hyperbolic:
-            plus = ",".join(str(v) for v in rec.sigma_plus)
-            minus = ",".join(str(v) for v in rec.sigma_minus)
-            sig = f"  sigma+ ({plus})  sigma- ({minus})"
-            kind = "hyperbolic"
-        else:
-            sig = ""
-            kind = "non-hyperbolic"
-        out.append(
-            f"rep {word}  s/c/u {rec.dim_stable}/{rec.dim_center}/{rec.dim_unstable}"
-            f"  {kind}{sig}{tag}"
-        )
-    sys.stdout.write("\n".join(out) + "\n")
+    sys.stdout.write("\n".join(head + out) + "\n")
     return 0
 
 
@@ -307,7 +337,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "slope_bands": [[lo, hi] for lo, hi in diag["slope_bands"]],
     }
-    sys.stdout.write(cocycle_to_csv(sample))
+    cocycle_to_csv(sample, sys.stdout)
     print(json.dumps(info, sort_keys=True), file=sys.stderr)
     return 0
 

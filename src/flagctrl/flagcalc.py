@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import mul, neg
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import weyl
 from .rootsys import Root, RootIndex, RootSystem, _check_subset
@@ -237,6 +237,52 @@ class ChainControlSetRecord(NamedTuple):
     is_repeller: bool
 
 
+def _records(group: WeylGroup, spec: FlagSpec) -> Iterator[ChainControlSetRecord]:
+    """The records of ``enumerate_chain_control_sets``, each split as the orbit
+    walk hands over its coset; only the attractors and repellers seen are kept,
+    for the checks after the last record."""
+    rs = group.system
+    spec.validate(rs)
+    total_dim = flag_dim(rs, spec.theta)
+    attractors, repellers = [], []
+    for coset, packed in weyl._cosets(group, spec.flag_type, spec.theta):
+        w = coset.rep
+        split = _split(rs, spec, coset.point, packed)
+        s, c, u = _dims(spec, split, total_dim)
+        hyperbolic = _hyperbolic(spec, w, split)
+        if u == 0:
+            attractors.append(w)
+        if s == 0:
+            repellers.append(w)
+        yield ChainControlSetRecord(
+            coset=coset,
+            rep=w,
+            dim_flag=total_dim,
+            dim_stable=s,
+            dim_center=c,
+            dim_unstable=u,
+            hyperbolic=hyperbolic,
+            sigma_plus=_sigma(rs, spec, split, +1) if hyperbolic else None,
+            sigma_minus=_sigma(rs, spec, split, -1) if hyperbolic else None,
+            is_attractor=u == 0,
+            is_repeller=s == 0,
+        )
+    if len(attractors) != 1 or len(repellers) != 1:
+        raise ConsistencyError(
+            f"expected a unique attractor and repeller, found {len(attractors)} and "
+            f"{len(repellers)}"
+        )
+    # independent characterization: the attractor coset holds the identity,
+    # the repeller coset the longest element, found here by its own route
+    repeller = weyl.longest_coset_rep(group, spec.flag_type, spec.theta)
+    if not attractors[0].is_identity or repellers[0].reduced_word != repeller.reduced_word:
+        raise ConsistencyError(
+            f"attractor {attractors[0].reduced_word} and repeller "
+            f"{repellers[0].reduced_word} are not the cosets of the identity "
+            f"and of the longest element {repeller.reduced_word}"
+        )
+
+
 def enumerate_chain_control_sets(
     group: WeylGroup, spec: FlagSpec
 ) -> tuple[ChainControlSetRecord, ...]:
@@ -246,47 +292,7 @@ def enumerate_chain_control_sets(
     Exactly one record is the attractor (no unstable directions) and
     exactly one the repeller (no stable directions).
     """
-    rs = group.system
-    spec.validate(rs)
-    total_dim = flag_dim(rs, spec.theta)
-    records = []
-    for coset, packed in weyl._cosets(group, spec.flag_type, spec.theta):
-        w = coset.rep
-        split = _split(rs, spec, coset.point, packed)
-        s, c, u = _dims(spec, split, total_dim)
-        hyperbolic = _hyperbolic(spec, w, split)
-        records.append(
-            ChainControlSetRecord(
-                coset=coset,
-                rep=w,
-                dim_flag=total_dim,
-                dim_stable=s,
-                dim_center=c,
-                dim_unstable=u,
-                hyperbolic=hyperbolic,
-                sigma_plus=_sigma(rs, spec, split, +1) if hyperbolic else None,
-                sigma_minus=_sigma(rs, spec, split, -1) if hyperbolic else None,
-                is_attractor=u == 0,
-                is_repeller=s == 0,
-            )
-        )
-    attractors = [r for r in records if r.is_attractor]
-    repellers = [r for r in records if r.is_repeller]
-    if len(attractors) != 1 or len(repellers) != 1:
-        raise ConsistencyError(
-            f"expected a unique attractor and repeller, found {len(attractors)} and "
-            f"{len(repellers)}"
-        )
-    # independent characterization: the attractor coset holds the identity,
-    # the repeller coset the longest element, found here by its own route
-    repeller = weyl.longest_coset_rep(group, spec.flag_type, spec.theta)
-    if not attractors[0].rep.is_identity or repellers[0].rep.reduced_word != repeller.reduced_word:
-        raise ConsistencyError(
-            f"attractor {attractors[0].rep.reduced_word} and repeller "
-            f"{repellers[0].rep.reduced_word} are not the cosets of the identity "
-            f"and of the longest element {repeller.reduced_word}"
-        )
-    return tuple(records)
+    return tuple(_records(group, spec))
 
 
 def representative_invariance_check(

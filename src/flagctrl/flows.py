@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -596,16 +596,17 @@ def cocycle_sample(
     return CocycleSample(times=times, a_values=values)
 
 
-def cocycle_to_csv(sample: CocycleSample) -> str:
-    # one % per block of rows: a whole-table tolist() would lift the peak RSS
+def cocycle_to_csv(sample: CocycleSample, out: TextIO) -> None:
+    """Write ``sample`` to ``out`` as CSV, a header and one row per time, each
+    block of rows as it is formatted: one % per block, since a whole-table
+    tolist() or the whole text would lift the peak RSS."""
     d = sample.dim
-    row_format = "%.10g" + ",%.12g" * d
-    lines = ["t," + ",".join(f"a{i + 1}" for i in range(d))]
+    row_format = "%.10g" + ",%.12g" * d + "\n"
+    out.write("t," + ",".join(f"a{i + 1}" for i in range(d)) + "\n")
     for start in range(0, len(sample.times), _CSV_BLOCK):
         rows = slice(start, start + _CSV_BLOCK)
         block = np.column_stack((sample.times[rows], sample.a_values[rows]))
-        lines.append("\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+        out.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def flag_type_diagnostic(samples: Sequence[CocycleSample]) -> dict:

@@ -106,11 +106,22 @@ def _qr_special(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _det(g: np.ndarray) -> np.ndarray:
-    # det of a matrix or of each in a stack; an LU whose pivots leave double range gives
-    # inf, which the unimodularity checks refuse, rather than a warning
+def _unimodular_errors(g: np.ndarray) -> list:
+    # per matrix of a stack, or for one matrix, the refusal of a determinant that is not 1,
+    # else None; an LU whose pivots leave double range gives inf, without a warning, and
+    # says that the matrix is too large or too ill-conditioned to factor there
     with np.errstate(over="ignore"):
-        return np.linalg.det(g)
+        dets = np.atleast_1d(np.linalg.det(g)).tolist()
+    errors = [None] * len(dets)
+    for i, det in enumerate(dets):
+        if not math.isfinite(det):
+            errors[i] = ValueError(
+                "matrix too ill-conditioned or too large for double range: "
+                f"its LU determinant is {det!r}"
+            )
+        elif abs(det - 1.0) > 1e-8:
+            errors[i] = ValueError(f"matrix is not unimodular: det = {det!r}")
+    return errors
 
 
 def iwasawa(g: np.ndarray, *, cond_max: float | None = DEFAULT_COND_MAX) -> IwasawaTriple:
@@ -123,9 +134,9 @@ def iwasawa(g: np.ndarray, *, cond_max: float | None = DEFAULT_COND_MAX) -> Iwas
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("iwasawa needs a square matrix")
-    det = float(_det(g))
-    if abs(det - 1.0) > 1e-8:
-        raise ValueError(f"matrix is not unimodular: det = {det!r}")
+    error, = _unimodular_errors(g)
+    if error is not None:
+        raise error
     if cond_max is not None:
         sv = np.linalg.svd(g, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
@@ -758,10 +769,7 @@ def flag_drifts(drift: Drift, cells: Cells) -> list:
     """flag_distance(flag_act(exp(x / 2), x_w), x_w) at each cell's fixed flag x_w."""
     g = drift.expm(0.5) @ cells.frames
     distances = _flag_distances(_qr_pos(g)[0], cells.frames, cells.blocks)
-    return [
-        ValueError(f"matrix is not unimodular: det = {det!r}") if abs(det - 1.0) > 1e-8 else dist
-        for det, dist in zip(_det(g).tolist(), distances)
-    ]
+    return [error or dist for error, dist in zip(_unimodular_errors(g), distances)]
 
 
 def _determinants(drift: Drift, cells: Cells, spec, t: float) -> list:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .rootsys import RootSystem, _bind, _check_subset, _Frozen
 
@@ -196,8 +196,10 @@ class DoubleCoset(NamedTuple):
 
 def _cosets(
     group: WeylGroup, left: Iterable[int], right: Iterable[int]
-) -> list[tuple[DoubleCoset, int]]:
-    """``double_cosets``, each with the packed pairing word of its point."""
+) -> Iterator[tuple[DoubleCoset, int]]:
+    """``double_cosets``, each with the packed pairing word of its point, as
+    the walk reaches it; the check that their sizes sum to |W| runs after the
+    last one."""
     left, right = frozenset(left), frozenset(right)
     rs = group.system
     product = parabolic_order(rs, left) * parabolic_order(rs, right)
@@ -213,7 +215,7 @@ def _cosets(
     keep = sum(half << lanes[i][0] for i in left)
     # lambda_J, whose stabilizer is W_J
     level = [((), sum((c for j, c in enumerate(index.columns) if j not in right), index.bias))]
-    cosets, sizes = [], {}
+    total, sizes = 0, {}
     while level:
         for word, p in level:
             if p & keep == keep:  # mu_i >= 0 on I
@@ -222,8 +224,9 @@ def _cosets(
                 if meet not in sizes:
                     k = (i for i in left if meet >> lanes[i][0] & half)
                     sizes[meet] = product // parabolic_order(rs, k)
+                total += sizes[meet]
                 point = tuple(((p >> s & mask) - half) // n for s, n, _ in lanes)
-                cosets.append((DoubleCoset(WeylElement(word, rs), sizes[meet], point), p))
+                yield DoubleCoset(WeylElement(word, rs), sizes[meet], point), p
         # the children s_i p, mu_i > 0, with no lane below i negative: by i,
         # then by parent, so that the next level is in word order too
         children, low = [], 0
@@ -236,9 +239,8 @@ def _cosets(
                         children.append(((i,) + word, q))
             low |= half << shift
         level = children
-    if sum(c.size for c, _ in cosets) != group.order:
+    if total != group.order:
         raise AssertionError("double cosets do not partition the group")
-    return cosets
 
 
 def double_cosets(

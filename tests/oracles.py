@@ -22,6 +22,7 @@ reproduce their every bit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -410,6 +411,92 @@ def bfs_double_cosets(
     if sum(c.size for c in cosets) != group.order:
         raise AssertionError("double cosets do not partition the group")
     return tuple(sorted(cosets, key=lambda c: (len(c.rep.reduced_word), c.rep.reduced_word)))
+
+
+def _q_product(factors: Counter) -> list[int]:
+    # the product of the q-integers [n]_t = 1 + t + ... + t^(n-1), n in ``factors``
+    poly = [1]
+    for n, times in factors.items():
+        for _ in range(times):
+            out = [0] * (len(poly) + n - 1)
+            for i, c in enumerate(poly):
+                for j in range(i, i + n):
+                    out[j] += c
+            poly = out
+    return poly
+
+
+def poincare_quotient(rs: RootSystem, big, small) -> list[int]:
+    """W_big(t) / W_small(t) for ``small`` within ``big``, coefficients from t^0 up:
+    Macdonald's product of [ht + 1]_t / [ht]_t over the positive roots of each, the
+    heights read off their coordinates, the q-integers cancelled and the rest divided
+    exactly."""
+    num, den = Counter(), Counter()
+    for subset, top, bottom in ((frozenset(big), num, den), (frozenset(small), den, num)):
+        for h in (sum(r.coords) for r in rs.positive_roots if subset.issuperset(
+                i for i, c in enumerate(r.coords) if c)):
+            top[h + 1] += 1
+            bottom[h] += 1
+    common = num & den
+    rest, divisor = _q_product(num - common), _q_product(den - common)
+    quotient = [0] * (len(rest) - len(divisor) + 1)
+    for k in reversed(range(len(quotient))):
+        quotient[k], r = divmod(rest[k + len(divisor) - 1], divisor[-1])
+        assert r == 0, "the quotient is not a polynomial"
+        for j, c in enumerate(divisor):
+            rest[k + j] -= quotient[k] * c
+    assert not any(rest), "the quotient is not a polynomial"
+    return quotient
+
+
+def bruhat_cell_sums(rs: RootSystem, left, right, records, cosets) -> tuple[list, list]:
+    """Both sides of W(t) / W_J(t) = sum over records of t^s W_I(t) / W_K(t), I = ``left``
+    (the flow type), J = ``right`` (theta): the Bruhat cells of F_J (Solomon, J. Algebra 3,
+    1966) grouped by double coset W_I d W_J, each w = x d with lengths adding and x a
+    minimal representative of W_I / W_K, where K, the i in I with mu_i = 0 at mu =
+    d(lambda_J), is I meeting d J d^-1 (Kilmoyer; Carter, Finite Groups of Lie Type, 2.7).
+    ``s`` is each record's stable dimension and mu is walked along its word; each coset
+    of ``cosets``, in record order, must have |W_I| |W_J| / |W_K| members, the identity at
+    t = 1.  Multiplicity 1 only."""
+    lhs = poincare_quotient(rs, range(rs.rank), right)
+    rhs, cells = [0] * len(lhs), {}
+    right_order = sum(poincare_quotient(rs, right, ()))
+    for rec, coset in zip(records, cosets, strict=True):
+        assert rec.rep.reduced_word == coset.rep.reduced_word
+        mu = tuple(int(j not in right) for j in range(rs.rank))
+        for i in reversed(rec.rep.reduced_word):
+            mu = _reflect(rs.cartan, mu, i)
+        meet = frozenset(i for i in left if mu[i] == 0)
+        if meet not in cells:
+            cells[meet] = poincare_quotient(rs, left, meet)
+        cell = cells[meet]
+        assert coset.size == sum(cell) * right_order, rec.rep.reduced_word
+        rhs += [0] * (rec.dim_stable + len(cell) - len(rhs))
+        for e, c in enumerate(cell):
+            rhs[rec.dim_stable + e] += c
+    return lhs, rhs
+
+
+def analyze_text(group: WeylGroup, records, spec) -> str:
+    """``analyze --format text`` from the whole record tuple: one list of lines, joined
+    at the end, against which the lines analyze formats as the walk yields them are
+    checked."""
+    sets = ["{" + ",".join(str(i) for i in sorted(s)) + "}" for s in (spec.theta, spec.flag_type)]
+    out = [f"lie_type {group.system.lie_type}", f"theta {sets[0]}", f"flag_type {sets[1]}",
+           f"records {len(records)}"]
+    for rec in records:
+        word = "(" + ",".join(str(i) for i in rec.rep.reduced_word) + ")"
+        tags = [tag for tag, on in (("attractor", rec.is_attractor),
+                                    ("repeller", rec.is_repeller)) if on]
+        tag = (" [" + ",".join(tags) + "]") if tags else ""
+        sig, kind = "", "non-hyperbolic"
+        if rec.hyperbolic:
+            plus = ",".join(str(v) for v in rec.sigma_plus)
+            minus = ",".join(str(v) for v in rec.sigma_minus)
+            sig, kind = f"  sigma+ ({plus})  sigma- ({minus})", "hyperbolic"
+        out.append(f"rep {word}  s/c/u {rec.dim_stable}/{rec.dim_center}/{rec.dim_unstable}"
+                   f"  {kind}{sig}{tag}")
+    return "\n".join(out) + "\n"
 
 
 def mult_is_invariant(group: WeylGroup) -> bool:

@@ -124,6 +124,71 @@ def test_analyze_splits_each_record_once_at_its_orbit_point(capsys, monkeypatch)
     assert splits == list(zip(points, packed))
 
 
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+     ("F", 4)],
+)
+def test_analyze_formats_the_records_of_the_whole_report(capsys, family, rank):
+    # analyze formats each record as the walk yields it: its JSON is json.dumps of the
+    # dict report, and its text the lines of the whole record tuple, byte for byte, on
+    # every (theta, flag type) pair, F4 on F4_PAIRS
+    from test_flagcalc import F4_PAIRS
+
+    group = weyl.generate(build_root_system(family, rank))
+    subsets = list(oracles.all_subsets(rank))
+    pairs = F4_PAIRS if family == "F" else [(t, f) for t in subsets for f in subsets]
+    for theta, ftype in pairs:
+        spec = flagcalc.FlagSpec(theta=theta, flag_type=ftype)
+        argv = ["analyze", "--type", family, "--rank", str(rank),
+                "--theta", ",".join(map(str, theta)), "--flagtype", ",".join(map(str, ftype))]
+        report = flagcalc.classification_report(group, spec)
+        records = flagcalc.enumerate_chain_control_sets(group, spec)
+        expected = {
+            "json": json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n",
+            "text": oracles.analyze_text(group, records, spec),
+        }
+        for fmt, text in expected.items():
+            assert run(capsys, [*argv, "--format", fmt]) == (0, text, ""), (fmt, theta, ftype)
+
+
+def test_analyze_writes_nothing_when_a_check_after_the_walk_fails(capsys, monkeypatch):
+    # the end-of-run checks come after the last record is formatted, and stdout is
+    # written only once they pass: with every coset twice (two attractors) or on a group
+    # of the wrong order (the coset sizes miss it), nothing reaches stdout
+    argv = ["analyze", "--type", "A", "--rank", "2"]
+    cosets = list(weyl._cosets(weyl.generate(build_root_system("A", 2)), (), ()))
+    monkeypatch.setattr(weyl, "_cosets", lambda *args: cosets * 2)
+    for fmt in ("json", "text"):
+        rc, out, err = run(capsys, [*argv, "--format", fmt])
+        assert (rc, out) == (1, "") and "unique attractor and repeller, found 2 and 2" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(weyl, "generate", lambda rs, order_cap=None: weyl.WeylGroup(rs, 7))
+    for fmt in ("json", "text"):
+        with pytest.raises(AssertionError, match="do not partition the group"):
+            main([*argv, "--format", fmt])
+        assert capsys.readouterr().out == ""
+
+
+def test_analyze_holds_its_records_at_the_size_of_their_output(capsys):
+    # D5 json, 1,920 records and 320 KiB of output: with the coset list, the whole
+    # record tuple, its dicts and json.dumps' chunk list alive at once the run peaked at
+    # 4.5 MiB of Python allocations; formatted as they come, at 1.4 MiB, the captured
+    # output included
+    import tracemalloc
+
+    argv = ["analyze", "--type", "D", "--rank", "5", "--format", "json"]
+    rc, expected, _ = run(capsys, argv)  # the root system and its tables, built once
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, capsys.readouterr().out) == (0, expected)
+    assert len(expected) > 320_000 and peak < 2 * 2**20, peak
+
+
 def test_exact_commands_skip_the_element_walk(tmp_path, capsys, monkeypatch):
     def refuse(group):
         raise AssertionError(f"element list of {group.system.lie_type}")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagctrl import flagcalc, weyl
+from flagctrl import flagcalc, rootsys, weyl
 from flagctrl.flagcalc import (
     ConsistencyError,
     FlagSpec,
@@ -339,7 +339,7 @@ def test_consistency_checks_raise_when_broken(w_a2, a2, monkeypatch):
     alpha1 = (1, *a2.simple_roots[1].coords)
     with pytest.raises(ConsistencyError, match="fails to annihilate"):
         flagcalc._sigma(a2, spec, split._replace(unstable=alpha1, point=(0, 1)), +1)
-    cosets = weyl._cosets(w_a2, spec.flag_type, spec.theta)
+    cosets = list(weyl._cosets(w_a2, spec.flag_type, spec.theta))
     monkeypatch.setattr(weyl, "longest_coset_rep", lambda *args: w_a2.identity)
     with pytest.raises(ConsistencyError, match="longest element"):
         enumerate_chain_control_sets(w_a2, spec)
@@ -371,3 +371,44 @@ def test_classification_report_shape(w_a2):
     assert doc["theta"] == [] and doc["flag_type"] == [0]
     assert len(doc["records"]) == 3
     assert doc == classification_report(w_a2, spec)
+
+
+def _bruhat_pairs(rs):
+    # a few (flow type I, theta J) per root system, those whose orbit W / W_J has at most
+    # 3,000 points: full flags, single nodes against their complements, and interleavings
+    every, r = frozenset(range(rs.rank)), rs.rank
+    pairs = [
+        (frozenset(), frozenset()),
+        (frozenset({0}), every - {0}),
+        (frozenset({r - 1}), every - {r - 1}),
+        (every - {0}, every - {r - 1}),
+        (every - {r - 1}, every - {0}),
+        (frozenset(range(0, r, 2)), frozenset(range(1, r, 2))),
+        (frozenset(range(1, r, 2)), frozenset(range(0, r, 2))),
+    ]
+    order = parabolic_order(rs, every)
+    return [(i, j) for i, j in pairs if order // parabolic_order(rs, j) <= 3000]
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(f, r) for f, (low, high) in rootsys._RANKS.items() for r in range(low, high + 1)],
+)
+def test_records_satisfy_the_bruhat_cell_identity(family, rank):
+    # W(t) / W_J(t) = sum over records of t^s W_I(t) / W_K(t) on every root system the CLI
+    # builds, past the order cap too: it weighs the whole (s, c) distribution, which
+    # s + c + u = dim cannot, so a record with s and u swapped fails it
+    rs = build_root_system(family, rank)
+    group = WeylGroup(rs, parabolic_order(rs, range(rank)))
+    pairs = _bruhat_pairs(rs)
+    if (family, rank) == ("E", 7):
+        pairs.append((frozenset(range(5)), frozenset(range(5))))
+    if (family, rank) == ("E", 8):
+        pairs.append((frozenset(range(1, 8)), frozenset(range(1, 8))))
+    assert len(pairs) >= 4
+    for left, right in pairs:
+        records = enumerate_chain_control_sets(group, FlagSpec(theta=right, flag_type=left))
+        cosets = weyl.double_cosets(group, left, right)
+        lhs, rhs = oracles.bruhat_cell_sums(rs, left, right, records, cosets)
+        assert lhs == rhs, (sorted(left), sorted(right))
+        assert sum(lhs) == group.order // parabolic_order(rs, right)

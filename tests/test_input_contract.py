@@ -156,3 +156,16 @@ def test_simulate_refuses_a_run_past_its_step_bound(tmp_path, capsys, options, m
     path.write_text(json.dumps(_FREE))
     assert main(["simulate", "--spec", str(path), *options]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_verify_names_a_determinant_out_of_double_range(tmp_path, capsys):
+    # exp(x / 2) of this traceless drift (eigenvalues +-565.7, 0, 0) is unimodular but far
+    # too ill-conditioned for double range: the LU determinant of its fixed-flag images
+    # overflows, and the refusal says so rather than that the matrix is not unimodular
+    drift = [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 400.0, 400.0],
+             [0.0, 400.0, 400.0, -400.0]]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_system(4, drift)))
+    assert main(["verify", "--spec", str(path), "--T", "1"]) == 2
+    message = "matrix too ill-conditioned or too large for double range: its LU determinant is inf"
+    assert capsys.readouterr() == ("", f"error: {message}\n")

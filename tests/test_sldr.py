@@ -1,3 +1,4 @@
+import io
 import math
 import re
 
@@ -53,6 +54,12 @@ def word_element(group, word):
     return next(g for g in group.elements if g.reduced_word == tuple(word))
 
 
+def csv_text(sample):
+    out = io.StringIO()
+    cocycle_to_csv(sample, out)
+    return out.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # Iwasawa factorization
 
@@ -73,6 +80,10 @@ def test_iwasawa_round_trip():
 def test_iwasawa_rejects_bad_input():
     with pytest.raises(ValueError, match="unimodular"):
         iwasawa(2.0 * np.eye(2))
+    # a determinant past double range is named as that, not as det = inf
+    too_large = "too ill-conditioned or too large for double range: its LU determinant is inf"
+    with pytest.raises(ValueError, match=too_large):
+        iwasawa(1e100 * np.eye(4))
     with pytest.raises(ValueError, match="square"):
         iwasawa(np.ones((2, 3)))
     spread = np.diag([1e9, 1e-9])
@@ -785,7 +796,7 @@ def test_cocycle_sample_zero_system_exact():
     spec = control_system(np.zeros((3, 3)), [], Box(()))
     sample = cocycle_sample(spec, constant_signal([]), 1.0, standard_flag(3))
     assert np.array_equal(sample.a_values, np.zeros_like(sample.a_values))
-    csv = cocycle_to_csv(sample)
+    csv = csv_text(sample)
     lines = csv.splitlines()
     assert lines[0] == "t,a1,a2,a3"
     assert lines[1] == "0,0,0,0"
@@ -963,7 +974,7 @@ def test_stacked_propagation_matches_the_per_value_walk(case):
         times, values = oracles.cocycle_sample_per_row(spec, sig, T, np.eye(spec.dim), every)
         assert np.array_equal(sample.times, times) and np.array_equal(sample.a_values, values)
         # the bytes too: array_equal does not tell 0.0 from -0.0
-        assert cocycle_to_csv(sample) == cocycle_to_csv(sldr.CocycleSample(times, values))
+        assert csv_text(sample) == csv_text(sldr.CocycleSample(times, values))
     if case == "zero_system":
         assert not sample.a_values.any()
     if case in ("bench-d5", "many_blocks"):
@@ -1050,7 +1061,7 @@ def test_whole_stride_rows_match_the_per_row_walk(case, monkeypatch):
     monkeypatch.undo()
     times, values = oracles.cocycle_sample_per_row(spec, sig, T, np.eye(spec.dim), every)
     assert np.array_equal(sample.times, times) and np.array_equal(sample.a_values, values)
-    assert cocycle_to_csv(sample) == cocycle_to_csv(sldr.CocycleSample(times, values))
+    assert csv_text(sample) == csv_text(sldr.CocycleSample(times, values))
     runs = [v for _, block in flows._propagate(spec, sig, T)[2] for v, _ in block]
     if case == "period_off_stride":
         assert not math.isclose(sig.period / (every * spec.integrator.dt) % 1, 0.0)
@@ -1074,8 +1085,8 @@ def test_cocycle_to_csv_bytes():
             ]
         ),
     )
-    assert cocycle_to_csv(sample) == oracles.csv_per_row(sample)
-    assert cocycle_to_csv(sample).splitlines()[1] == "0,-0,1e-300,1e+15"
+    assert csv_text(sample) == oracles.csv_per_row(sample)
+    assert csv_text(sample).splitlines()[1] == "0,-0,1e-300,1e+15"
 
 
 @pytest.mark.parametrize("rows", [1, 256, 257, 513])
@@ -1085,8 +1096,17 @@ def test_cocycle_to_csv_blocks_match_the_per_row_format(rows):
     values = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
     values[::7, 1] = -0.0
     sample = sldr.CocycleSample(times=-0.001 * np.arange(rows), a_values=values)
-    csv = cocycle_to_csv(sample)
+    csv = csv_text(sample)
     assert csv == oracles.csv_per_row(sample) and csv.count("\n") == rows + 1
+    # written as formatted: the header, then one write per block
+    class Writes(list):
+        write = list.append
+
+    writes = Writes()
+    cocycle_to_csv(sample, writes)
+    assert "".join(writes) == csv
+    blocks = [min(256, rows - start) for start in range(0, rows, 256)]
+    assert [w.count("\n") for w in writes] == [1, *blocks]
 
 
 def test_flag_type_diagnostic():
