@@ -12,8 +12,8 @@ import itertools
 import json
 import sys
 
-from flagctrl.cli import _positive_int
-from flagctrl.flagcalc import FlagSpec, classification_report, flag_dim
+from flagctrl.cli import _analyze, _fmt_set, _positive_int
+from flagctrl.flagcalc import FlagSpec, flag_dim
 from flagctrl.rootsys import FAMILIES, build_root_system
 from flagctrl.weyl import generate
 
@@ -22,10 +22,6 @@ def subsets(rank: int):
     for k in range(rank + 1):
         for combo in itertools.combinations(range(rank), k):
             yield frozenset(combo)
-
-
-def fmt(s: frozenset) -> str:
-    return "{" + ",".join(str(i) for i in sorted(s)) + "}"
 
 
 def main() -> int:
@@ -49,10 +45,10 @@ def main() -> int:
     for theta in subsets(rs.rank):
         dim = flag_dim(rs, theta)
         for ftype in subsets(rs.rank):
-            report = classification_report(group, FlagSpec(theta=theta, flag_type=ftype))
+            report = json.loads(_analyze(group, FlagSpec(theta=theta, flag_type=ftype), "json"))
             recs = report["records"]
             hyp = sum(1 for r in recs if r["hyperbolic"])
-            print(f"{fmt(theta):<12}{fmt(ftype):<12}{dim:>4}{len(recs):>8}{hyp:>11}")
+            print(f"{_fmt_set(theta):<12}{_fmt_set(ftype):<12}{dim:>4}{len(recs):>8}{hyp:>11}")
             if args.json:
                 dumps.append(report)
 

@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in (
-        ("flagcalc", "ChainControlSetRecord ConsistencyError FlagSpec classification_report"
+        ("flagcalc", "ChainControlSetRecord ConsistencyError FlagSpec"
          " enumerate_chain_control_sets flag_dim is_hyperbolic sigma_functional"
          " subbundle_dims tangent_roots"),
         ("flows", "Box ControlSignal ControlSystemSpec FlagPoint IntegratorConfig Polytope"

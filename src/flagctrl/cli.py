@@ -17,8 +17,8 @@ runs: the exact modules (``rootsys``, ``weyl``, ``flagcalc``) in analyze,
 cosets and verify, compiled before argparse loads; numpy with ``flows``
 only in verify and simulate, verify's through ``sldr`` (with ``linalg``),
 so that simulate compiles neither ``sldr`` nor an exact module; ``json``
-where a JSON document is dumped whole (analyze formats each record as the
-walk yields it), and ``logging`` only when FLAGCTRL_LOG is set.
+only in simulate, for its stderr summary (analyze and cosets write their
+JSON with ``%`` templates), and ``logging`` only when FLAGCTRL_LOG is set.
 """
 
 from __future__ import annotations
@@ -84,14 +84,12 @@ _nonnegative = _number(float, lambda x: math.isfinite(x) and x >= 0, "a finite n
 _positive_int = _number(int, lambda n: n > 0, "a positive integer")
 
 
-def _emit_json(doc: object) -> None:
-    import json
-
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+def _ints(values: Sequence[int]) -> str:
+    return ",".join(map(str, values))
 
 
 def _fmt_set(s: frozenset[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(s)) + "}"
+    return "{%s}" % _ints(sorted(s))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,29 +144,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# one record of classification_report as json.dumps(sort_keys=True, separators=(",", ":"))
-# writes it: lists of ints, JSON booleans and null
+# an analyze record, and a cosets row in each format, as json.dumps(sort_keys=True,
+# separators=(",", ":")) writes them: lists of ints, JSON booleans and null
 _JSON_RECORD = (
     '{"attractor":%s,"c":%d,"coset_rep_word":[%s],"hyperbolic":%s,"repeller":%s,'
     '"s":%d,"sigma_minus":%s,"sigma_plus":%s,"u":%d}'
 )
 _JSON_BOOL = ("false", "true")
+_COSET = {"json": '{"rep_word":[%s],"size":%d}', "text": "rep (%s)  size %d"}
 
 
 def _json_ints(values: Sequence[int] | None) -> str:
-    return "null" if values is None else "[" + ",".join(map(str, values)) + "]"
+    return "null" if values is None else "[%s]" % _ints(values)
 
 
 def _json_record(rec) -> str:
     return _JSON_RECORD % (
-        _JSON_BOOL[rec.is_attractor], rec.dim_center, ",".join(map(str, rec.rep.reduced_word)),
+        _JSON_BOOL[rec.is_attractor], rec.dim_center, _ints(rec.rep.reduced_word),
         _JSON_BOOL[rec.hyperbolic], _JSON_BOOL[rec.is_repeller], rec.dim_stable,
         _json_ints(rec.sigma_minus), _json_ints(rec.sigma_plus), rec.dim_unstable,
     )
 
 
 def _text_record(rec) -> str:
-    word = "(" + ",".join(map(str, rec.rep.reduced_word)) + ")"
     tags = []
     if rec.is_attractor:
         tags.append("attractor")
@@ -176,68 +174,69 @@ def _text_record(rec) -> str:
         tags.append("repeller")
     tag = (" [" + ",".join(tags) + "]") if tags else ""
     if rec.hyperbolic:
-        plus = ",".join(str(v) for v in rec.sigma_plus)
-        minus = ",".join(str(v) for v in rec.sigma_minus)
-        sig = f"  sigma+ ({plus})  sigma- ({minus})"
+        sig = f"  sigma+ ({_ints(rec.sigma_plus)})  sigma- ({_ints(rec.sigma_minus)})"
         kind = "hyperbolic"
     else:
         sig = ""
         kind = "non-hyperbolic"
     return (
-        f"rep {word}  s/c/u {rec.dim_stable}/{rec.dim_center}/{rec.dim_unstable}"
-        f"  {kind}{sig}{tag}"
+        f"rep ({_ints(rec.rep.reduced_word)})  s/c/u {rec.dim_stable}/{rec.dim_center}/"
+        f"{rec.dim_unstable}  {kind}{sig}{tag}"
     )
 
 
+def _analyze(group, spec, fmt: str) -> str:
+    """analyze's stdout for ``spec`` on ``group`` in ``fmt``, "json" or "text": each
+    record formatted as the walk, which first validates ``spec``, yields it, and the
+    whole returned once the last record and the checks after it have passed."""
+    from .flagcalc import _records
+
+    out = [(_json_record if fmt == "json" else _text_record)(r) for r in _records(group, spec)]
+    if fmt == "json":
+        # lie_type is a family letter and a rank, which JSON quotes as they are
+        return '{"flag_type":%s,"lie_type":"%s","records":[%s],"theta":%s}\n' % (
+            _json_ints(sorted(spec.flag_type)), group.system.lie_type, ",".join(out),
+            _json_ints(sorted(spec.theta)))
+    head = [
+        f"lie_type {group.system.lie_type}",
+        f"theta {_fmt_set(spec.theta)}",
+        f"flag_type {_fmt_set(spec.flag_type)}",
+        f"records {len(out)}",
+    ]
+    return "\n".join(head + out) + "\n"
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .flagcalc import FlagSpec, _records
+    from .flagcalc import FlagSpec
     from .rootsys import build_root_system
     from .weyl import generate
 
     rs = build_root_system(args.type, args.rank)
     group = generate(rs, order_cap=args.order_cap)
     _debug("Weyl group of %s has order %d", rs.lie_type, group.order)
-    spec = FlagSpec(theta=args.theta, flag_type=args.flagtype)
-    spec.validate(rs)
-    # each record becomes its line, or its JSON fragment, as the walk yields it; stdout
-    # is written once the last record and the checks after it have passed
-    fmt = _json_record if args.format == "json" else _text_record
-    out = [fmt(rec) for rec in _records(group, spec)]
-    if args.format == "json":
-        # lie_type is a family letter and a rank, which JSON quotes as they are
-        sys.stdout.write('{"flag_type":%s,"lie_type":"%s","records":[%s],"theta":%s}\n' % (
-            _json_ints(sorted(spec.flag_type)), rs.lie_type, ",".join(out),
-            _json_ints(sorted(spec.theta))))
-        return 0
-    head = [
-        f"lie_type {rs.lie_type}",
-        f"theta {_fmt_set(spec.theta)}",
-        f"flag_type {_fmt_set(spec.flag_type)}",
-        f"records {len(out)}",
-    ]
-    sys.stdout.write("\n".join(head + out) + "\n")
+    sys.stdout.write(_analyze(group, FlagSpec(args.theta, args.flagtype), args.format))
     return 0
 
 
 def cmd_cosets(args: argparse.Namespace) -> int:
     from .rootsys import build_root_system
-    from .weyl import coset_table_json, generate
+    from .weyl import double_cosets, generate
 
     rs = build_root_system(args.type, args.rank)
     group = generate(rs, order_cap=args.order_cap)
-    doc = coset_table_json(group, args.left, args.right)
+    table = double_cosets(group, args.left, args.right)
+    out = [_COSET[args.format] % (_ints(c.rep.reduced_word), c.size) for c in table]
     if args.format == "json":
-        _emit_json(doc)
+        sys.stdout.write('{"cosets":[%s],"left":%s,"lie_type":"%s","order":%d,"right":%s}\n' % (
+            ",".join(out), _json_ints(sorted(args.left)), rs.lie_type, group.order,
+            _json_ints(sorted(args.right))))
         return 0
-    out = [
-        f"lie_type {doc['lie_type']}  order {doc['order']}",
-        f"left {_fmt_set(frozenset(doc['left']))}  right {_fmt_set(frozenset(doc['right']))}",
-        f"cosets {len(doc['cosets'])}",
+    head = [
+        f"lie_type {rs.lie_type}  order {group.order}",
+        f"left {_fmt_set(args.left)}  right {_fmt_set(args.right)}",
+        f"cosets {len(out)}",
     ]
-    for c in doc["cosets"]:
-        word = "(" + ",".join(str(i) for i in c["rep_word"]) + ")"
-        out.append(f"rep {word}  size {c['size']}")
-    sys.stdout.write("\n".join(out) + "\n")
+    sys.stdout.write("\n".join(head + out) + "\n")
     return 0
 
 
@@ -318,6 +317,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sysspec = load_system(args.spec)
     if isinstance(sysspec.control_range, Polytope):
         raise ValueError("simulate draws from box control ranges only")
+    # dt times a bound on |X_u|_F over the box: RK4 is the degree-4 Taylor polynomial of
+    # exp(z), and at |z| <= 0.5 a rate read off its steps errs by under 1e-3 of itself
+    dt, bounds = sysspec.integrator.dt, sysspec.control_range.bounds
+    reach = float(np.linalg.norm(sysspec.drift)) + sum(
+        max(-lo, hi) * float(np.linalg.norm(m)) for (lo, hi), m in zip(bounds, sysspec.controls)
+    )
+    if dt * reach > 0.5:
+        raise ValueError(f"dt {dt:g} times the generator norm bound {reach:.4g} on the control "
+                         "box exceeds 0.5: RK4 misreads the rates; lower dt")
     rng = np.random.default_rng(args.seed)
     signal = random_signal(rng, sysspec.control_range, args.T, args.period)
     sample = cocycle_sample(

@@ -50,7 +50,6 @@ __all__ = [
     "sigma_functional",
     "enumerate_chain_control_sets",
     "representative_invariance_check",
-    "classification_report",
 ]
 
 
@@ -324,28 +323,3 @@ def representative_invariance_check(
     return not hyp or all(
         _sigma(rs, spec, split_w, sign) == _sigma(rs, spec, split_o, sign) for sign in (1, -1)
     )
-
-
-def _record_json(record: ChainControlSetRecord) -> dict:
-    return {
-        "coset_rep_word": list(record.rep.reduced_word),
-        "s": record.dim_stable,
-        "c": record.dim_center,
-        "u": record.dim_unstable,
-        "hyperbolic": record.hyperbolic,
-        "sigma_plus": list(record.sigma_plus) if record.sigma_plus is not None else None,
-        "sigma_minus": list(record.sigma_minus) if record.sigma_minus is not None else None,
-        "attractor": record.is_attractor,
-        "repeller": record.is_repeller,
-    }
-
-
-def classification_report(group: WeylGroup, spec: FlagSpec) -> dict:
-    """JSON-ready classification document for one flag manifold and flow type."""
-    records = enumerate_chain_control_sets(group, spec)
-    return {
-        "lie_type": group.system.lie_type,
-        "theta": sorted(spec.theta),
-        "flag_type": sorted(spec.flag_type),
-        "records": [_record_json(r) for r in records],
-    }

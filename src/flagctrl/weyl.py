@@ -42,7 +42,6 @@ __all__ = [
     "subgroup",
     "double_cosets",
     "longest_coset_rep",
-    "coset_table_json",
     "DEFAULT_ORDER_CAP",
     "HARD_ORDER_CAP",
 ]
@@ -268,25 +267,11 @@ def longest_coset_rep(
     apart from the coset filter: lambda_J lowered to its antidominant point
     w0(lambda_J), then raised by s_i, i in I, while mu_i < 0."""
     rs, left, right = group.system, sorted(frozenset(left)), frozenset(right)
+    _check_subset(rs, left)
+    _check_subset(rs, right)
     mu = tuple(int(j not in right) for j in range(rs.rank))
     while (i := next((i for i, c in enumerate(mu) if c > 0), None)) is not None:
         mu = _reflect(rs.cartan, mu, i)
     while (i := next((i for i in left if mu[i] < 0), None)) is not None:
         mu = _reflect(rs.cartan, mu, i)
     return WeylElement(_strip(rs.cartan, mu), rs)
-
-
-def coset_table_json(
-    group: WeylGroup, left: Iterable[int], right: Iterable[int]
-) -> dict:
-    left, right = sorted(frozenset(left)), sorted(frozenset(right))
-    table = double_cosets(group, left, right)
-    return {
-        "lie_type": group.system.lie_type,
-        "order": group.order,
-        "left": left,
-        "right": right,
-        "cosets": [
-            {"rep_word": list(c.rep.reduced_word), "size": c.size} for c in table
-        ],
-    }

@@ -16,7 +16,9 @@ realizations and their volumes are built one elementary d x d matrix at a
 time.  The ``loop_*`` functions
 are the one-record-at-a-time realization and checks that the stacked ones
 replaced, transports through ``np.kron`` included: the stacked checks must
-reproduce their every bit.
+reproduce their every bit.  ``analyze_text``, ``analyze_report``,
+``coset_table`` and ``coset_text`` build the exact commands' outputs from
+whole tuples, as dicts and lines, which the CLI's templates must match.
 """
 
 from __future__ import annotations
@@ -496,6 +498,51 @@ def analyze_text(group: WeylGroup, records, spec) -> str:
             sig, kind = f"  sigma+ ({plus})  sigma- ({minus})", "hyperbolic"
         out.append(f"rep {word}  s/c/u {rec.dim_stable}/{rec.dim_center}/{rec.dim_unstable}"
                    f"  {kind}{sig}{tag}")
+    return "\n".join(out) + "\n"
+
+
+def analyze_report(group: WeylGroup, records, spec) -> dict:
+    """``analyze --format json`` as a dict, which ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` must write byte for byte as analyze does."""
+    return {
+        "lie_type": group.system.lie_type,
+        "theta": sorted(spec.theta),
+        "flag_type": sorted(spec.flag_type),
+        "records": [
+            {
+                "coset_rep_word": list(rec.rep.reduced_word),
+                "s": rec.dim_stable,
+                "c": rec.dim_center,
+                "u": rec.dim_unstable,
+                "hyperbolic": rec.hyperbolic,
+                "sigma_plus": None if rec.sigma_plus is None else list(rec.sigma_plus),
+                "sigma_minus": None if rec.sigma_minus is None else list(rec.sigma_minus),
+                "attractor": rec.is_attractor,
+                "repeller": rec.is_repeller,
+            }
+            for rec in records
+        ],
+    }
+
+
+def coset_table(group: WeylGroup, cosets, left, right) -> dict:
+    """``cosets --format json`` as a dict, as ``analyze_report`` is analyze's."""
+    return {
+        "lie_type": group.system.lie_type,
+        "order": group.order,
+        "left": sorted(left),
+        "right": sorted(right),
+        "cosets": [{"rep_word": list(c.rep.reduced_word), "size": c.size} for c in cosets],
+    }
+
+
+def coset_text(group: WeylGroup, cosets, left, right) -> str:
+    """``cosets --format text`` from the whole coset tuple, one list of lines."""
+    sets = ["{" + ",".join(str(i) for i in sorted(s)) + "}" for s in (left, right)]
+    out = [f"lie_type {group.system.lie_type}  order {group.order}",
+           f"left {sets[0]}  right {sets[1]}", f"cosets {len(cosets)}"]
+    for c in cosets:
+        out.append("rep (" + ",".join(str(i) for i in c.rep.reduced_word) + f")  size {c.size}")
     return "\n".join(out) + "\n"
 
 

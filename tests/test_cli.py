@@ -131,8 +131,8 @@ def test_analyze_splits_each_record_once_at_its_orbit_point(capsys, monkeypatch)
 )
 def test_analyze_formats_the_records_of_the_whole_report(capsys, family, rank):
     # analyze formats each record as the walk yields it: its JSON is json.dumps of the
-    # dict report, and its text the lines of the whole record tuple, byte for byte, on
-    # every (theta, flag type) pair, F4 on F4_PAIRS
+    # oracle's dict report, and its text the lines of the whole record tuple, byte for
+    # byte, on every (theta, flag type) pair, F4 on F4_PAIRS
     from test_flagcalc import F4_PAIRS
 
     group = weyl.generate(build_root_system(family, rank))
@@ -142,8 +142,8 @@ def test_analyze_formats_the_records_of_the_whole_report(capsys, family, rank):
         spec = flagcalc.FlagSpec(theta=theta, flag_type=ftype)
         argv = ["analyze", "--type", family, "--rank", str(rank),
                 "--theta", ",".join(map(str, theta)), "--flagtype", ",".join(map(str, ftype))]
-        report = flagcalc.classification_report(group, spec)
         records = flagcalc.enumerate_chain_control_sets(group, spec)
+        report = oracles.analyze_report(group, records, spec)
         expected = {
             "json": json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n",
             "text": oracles.analyze_text(group, records, spec),
@@ -273,6 +273,35 @@ def test_cosets_text_golden(capsys):
         "rep ()  size 4\n"
         "rep (1,0)  size 4\n"
     )
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+     ("F", 4)],
+)
+def test_cosets_formats_the_table_of_the_oracle(capsys, family, rank):
+    # cosets formats its table with templates: its JSON is json.dumps of the oracle's
+    # dict, and its text the oracle's lines, byte for byte, on the cosets the breadth-first
+    # walk finds for every (left, right) pair, and on D4_F4_PAIRS for D4 and F4
+    from test_weyl import D4_F4_PAIRS
+
+    group = weyl.generate(build_root_system(family, rank))
+    subsets = list(oracles.all_subsets(rank))
+    pairs = [] if family == "F" else [(l, r) for l in subsets for r in subsets]
+    if family in ("D", "F"):
+        pairs += D4_F4_PAIRS
+    for left, right in pairs:
+        cosets = oracles.bfs_double_cosets(group, left, right)
+        table = oracles.coset_table(group, cosets, left, right)
+        expected = {
+            "json": json.dumps(table, sort_keys=True, separators=(",", ":")) + "\n",
+            "text": oracles.coset_text(group, cosets, left, right),
+        }
+        argv = ["cosets", "--type", family, "--rank", str(rank),
+                "--left", ",".join(map(str, left)), "--right", ",".join(map(str, right))]
+        for fmt, text in expected.items():
+            assert run(capsys, [*argv, "--format", fmt]) == (0, text, ""), (fmt, left, right)
 
 
 def test_cosets_rejects_out_of_range_index(capsys):
@@ -685,7 +714,7 @@ def test_exact_commands_do_not_import_numpy():
 
 def test_exact_commands_load_only_what_they_run():
     # analyze and cosets need no dataclasses (inspect with them), logging,
-    # fractions or decimal, and a text run no json; counted from before the
+    # fractions, decimal or json, in either format; counted from before the
     # import of flagctrl, so that what the interpreter loads at start does not count
     code = (
         "import sys\n"
@@ -697,10 +726,8 @@ def test_exact_commands_load_only_what_they_run():
         "    argv = ['--type', 'B', '--rank', '3', '--format', fmt]\n"
         "    assert c.main(['analyze', *argv, '--theta', '0', '--flagtype', '1']) == 0\n"
         "    assert c.main(['cosets', *argv, '--left', '0', '--right', '1,2']) == 0\n"
-        "    if fmt == 'text':\n"
-        "        assert not loaded(['json']), loaded(['json'])\n"
         "banned = loaded(['dataclasses', 'inspect', 'logging', 'fractions', 'decimal', 'json'])\n"
-        "assert banned == ['json'], banned\n"
+        "assert banned == [], banned\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()

@@ -6,7 +6,6 @@ from flagctrl import flagcalc, rootsys, weyl
 from flagctrl.flagcalc import (
     ConsistencyError,
     FlagSpec,
-    classification_report,
     enumerate_chain_control_sets,
     flag_dim,
     is_hyperbolic,
@@ -362,15 +361,6 @@ def test_records_sorted_and_unique_extremes(w_a3):
             assert keys == sorted(keys)
             assert sum(1 for r in recs if r.is_attractor) == 1
             assert sum(1 for r in recs if r.is_repeller) == 1
-
-
-def test_classification_report_shape(w_a2):
-    spec = FlagSpec(theta=frozenset(), flag_type=frozenset({0}))
-    doc = classification_report(w_a2, spec)
-    assert doc["lie_type"] == "A2"
-    assert doc["theta"] == [] and doc["flag_type"] == [0]
-    assert len(doc["records"]) == 3
-    assert doc == classification_report(w_a2, spec)
 
 
 def _bruhat_pairs(rs):

@@ -158,6 +158,30 @@ def test_simulate_refuses_a_run_past_its_step_bound(tmp_path, capsys, options, m
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("doc,message", [
+    # RK4 read this drift's rate 4000 as 3044 at exit 0
+    (_system(2, [[2000.0, 0.0], [0.0, -2000.0]]),
+     "dt 0.001 times the generator norm bound 2828 on the control box"),
+    # a mild drift, but a control that the box lets reach 600: sqrt(2) + 600 sqrt(2)
+    (_system(2, [[1.0, 0.0], [0.0, -1.0]], [[[0.0, 1.0], [1.0, 0.0]]], [(-1.0, 600.0)]),
+     "dt 0.001 times the generator norm bound 849.9 on the control box"),
+    (_system(2, [[1.0, 0.0], [0.0, -1.0]], dt=0.4),
+     "dt 0.4 times the generator norm bound 1.414 on the control box"),
+])
+def test_simulate_refuses_a_step_rk4_cannot_resolve(tmp_path, capsys, doc, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--spec", str(path), "--T", "5"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message} exceeds 0.5: RK4 misreads the rates; lower dt\n")
+
+
+def test_simulate_runs_a_step_just_inside_the_rk4_bound(tmp_path, capsys):
+    # dt |drift|_F = 0.35 * sqrt(2) = 0.495
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_system(2, [[1.0, 0.0], [0.0, -1.0]], dt=0.35)))
+    assert main(["simulate", "--spec", str(path), "--T", "3.5", "--period", "0.35"]) == 0
+
+
 def test_verify_names_a_determinant_out_of_double_range(tmp_path, capsys):
     # exp(x / 2) of this traceless drift (eigenvalues +-565.7, 0, 0) is unimodular but far
     # too ill-conditioned for double range: the LU determinant of its fixed-flag images

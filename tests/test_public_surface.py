@@ -96,7 +96,7 @@ def test_module_all_entries_exist(module):
 
 
 def test_removed_names_are_gone():
-    from flagctrl import flagcalc, rootsys, weyl
+    from flagctrl import cli, flagcalc, rootsys, weyl
 
     removed = {
         sldr: (
@@ -104,7 +104,8 @@ def test_removed_names_are_gone():
             "_realize_cell", "_tangent_map", "_flow_tangent_map", "_volume",
             "invariant_realizations", "RealizationSplit",
         ),
-        flagcalc: ("evaluate_functional",),
+        cli: ("_emit_json",),
+        flagcalc: ("evaluate_functional", "classification_report", "_record_json"),
         rootsys: (
             "reflect", "pairing_value", "evaluate", "characteristic_subset", "chamber_vector",
             "a_theta_basis", "root_system_json", "root_system_to_text", "json", "positions",
@@ -113,6 +114,7 @@ def test_removed_names_are_gone():
         weyl: (
             "act", "act_avector", "length", "inverse", "simple_reflection_matrix",
             "_mat_mul", "_mat_vec", "_identity_matrix", "reduce", "root_permutation",
+            "coset_table_json",
         ),
     }
     for module, names in removed.items():

@@ -12,9 +12,9 @@ from flagctrl.weyl import (
     WeylElement,
     WeylGroup,
     compose,
-    coset_table_json,
     double_cosets,
     generate,
+    longest_coset_rep,
     parabolic_order,
     subgroup,
 )
@@ -285,13 +285,16 @@ def test_double_coset_counts(w_a2):
     assert len(double_cosets(w_a2, frozenset({0, 1}), frozenset())) == 1
 
 
-def test_coset_table_json(w_b2):
-    doc = coset_table_json(w_b2, frozenset({0}), frozenset({1}))
-    assert doc["lie_type"] == "B2"
-    assert doc["order"] == 8
-    assert sum(c["size"] for c in doc["cosets"]) == 8
-    words = [tuple(c["rep_word"]) for c in doc["cosets"]]
-    assert words == sorted(words, key=lambda t: (len(t), t))
+@pytest.mark.parametrize(
+    "left,right,bad", [((5,), (), 5), ((-1,), (), -1), ((), (7,), 7), ((), (-2,), -2)]
+)
+def test_longest_coset_rep_refuses_what_double_cosets_refuses(w_a3, left, right, bad):
+    # an index past the rank, or a negative one, would index past mu or wrap to its end
+    message = f"simple-root indices [{bad}] out of range for rank 3"
+    for fn in (double_cosets, longest_coset_rep):
+        with pytest.raises(ValueError) as refusal:
+            fn(w_a3, left, right)
+        assert str(refusal.value) == message, fn
 
 
 def test_mult_invariance_flag():
